@@ -68,6 +68,11 @@ def _write_rows(out, fmt, header, rows):
                 fh.write("\n")
 
 
+def _check_threads(threads: int) -> None:
+    if threads < 1:
+        raise InvalidInputError(f"--threads must be >= 1, got {threads}")
+
+
 def _group_config(args) -> dict:
     cfg = {"group": args.group, "m": args.m, "seed": args.seed, "sigma0": args.sigma0}
     if args.group == "cyclic":
@@ -143,6 +148,7 @@ def _cmd_spectrum(args) -> int:
 
 
 def _cmd_census(args) -> int:
+    _check_threads(args.threads)
     config = _group_config(args)
     config.update({"trials": args.trials, "out": args.out, "format": args.format})
     cfg = EnsembleConfig(args.seed, args.trials, args.sigma0, args.group, args.n, args.m)
@@ -181,6 +187,7 @@ def _cmd_su2_widths(args) -> int:
 
 
 def _cmd_gsdist(args) -> int:
+    _check_threads(args.threads)
     dims = DimensionTable.from_csv(args.dims)
     if args.jmax is not None:
         kept = tuple(e for e in dims.entries if e[0] <= 2 * args.jmax)

@@ -16,14 +16,13 @@ the combination-block eigenvalues, each repeated by its multiplicity.
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, NumericFailureError
 from .groups import (
     PairOrbitStructure,
     PointGroup,
@@ -32,7 +31,13 @@ from .groups import (
     pair_orbits,
 )
 from .linalg import EigenOptions, Spectrum, SymMatrix, eigensolve
-from .rng import EnsembleConfig, draw_label_blocks, run_trials
+from .rng import (
+    EnsembleConfig,
+    _chunked_tally,
+    _label_block_rows,
+    _row_uniforms,
+    draw_label_blocks,
+)
 
 __all__ = [
     "IrrepBlockSpec",
@@ -368,22 +373,23 @@ def _census_from_specs(
 ) -> CensusResult:
     m = cfg.m
 
-    def worker(trial):
-        blocks = draw_label_blocks(labels, m, cfg.master_seed, trial, cfg.sigma0)
-        minima = np.empty(len(specs))
+    def chunk_minima(trials):
+        blocks = _label_block_rows(labels, m, cfg.master_seed, trials, cfg.sigma0)
+        minima = np.empty((trials.size, len(specs)))
         for i, spec in enumerate(specs):
             combo = spec.combination(blocks)
-            minima[i] = combo[0, 0] if m == 1 else np.linalg.eigvalsh(combo)[0]
-        winner = int(np.argmin(minima))
-        tie = int(np.count_nonzero(minima == minima[winner]) > 1)
-        return winner, tie
+            if m == 1:
+                minima[:, i] = combo[:, 0, 0]
+                continue
+            try:
+                minima[:, i] = np.linalg.eigvalsh(combo)[:, 0]
+            except np.linalg.LinAlgError as exc:
+                raise NumericFailureError(f"eigensolve failed: {exc}") from exc
+        return minima
 
-    outcomes = run_trials(worker, cfg.trials, threads)
-    counts = np.zeros(len(specs), dtype=np.int64)
-    ties = 0
-    for winner, tie in outcomes:
-        counts[winner] += 1
-        ties += tie
+    # a chunk holds one block per label, which outweighs the draw for m > 2
+    row_elements = max(_row_uniforms(m * (m + 1) // 2), len(labels) * m * m)
+    counts, ties = _chunked_tally(chunk_minima, cfg.trials, row_elements, threads)
     rows = tuple(
         CensusRow(spec.label, spec.copies, m, spec.variance_factor,
                   int(counts[i]), cfg.trials, sites)
@@ -401,6 +407,7 @@ def ground_state_irrep_census(cfg: EnsembleConfig, threads: int = 1) -> CensusRe
     minimum eigenvalue.  Exact ties are counted toward the earlier
     block in canonical order and tallied in ``tie_count`` (they have
     probability zero, so a nonzero tally flags a construction bug).
+    A NaN or infinite block minimum raises ``NumericFailureError``.
     """
     if cfg.group is None:
         raise InvalidInputError("EnsembleConfig.group must be set for a census")
@@ -439,8 +446,3 @@ def write_census_csv(result: CensusResult, destination) -> None:
     else:
         _write(destination)
 
-
-def census_csv_text(result: CensusResult) -> str:
-    buf = io.StringIO()
-    write_census_csv(result, buf)
-    return buf.getvalue()

@@ -21,6 +21,13 @@ so the sequences can be reproduced from this description alone:
   unless ``0 < s < 1``, then emit ``v1 * f`` followed by ``v2 * f`` with
   ``f = sqrt(-2 ln(s) / s)``.  The second deviate of a pair is kept in a
   one-slot queue, never discarded.
+
+The census and the J distribution draw a whole chunk of trials at once:
+the stream states of every trial in the chunk are derived as one array,
+and each row keeps the same accepted pairs, in the same order, that
+``substream(seed, trial, tag).normals(count)`` would.  The batched and
+the scalar paths therefore produce the same draws bit for bit, and
+splitting the trials into chunks (or over threads) changes nothing.
 """
 
 from __future__ import annotations
@@ -31,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, NumericFailureError
 
 __all__ = [
     "EnsembleConfig",
@@ -58,6 +65,10 @@ _SHIFT_31 = np.uint64(31)
 _SHIFT_11 = np.uint64(11)
 _TO_UNIT = 2.0 ** -53
 
+# array elements one chunk of the trial kernel holds at once; sets how
+# many trials share a chunk, and so bounds its scratch memory
+_CHUNK_ELEMENTS = 1 << 15
+
 
 def mix64(z: int) -> int:
     """SplitMix64 avalanche of one 64-bit word."""
@@ -68,9 +79,13 @@ def mix64(z: int) -> int:
 
 
 def _mix64_array(z: np.ndarray) -> np.ndarray:
-    z = (z ^ (z >> _SHIFT_30)) * _U64_MIX_A
-    z = (z ^ (z >> _SHIFT_27)) * _U64_MIX_B
-    return z ^ (z >> _SHIFT_31)
+    """mix64 of every word of the uint64 array ``z``, computed in place."""
+    z ^= z >> _SHIFT_30
+    z *= _U64_MIX_A
+    z ^= z >> _SHIFT_27
+    z *= _U64_MIX_B
+    z ^= z >> _SHIFT_31
+    return z
 
 
 class SubStream:
@@ -165,6 +180,62 @@ def substream(master_seed: int, trial_index: int, stream_tag: int) -> SubStream:
     return SubStream(s)
 
 
+def _pair_budget(need: int) -> int:
+    # polar pairs drawn per row for ``need`` accepted ones: the acceptance
+    # rate is pi/4, and the margin puts a short row (which falls back to
+    # the scalar stream) several standard deviations out
+    return need + need // 3 + 4 * math.isqrt(need) + 6
+
+
+def _row_uniforms(count: int) -> int:
+    """Uniforms drawn per row by ``_normals_rows(..., count)``."""
+    return 2 * _pair_budget((count + 1) // 2)
+
+
+def _normals_rows(master_seed: int, trials, tag: int, count: int,
+                  pairs: int | None = None) -> np.ndarray:
+    """Row r is ``substream(master_seed, trials[r], tag).normals(count)``.
+
+    All rows draw ``pairs`` polar pairs at once (default
+    ``_pair_budget``); a row with fewer than ``ceil(count / 2)`` accepted
+    pairs is completed by its scalar stream.
+    """
+    trials = np.asarray(trials, dtype=np.uint64)
+    states = _mix64_array(np.uint64(mix64(master_seed)) ^ (trials + np.uint64(_TRIAL_SALT)))
+    states = _mix64_array(states ^ np.uint64((tag + _TAG_SALT) & _MASK))
+    out = np.empty((trials.size, count), dtype=np.float64)
+    need = (count + 1) // 2
+    if need == 0:
+        return out
+    if pairs is None:
+        pairs = _pair_budget(need)
+    steps = _U64_GOLDEN * np.arange(1, 2 * pairs + 1, dtype=np.uint64)
+    # the (rows, 2 * pairs) grids dominate the chunk's memory, so they are
+    # transformed in place; each step rounds exactly as SubStream.normals
+    words = _mix64_array(states[:, None] + steps)
+    words >>= _SHIFT_11
+    v = words * _TO_UNIT
+    del words
+    v *= 2.0
+    v -= 1.0
+    v1, v2 = v[:, 0::2], v[:, 1::2]
+    s = v1 * v1
+    s += v2 * v2
+    ok = (s > 0.0) & (s < 1.0)
+    rank = np.cumsum(ok, axis=1, dtype=np.int32)
+    full = rank[:, -1] >= need
+    used = ok & (rank <= need) & full[:, None]
+    s = s[used]
+    f = np.sqrt(-2.0 * np.log(s) / s)
+    pair_vals = np.empty((np.count_nonzero(full), 2 * need), dtype=np.float64)
+    pair_vals[:, 0::2] = (v1[used] * f).reshape(-1, need)
+    pair_vals[:, 1::2] = (v2[used] * f).reshape(-1, need)
+    out[full] = pair_vals[:, :count]
+    for row in np.flatnonzero(~full):
+        out[row] = SubStream(int(states[row])).normals(count)
+    return out
+
+
 def random_sym_block(stream: SubStream, m: int, sigma0: float = 1.0) -> np.ndarray:
     """Random symmetric m x m block.
 
@@ -210,6 +281,25 @@ class EnsembleConfig:
             raise InvalidInputError("block size m must be >= 1")
 
 
+def _label_block_rows(labels, m: int, master_seed: int, trials, sigma0: float = 1.0):
+    """``draw_label_blocks`` for every trial in ``trials`` at once: maps
+    each label to the (len(trials), m, m) stack of its blocks.
+
+    Entries are bitwise equal to ``random_sym_block``'s, which adds 0.0
+    to every entry (turning -0.0 into +0.0) when it mirrors the upper
+    triangle.
+    """
+    rows, cols = np.triu_indices(m)
+    blocks = {}
+    for tag, label in enumerate(labels):
+        z = sigma0 * _normals_rows(master_seed, trials, tag, m * (m + 1) // 2) + 0.0
+        stack = np.empty((z.shape[0], m, m), dtype=np.float64)
+        stack[:, rows, cols] = z
+        stack[:, cols, rows] = z
+        blocks[label] = stack
+    return blocks
+
+
 def draw_label_blocks(
     labels,
     m: int,
@@ -247,3 +337,32 @@ def run_trials(worker, trials: int, threads: int = 1) -> list:
         return [worker(t) for t in range(trials)]
     with ThreadPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(worker, range(trials)))
+
+
+def _tally(minima: np.ndarray) -> tuple[np.ndarray, int]:
+    """Winner counts per column of a (rows, k) minima array, and the
+    number of rows whose minimum is attained more than once.  Exact ties
+    go to the earlier column."""
+    if not np.all(np.isfinite(minima)):
+        raise NumericFailureError("non-finite ground-state energy in a trial")
+    winners = np.argmin(minima, axis=1)
+    best = minima[np.arange(minima.shape[0]), winners]
+    ties = int(np.count_nonzero(np.count_nonzero(minima == best[:, None], axis=1) > 1))
+    return np.bincount(winners, minlength=minima.shape[1]), ties
+
+
+def _chunked_tally(chunk_minima, trials: int, row_elements: int,
+                   threads: int = 1) -> tuple[np.ndarray, int]:
+    """Tally ``chunk_minima(trial_indices) -> (rows, k)`` over trials
+    0..trials-1.  ``row_elements`` is the most array elements one trial
+    of a chunk holds at once; a chunk holds about ``_CHUNK_ELEMENTS`` of
+    them, and chunks are spread over ``threads`` workers.  The result
+    depends on neither."""
+    size = max(1, _CHUNK_ELEMENTS // row_elements)
+
+    def worker(chunk):
+        start = chunk * size
+        return _tally(chunk_minima(np.arange(start, min(trials, start + size))))
+
+    outcomes = run_trials(worker, -(-trials // size), threads)
+    return sum(c for c, _ in outcomes), sum(t for _, t in outcomes)

@@ -31,7 +31,8 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .errors import InvalidInputError
-from .rng import EnsembleConfig, run_trials, substream
+from .rng import EnsembleConfig, _chunked_tally, _normals_rows, _row_uniforms
+from .rng import substream  # noqa: F401  (kept importable here; perfbench's tracer test looks it up)
 
 __all__ = [
     "legendre",
@@ -304,7 +305,8 @@ def gs_distribution(
     state is the entry owning the smallest energy drawn.  Entry i of
     the (2J-ascending) table uses stream tag i, so the result is a pure
     function of ``cfg``.  Rescaling ``cfg.sigma0`` rescales every
-    energy alike and cannot change any trial's winner.
+    energy alike and cannot change any trial's winner, unless it
+    overflows, in which case ``NumericFailureError`` is raised.
 
     ``widths`` optionally overrides the computed width factors w_J
     (mapping two_j -> factor, or a WidthTable); required for
@@ -317,21 +319,15 @@ def gs_distribution(
     )
     entry_dims = [dim for _, dim in dims.entries]
 
-    def worker(trial):
-        minima = np.empty(len(entry_dims))
+    def chunk_minima(trials):
+        minima = np.empty((trials.size, len(entry_dims)))
         for tag, dim in enumerate(entry_dims):
-            stream = substream(cfg.master_seed, trial, tag)
-            minima[tag] = eff[tag] * float(np.min(stream.normals(dim)))
-        winner = int(np.argmin(minima))
-        tie = int(np.count_nonzero(minima == minima[winner]) > 1)
-        return winner, tie
+            minima[:, tag] = eff[tag] * np.min(
+                _normals_rows(cfg.master_seed, trials, tag, dim), axis=1)
+        return minima
 
-    outcomes = run_trials(worker, cfg.trials, threads)
-    counts = np.zeros(len(entry_dims), dtype=np.int64)
-    ties = 0
-    for winner, tie in outcomes:
-        counts[winner] += 1
-        ties += tie
+    counts, ties = _chunked_tally(
+        chunk_minima, cfg.trials, _row_uniforms(max(entry_dims)), threads)
     return GsDistribution(
         tuple((two_j, int(counts[i])) for i, (two_j, _) in enumerate(dims.entries)),
         cfg.trials,

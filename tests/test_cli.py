@@ -133,6 +133,17 @@ class TestCensus:
         assert one_dim > 0.25 + 5 * np.sqrt(0.25 * 0.75 / 10000)
 
 
+    def test_infinite_sigma0_is_numeric_failure(self, tmp_path):
+        for m in ("1", "2"):
+            assert run("census", "--group", "tetra", "--m", m, "--trials", "10",
+                       "--sigma0", "inf", "--out", tmp_path / "c.csv") == 3
+
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_threads_below_one_rejected(self, tmp_path, threads):
+        assert run("census", "--group", "tetra", "--trials", "10",
+                   "--threads", threads, "--out", tmp_path / "c.csv") == 2
+
+
 class TestSu2Widths:
     def test_table_values(self, tmp_path):
         out = tmp_path / "w.csv"
@@ -157,6 +168,20 @@ class TestGsDist:
 
     def test_missing_dims_file_exits_2(self, tmp_path):
         assert run("gsdist", "--dims", tmp_path / "nope.csv", "--trials", "10",
+                   "--out", tmp_path / "d.csv") == 2
+
+    def test_overflowing_sigma0_is_numeric_failure(self, tmp_path, capsys):
+        dims = tmp_path / "dims.csv"
+        dims.write_text("twoJ,dim\n0,40\n2,106\n")
+        assert run("gsdist", "--dims", dims, "--trials", "10", "--sigma0", "1e308",
+                   "--out", tmp_path / "d.csv") == 3
+        assert "numeric failure" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_threads_below_one_rejected(self, tmp_path, threads):
+        dims = tmp_path / "dims.csv"
+        dims.write_text("twoJ,dim\n0,5\n")
+        assert run("gsdist", "--dims", dims, "--trials", "10", "--threads", threads,
                    "--out", tmp_path / "d.csv") == 2
 
     def test_jmax_truncates(self, tmp_path):

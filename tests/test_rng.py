@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import ndtr
 
 from irreplab import (
@@ -10,6 +12,8 @@ from irreplab import (
     run_trials,
     substream,
 )
+from irreplab.errors import NumericFailureError
+from irreplab.rng import _label_block_rows, _normals_rows, _tally
 
 # Frozen at first build: the very first outputs of substream(1, 0, 0).
 FIRST_UINT64 = 10188629700888939329
@@ -151,3 +155,59 @@ class TestRunTrials:
         serial = run_trials(worker, 40, threads=1)
         pooled = run_trials(worker, 40, threads=4)
         assert serial == pooled
+
+
+class TestBatchedRows:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**64 - 1),
+        first=st.integers(0, 2**40),
+        rows=st.integers(1, 6),
+        tag=st.integers(0, 40),
+        count=st.one_of(st.sampled_from([0, 1, 2, 3, 137, 2080]), st.integers(0, 300)),
+    )
+    def test_rows_match_scalar_streams(self, seed, first, rows, tag, count):
+        trials = np.arange(first, first + rows)
+        batched = _normals_rows(seed, trials, tag, count)
+        assert batched.shape == (rows, count)
+        for row, trial in zip(batched, trials):
+            assert np.array_equal(row, substream(seed, int(trial), tag).normals(count))
+
+    @pytest.mark.parametrize("pairs", [1, 2, 3])
+    def test_short_rows_fall_back_to_scalar_stream(self, pairs):
+        # a budget of a few pairs leaves most rows short of 20 accepted pairs
+        trials = np.arange(50)
+        batched = _normals_rows(7, trials, 3, 40, pairs=pairs)
+        expected = np.stack([substream(7, t, 3).normals(40) for t in range(50)])
+        assert np.array_equal(batched, expected)
+
+    def test_partly_short_rows(self):
+        # one pair each: rows whose first pair is rejected fall back, the
+        # others are served from the batch
+        trials = np.arange(200)
+        batched = _normals_rows(19, trials, 0, 2, pairs=1)
+        expected = np.stack([substream(19, t, 0).normals(2) for t in range(200)])
+        assert np.array_equal(batched, expected)
+
+    @pytest.mark.parametrize("m", [1, 2, 5])
+    def test_stacked_label_blocks_match_per_trial_draws(self, m):
+        labels = ("A", "B", "C")
+        trials = np.arange(3, 9)
+        stacked = _label_block_rows(labels, m, 23, trials, 1.5)
+        for row, trial in enumerate(trials):
+            single = draw_label_blocks(labels, m, 23, int(trial), 1.5)
+            for label in labels:
+                assert np.array_equal(stacked[label][row], single[label])
+
+
+class TestTally:
+    def test_counts_and_ties(self):
+        minima = np.array([[1.0, 0.5, 2.0], [0.0, 0.0, 1.0], [3.0, 2.0, -1.0]])
+        counts, ties = _tally(minima)
+        assert counts.tolist() == [1, 1, 1]
+        assert ties == 1
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_minima_fail(self, bad):
+        with pytest.raises(NumericFailureError):
+            _tally(np.array([[0.0, 1.0], [bad, 1.0]]))
