@@ -2,18 +2,16 @@
 
 A matrix invariant under the discrete rotation i -> i+1 (mod n) is
 (block) circulant: entry (i, j) depends only on the cyclic distance
-between i and j.  Its spectrum therefore splits into n small Fourier
+between i and j.  Its spectrum therefore splits into small Fourier
 blocks h_k, computable directly from the distance blocks, and each h_k
 has a predictable statistical width.
 """
 
-import numpy as np
-
 from irreplab import (
+    block_spectra,
     build_group,
     build_invariant,
-    cn_blocks,
-    cn_variance_factors,
+    decompose_cyclic,
     eigensolve,
     multiset_deviation,
     pair_orbits,
@@ -37,19 +35,17 @@ h = build_invariant(group, blocks)
 print(f"\nassembled {h.dim}x{h.dim} invariant matrix from "
       f"{len(fs)} distance blocks of size {m}x{m}")
 
-# Fourier blocks: h_k = F_0 + sum_j zeta_j cos(2 pi k j / n) F_j
-blockset = cn_blocks(n, fs)
-union = np.sort(np.concatenate(
-    [eigensolve(b).eigenvalues for b in blockset.blocks]))
+# Fourier blocks: h_k = F_0 + sum_j zeta_j cos(2 pi k j / n) F_j, for
+# k = 0..n/2; the modes k and n-k give the same block, counted twice
+union = block_spectra(group, blocks).eigenvalues
 dense = eigensolve(h).eigenvalues
-print(f"union of the {n} Fourier-block spectra vs dense spectrum: "
+print(f"union of the Fourier-block spectra vs dense spectrum: "
       f"max deviation {multiset_deviation(dense, union):.2e}")
 
 print("\npredicted element variance of each block (units of sigma0^2):")
-factors = cn_variance_factors(n)
-for k in range(n // 2 + 1):
-    copies = 1 if k == 0 or (n % 2 == 0 and k == n // 2) else 2
-    print(f"   k={k}: factor {factors[k]:5.2f}   (x{copies} in the spectrum)")
+for spec in decompose_cyclic(n):
+    print(f"   {spec.label}: factor {spec.variance_factor:5.2f}   "
+          f"(x{spec.copies} in the spectrum)")
 print("\nk=0 is always the widest block; for even n the alternating-sign")
 print("block k=n/2 ties it exactly, so the lowest eigenvalue of a random")
 print("sample almost always lives in one of those two blocks.")

@@ -20,20 +20,15 @@ from .groups import (
 from .irreps import (
     CensusResult,
     CensusRow,
-    CnBlockSet,
     IrrepBlockSpec,
     block_spectra,
-    cn_blocks,
-    cn_variance_factors,
     decompose,
     decompose_cyclic,
     decompose_polyhedral,
     ground_state_irrep_census,
     sample_invariant,
-    write_census_csv,
 )
 from .linalg import (
-    EigenOptions,
     Spectrum,
     SymMatrix,
     eigensolve,
@@ -62,8 +57,6 @@ from .su2 import (
     legendre,
     sigma_j_sq,
     width_table,
-    write_distribution_csv,
-    write_width_csv,
 )
 
 __version__ = "0.1.0"
@@ -73,7 +66,6 @@ __all__ = [
     "NumericFailureError",
     "SymMatrix",
     "Spectrum",
-    "EigenOptions",
     "eigensolve",
     "similarity",
     "multiset_deviation",
@@ -97,15 +89,11 @@ __all__ = [
     "decompose",
     "decompose_polyhedral",
     "decompose_cyclic",
-    "CnBlockSet",
-    "cn_blocks",
-    "cn_variance_factors",
     "block_spectra",
     "sample_invariant",
     "CensusRow",
     "CensusResult",
     "ground_state_irrep_census",
-    "write_census_csv",
     "legendre",
     "sigma_j_sq",
     "effective_width",
@@ -116,7 +104,5 @@ __all__ = [
     "f_space",
     "gs_distribution",
     "example_dimension_table",
-    "write_width_csv",
-    "write_distribution_csv",
     "__version__",
 ]

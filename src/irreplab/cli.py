@@ -21,17 +21,10 @@ import numpy as np
 from . import __version__
 from .errors import InvalidInputError, NumericFailureError
 from .groups import build_group, check_invariance, pair_orbits
-from .irreps import decompose, ground_state_irrep_census, sample_invariant, write_census_csv
-from .linalg import multiset_deviation, read_matrix_text, write_matrix_text
+from .irreps import _block_eigenvalues, ground_state_irrep_census, sample_invariant
+from .linalg import eigensolve, multiset_deviation, read_matrix_text, write_matrix_text
 from .rng import EnsembleConfig
-from .su2 import (
-    DimensionTable,
-    f_space,
-    gs_distribution,
-    width_table,
-    write_distribution_csv,
-    write_width_csv,
-)
+from .su2 import DimensionTable, f_space, gs_distribution, width_table
 
 USAGE_ERROR = 2
 NUMERIC_ERROR = 3
@@ -122,16 +115,11 @@ def _cmd_spectrum(args) -> int:
         sub = h.values[i * m:(i + 1) * m, j * m:(j + 1) * m]
         blocks[label] = 0.5 * (sub + sub.T)
 
-    rows = []
-    union = []
-    for spec in decompose(group):
-        ev = np.linalg.eigvalsh(spec.combination(blocks))
-        for _ in range(spec.copies):
-            union.append(ev)
-            rows.extend((spec.label, float(v)) for v in ev)
-    dense = np.linalg.eigvalsh(h.values)
+    rows = [(spec.label, float(v)) for spec, ev in _block_eigenvalues(group, blocks)
+            for _ in range(spec.copies) for v in ev]
+    dense = eigensolve(h).eigenvalues
+    deviation = multiset_deviation(np.sort([v for _, v in rows]), dense)
     rows.extend(("dense", float(v)) for v in dense)
-    deviation = multiset_deviation(np.sort(np.concatenate(union)), dense)
 
     _write_rows(args.out, args.format, ("irrep_label", "eigenvalue"), rows)
     config = {
@@ -153,20 +141,13 @@ def _cmd_census(args) -> int:
     config.update({"trials": args.trials, "out": args.out, "format": args.format})
     cfg = EnsembleConfig(args.seed, args.trials, args.sigma0, args.group, args.n, args.m)
     result = ground_state_irrep_census(cfg, threads=args.threads)
-    if args.format == "json":
-        rows = [
-            (r.label, r.copies, r.block_dim, r.variance_factor,
-             r.gs_fraction, r.dimensional_fraction)
-            for r in result.rows
-        ]
-        _write_rows(
-            args.out, "json",
-            ("irrep_label", "copies", "block_dim", "predicted_variance_factor",
-             "gs_fraction", "dimensional_fraction"),
-            rows,
-        )
-    else:
-        write_census_csv(result, args.out)
+    _write_rows(
+        args.out, args.format,
+        ("irrep_label", "copies", "block_dim", "predicted_variance_factor",
+         "gs_fraction", "dimensional_fraction"),
+        [(r.label, r.copies, r.block_dim, r.variance_factor,
+          r.gs_fraction, r.dimensional_fraction) for r in result.rows],
+    )
     _write_manifest(args.out, "census", config, [args.out])
     print(f"census over {result.trials} trials written to {args.out} "
           f"(ties: {result.tie_count})")
@@ -175,10 +156,7 @@ def _cmd_census(args) -> int:
 
 def _cmd_su2_widths(args) -> int:
     table = width_table(args.jmax, args.quad_points)
-    if args.format == "json":
-        _write_rows(args.out, "json", ("twoJ", "sigmaJ_sq"), list(table.entries))
-    else:
-        write_width_csv(table, args.out)
+    _write_rows(args.out, args.format, ("twoJ", "sigmaJ_sq"), table.entries)
     config = {"jmax": args.jmax, "quad_points": args.quad_points,
               "out": args.out, "format": args.format}
     _write_manifest(args.out, "su2-widths", config, [args.out])
@@ -196,12 +174,9 @@ def _cmd_gsdist(args) -> int:
         dims = DimensionTable(kept)
     cfg = EnsembleConfig(args.seed, args.trials, args.sigma0)
     dist = gs_distribution(dims, cfg, quad_points=args.quad_points, threads=args.threads)
-    if args.format == "json":
-        space = dict(f_space(dims))
-        rows = [(two_j, space[two_j], frac) for two_j, frac in dist.entries]
-        _write_rows(args.out, "json", ("twoJ", "f_space", "f_RM"), rows)
-    else:
-        write_distribution_csv(dist, dims, args.out)
+    space = dict(f_space(dims))
+    _write_rows(args.out, args.format, ("twoJ", "f_space", "f_RM"),
+                [(two_j, space[two_j], frac) for two_j, frac in dist.entries])
     config = {
         "dims": args.dims, "trials": args.trials, "seed": args.seed,
         "sigma0": args.sigma0, "jmax": args.jmax, "quad_points": args.quad_points,

@@ -19,7 +19,6 @@ physics; see `relabel` and the relabeling tests):
 
 from __future__ import annotations
 
-import string
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -155,7 +154,8 @@ class PairOrbitStructure:
 
     ``labels`` lists the orbit labels in canonical order: the diagonal
     orbit first, then ascending by each orbit's lexicographically
-    smallest pair; letters A, B, C, ... are assigned in that order.
+    smallest pair; labels A, B, ..., Z, AA, AB, ... are assigned in that
+    order (see `_orbit_label`).
     ``label_index[i, j]`` is the position of the label of pair (i, j) in
     ``labels``.
     """
@@ -186,6 +186,16 @@ class PairOrbitStructure:
             "diagonal_label": self.diagonal_label,
             "assignment": table,
         }
+
+
+def _orbit_label(index: int) -> str:
+    """Label of the orbit at position ``index``: A..Z, then AA, AB, ..., ZZ, AAA."""
+    label = ""
+    index += 1
+    while index:
+        index, r = divmod(index - 1, 26)
+        label = chr(ord("A") + r) + label
+    return label
 
 
 def pair_orbits(group: PointGroup) -> PairOrbitStructure:
@@ -219,9 +229,7 @@ def pair_orbits(group: PointGroup) -> PairOrbitStructure:
             f"{len(diagonal_orbits)} orbits"
         )
     order = sorted(range(len(orbits)), key=lambda k: (orbits[k][0] != orbits[k][1], orbits[k]))
-    if len(order) > len(string.ascii_uppercase):
-        raise InvalidInputError("more pair orbits than supported labels")
-    labels = tuple(string.ascii_uppercase[: len(order)])
+    labels = tuple(_orbit_label(k) for k in range(len(order)))
     remap = np.empty(len(orbits), dtype=np.int64)
     for new, old in enumerate(order):
         remap[old] = new

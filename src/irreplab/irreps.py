@@ -26,11 +26,12 @@ from .errors import InvalidInputError, NumericFailureError
 from .groups import (
     PairOrbitStructure,
     PointGroup,
+    _orbit_label,
     build_group,
     build_invariant,
     pair_orbits,
 )
-from .linalg import EigenOptions, Spectrum, SymMatrix, eigensolve
+from .linalg import Spectrum, SymMatrix, eigensolve
 from .rng import (
     EnsembleConfig,
     _chunked_tally,
@@ -44,15 +45,11 @@ __all__ = [
     "decompose_polyhedral",
     "decompose_cyclic",
     "decompose",
-    "CnBlockSet",
-    "cn_blocks",
-    "cn_variance_factors",
     "block_spectra",
     "sample_invariant",
     "CensusRow",
     "CensusResult",
     "ground_state_irrep_census",
-    "write_census_csv",
 ]
 
 
@@ -196,12 +193,17 @@ def decompose_cyclic(n: int) -> list[IrrepBlockSpec]:
     Block k (k = 0..floor(n/2)) combines the distance blocks F_0..F_d
     (orbit labels A, B, ... in distance order) with weights
     ``zeta_{j,n} cos(2 pi k j / n)``; blocks with 0 < k < n/2 occur
-    twice (the k and n-k Fourier modes coincide).
+    twice (the k and n-k Fourier modes coincide bitwise).
+
+    The variance factor ``1 + sum_j zeta_{j,n}^2 cos^2(2 pi k j / n)``
+    is largest at k = 0; for even n the k = n/2 block ties it exactly
+    (every cosine is +-1 there), which is why the deepest ground states
+    of an even cycle live in one of those two blocks.
     """
     if n < 2:
         raise InvalidInputError("cyclic group needs n >= 2")
     half = n // 2
-    labels = [chr(ord("A") + j) for j in range(half + 1)]
+    labels = [_orbit_label(j) for j in range(half + 1)]
     specs = []
     for k in range(half + 1):
         coeff = {labels[0]: 1.0}
@@ -226,7 +228,7 @@ def decompose(group: PointGroup) -> list[IrrepBlockSpec]:
         for _ in range(group.sites // 2):
             site = gen[site]
             by_distance.append(structure.label(0, site))
-        remap = {chr(ord("A") + j): lab for j, lab in enumerate(by_distance)}
+        remap = {_orbit_label(j): lab for j, lab in enumerate(by_distance)}
         return [
             IrrepBlockSpec(s.label, s.copies,
                            {remap[lab]: c for lab, c in s.coefficients.items()})
@@ -235,88 +237,23 @@ def decompose(group: PointGroup) -> list[IrrepBlockSpec]:
     return decompose_polyhedral(group)
 
 
-@dataclass(frozen=True)
-class CnBlockSet:
-    """All n Fourier blocks h_0..h_{n-1} of a C_n invariant matrix."""
-
-    n: int
-    blocks: tuple[SymMatrix, ...]
-    zeta: tuple[float, ...]
-
-
-def cn_blocks(n: int, distance_blocks: Sequence) -> CnBlockSet:
-    """Fourier blocks of the C_n invariant built from distance blocks.
-
-    ``distance_blocks`` lists F_0..F_{floor(n/2)} (scalars allowed);
-    block k is ``F_0 + sum_j zeta_{j,n} cos(2 pi k j / n) F_j``.  The
-    cosine argument is reduced to [0, pi] before evaluation, which
-    makes ``blocks[k]`` and ``blocks[n-k]`` bitwise equal.
-    """
-    if n < 2:
-        raise InvalidInputError("n must be >= 2")
-    half = n // 2
-    if len(distance_blocks) != half + 1:
-        raise InvalidInputError(
-            f"expected {half + 1} distance blocks for n={n}, got {len(distance_blocks)}"
-        )
-    fs = []
-    m = None
-    for f in distance_blocks:
-        arr = np.asarray(f, dtype=np.float64)
-        if arr.ndim == 0:
-            arr = arr.reshape(1, 1)
-        if m is not None and arr.shape != (m, m):
-            raise InvalidInputError("distance blocks must share one size")
-        m = arr.shape[0]
-        fs.append(SymMatrix(arr).values)
-    blocks = []
-    for k in range(n):
-        hk = fs[0].copy()
-        for j in range(1, half + 1):
-            hk += (_zeta(j, n) * _cos_angle(k, j, n)) * fs[j]
-        blocks.append(SymMatrix.symmetrized(hk))
-    zeta = tuple(_zeta(j, n) for j in range(1, half + 1))
-    return CnBlockSet(n, tuple(blocks), zeta)
+def _block_eigenvalues(group: PointGroup, blocks: Mapping[str, np.ndarray]):
+    """(spec, eigenvalues of its combination block) for every block of
+    ``group``, in canonical order."""
+    return [
+        (spec, eigensolve(SymMatrix.symmetrized(spec.combination(blocks))).eigenvalues)
+        for spec in decompose(group)
+    ]
 
 
-def cn_variance_factors(n: int) -> np.ndarray:
-    """Predicted Var/sigma0^2 of each Fourier block's elements, k = 0..n-1.
-
-    ``factor_k = 1 + sum_j zeta_{j,n}^2 cos^2(2 pi k j / n)``.  The
-    k = 0 block always attains the maximum; for even n the k = n/2
-    block ties it exactly (every cosine is +-1 there), which is why the
-    deepest ground states of an even cycle live in one of those two
-    blocks.
-    """
-    if n < 2:
-        raise InvalidInputError("n must be >= 2")
-    half = n // 2
-    out = np.empty(n, dtype=np.float64)
-    for k in range(n):
-        acc = 1.0
-        for j in range(1, half + 1):
-            c = _cos_angle(k, j, n)
-            acc += (_zeta(j, n) ** 2) * c * c
-        out[k] = acc
-    return out
-
-
-def block_spectra(
-    group: PointGroup,
-    blocks: Mapping[str, np.ndarray],
-    options: EigenOptions | None = None,
-) -> Spectrum:
+def block_spectra(group: PointGroup, blocks: Mapping[str, np.ndarray]) -> Spectrum:
     """Spectrum of the invariant matrix computed block by block.
 
     Concatenates the eigenvalues of every combination block, repeated
     by multiplicity, and sorts: equal (to 1e-8 and usually much better)
     to the dense spectrum of ``build_invariant(group, blocks)``.
     """
-    values = []
-    for spec in decompose(group):
-        ev = eigensolve(SymMatrix.symmetrized(spec.combination(blocks)), options=options).eigenvalues
-        for _ in range(spec.copies):
-            values.append(ev)
+    values = [ev for spec, ev in _block_eigenvalues(group, blocks) for _ in range(spec.copies)]
     return Spectrum(np.sort(np.concatenate(values)))
 
 
@@ -415,34 +352,4 @@ def ground_state_irrep_census(cfg: EnsembleConfig, threads: int = 1) -> CensusRe
     structure = pair_orbits(group)
     specs = decompose(group)
     return _census_from_specs(specs, structure.labels, group.sites, cfg, threads)
-
-
-def _fmt(x: float) -> str:
-    return f"{x:.12g}"
-
-
-def write_census_csv(result: CensusResult, destination) -> None:
-    """Write a census as CSV.
-
-    Columns: irrep_label, copies, block_dim, predicted_variance_factor,
-    gs_fraction, dimensional_fraction.
-    """
-
-    def _write(fh):
-        fh.write(
-            "irrep_label,copies,block_dim,predicted_variance_factor,"
-            "gs_fraction,dimensional_fraction\n"
-        )
-        for row in result.rows:
-            fh.write(
-                f"{row.label},{row.copies},{row.block_dim},"
-                f"{_fmt(row.variance_factor)},{_fmt(row.gs_fraction)},"
-                f"{_fmt(row.dimensional_fraction)}\n"
-            )
-
-    if isinstance(destination, (str, bytes)) or hasattr(destination, "__fspath__"):
-        with open(destination, "w", encoding="ascii", newline="") as fh:
-            _write(fh)
-    else:
-        _write(destination)
 

@@ -2,9 +2,8 @@
 
 `SymMatrix` is the numeric carrier used everywhere else in the package;
 it enforces exact (bitwise) symmetry at construction.  `eigensolve`
-provides two interchangeable engines: LAPACK (`numpy.linalg.eigh`, the
-default) and a self-contained cyclic Jacobi sweep used to cross-check
-the LAPACK results in the test suite.
+runs LAPACK (`numpy.linalg.eigh` / `eigvalsh`) and checks every
+eigenvector decomposition it returns against the matrix.
 
 A plain text matrix format is defined for interchange: first line the
 dimension, then one row of space-separated decimals per line.  The
@@ -14,7 +13,6 @@ had to repair.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,7 +22,6 @@ from .errors import InvalidInputError, NumericFailureError
 __all__ = [
     "SymMatrix",
     "Spectrum",
-    "EigenOptions",
     "eigensolve",
     "similarity",
     "multiset_deviation",
@@ -93,29 +90,12 @@ class SymMatrix:
         return f"SymMatrix(dim={self.dim})"
 
 
+# eigenvector residual bound, per unit of dim * max(1, ||H||_max)
+_RESIDUAL_SCALE = 1e-8
+
+
 def _as_sym(h) -> SymMatrix:
     return h if isinstance(h, SymMatrix) else SymMatrix(h)
-
-
-@dataclass(frozen=True)
-class EigenOptions:
-    """Tunable tolerances for `eigensolve`.
-
-    engine : "lapack" uses numpy.linalg.eigh; "jacobi" runs cyclic
-    Jacobi sweeps until the off-diagonal Frobenius norm drops below
-    ``jacobi_tol * ||H||_F`` (the Frobenius norm is rotation invariant,
-    so the threshold is fixed once per matrix).
-    """
-
-    engine: str = "lapack"
-    jacobi_tol: float = 1e-12
-    max_sweeps: int = 100
-    verify: bool = True
-    residual_scale: float = 1e-8
-
-    def __post_init__(self):
-        if self.engine not in ("lapack", "jacobi"):
-            raise InvalidInputError(f"unknown eigensolver engine {self.engine!r}")
 
 
 @dataclass(frozen=True)
@@ -150,67 +130,7 @@ class Spectrum:
         return self.eigenvalues.size
 
 
-def _jacobi_rotate(a, v, p, q):
-    apq = a[p, q]
-    gap = a[q, q] - a[p, p]
-    if abs(gap) + 100.0 * abs(apq) == abs(gap):
-        # pivot negligible next to the diagonal gap; the small-angle
-        # limit avoids overflow in theta**2
-        t = apq / gap
-    else:
-        theta = 0.5 * gap / apq
-        t = 1.0 / (abs(theta) + math.sqrt(1.0 + theta * theta))
-        if theta < 0.0:
-            t = -t
-    c = 1.0 / math.sqrt(1.0 + t * t)
-    s = t * c
-    col_p = a[:, p].copy()
-    col_q = a[:, q].copy()
-    a[:, p] = c * col_p - s * col_q
-    a[:, q] = s * col_p + c * col_q
-    row_p = a[p, :].copy()
-    row_q = a[q, :].copy()
-    a[p, :] = c * row_p - s * row_q
-    a[q, :] = s * row_p + c * row_q
-    a[p, q] = 0.0
-    a[q, p] = 0.0
-    if v is not None:
-        v_p = v[:, p].copy()
-        v[:, p] = c * v_p - s * v[:, q]
-        v[:, q] = s * v_p + c * v[:, q]
-
-
-def _jacobi_eigensolve(h: SymMatrix, want_vectors: bool, options: EigenOptions):
-    a = h.values.copy()
-    n = a.shape[0]
-    v = np.eye(n) if want_vectors else None
-    fro = np.linalg.norm(a)
-    threshold = options.jacobi_tol * fro
-    sweeps = 0
-    while True:
-        off = math.sqrt(2.0) * float(np.linalg.norm(np.triu(a, 1)))
-        if off <= threshold:
-            break
-        if sweeps >= options.max_sweeps:
-            raise NumericFailureError(
-                f"Jacobi eigensolver did not converge after {sweeps} sweeps "
-                f"(off-diagonal norm {off:.3e}, threshold {threshold:.3e})",
-                sweeps=sweeps,
-            )
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                if a[p, q] != 0.0:
-                    _jacobi_rotate(a, v, p, q)
-        sweeps += 1
-    eigenvalues = np.diag(a).copy()
-    order = np.argsort(eigenvalues, kind="stable")
-    eigenvalues = eigenvalues[order]
-    if want_vectors:
-        return eigenvalues, v[:, order]
-    return eigenvalues, None
-
-
-def eigensolve(h, want_vectors: bool = False, options: EigenOptions | None = None) -> Spectrum:
+def eigensolve(h, want_vectors: bool = False) -> Spectrum:
     """Full eigendecomposition of a symmetric matrix.
 
     Parameters
@@ -219,35 +139,28 @@ def eigensolve(h, want_vectors: bool = False, options: EigenOptions | None = Non
         Matrix to decompose; arrays must be exactly symmetric.
     want_vectors : bool
         Also return the orthogonal eigenvector matrix (one per column).
-    options : EigenOptions
-        Engine and tolerance configuration.
 
     Raises
     ------
     InvalidInputError
         Non-finite entries.
     NumericFailureError
-        Engine failed to converge, or (with ``options.verify``) the
-        reconstruction ``V diag(w) V^T`` misses ``h`` by more than
-        ``residual_scale * dim * ||h||_max``.
+        LAPACK failed, or the reconstruction ``V diag(w) V^T`` misses
+        ``h`` by more than ``1e-8 * dim * max(1, ||h||_max)``.
     """
     h = _as_sym(h)
-    options = options or EigenOptions()
     if not np.all(np.isfinite(h.values)):
         raise InvalidInputError("matrix entries must be finite")
-    if options.engine == "jacobi":
-        eigenvalues, vectors = _jacobi_eigensolve(h, want_vectors, options)
-    else:
-        try:
-            if want_vectors:
-                eigenvalues, vectors = np.linalg.eigh(h.values)
-            else:
-                eigenvalues, vectors = np.linalg.eigvalsh(h.values), None
-        except np.linalg.LinAlgError as exc:
-            raise NumericFailureError(f"LAPACK eigensolver failed: {exc}") from exc
-    if want_vectors and options.verify:
+    try:
+        if want_vectors:
+            eigenvalues, vectors = np.linalg.eigh(h.values)
+        else:
+            eigenvalues, vectors = np.linalg.eigvalsh(h.values), None
+    except np.linalg.LinAlgError as exc:
+        raise NumericFailureError(f"LAPACK eigensolver failed: {exc}") from exc
+    if want_vectors:
         resid = np.max(np.abs((vectors * eigenvalues) @ vectors.T - h.values))
-        bound = options.residual_scale * h.dim * max(1.0, h.max_abs())
+        bound = _RESIDUAL_SCALE * h.dim * max(1.0, h.max_abs())
         if resid > bound:
             raise NumericFailureError(
                 f"eigendecomposition residual {resid:.3e} exceeds bound {bound:.3e}"
@@ -331,5 +244,7 @@ def read_matrix_text(path) -> tuple[SymMatrix, float]:
             raise InvalidInputError(f"{path}: row of length {len(row)}, expected {dim}")
         rows.append(row)
     m = np.array(rows, dtype=np.float64)
+    if not np.all(np.isfinite(m)):
+        raise InvalidInputError(f"{path}: matrix entries must be finite")
     asym = float(np.max(np.abs(m - m.T))) if dim > 0 else 0.0
     return SymMatrix.symmetrized(m), asym

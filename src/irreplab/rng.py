@@ -306,23 +306,16 @@ def draw_label_blocks(
     master_seed: int,
     trial_index: int,
     sigma0: float = 1.0,
-    label_sigmas=None,
 ) -> dict[str, np.ndarray]:
     """One random symmetric block per orbit label for a single trial.
 
     The stream tag of a label is its position in ``labels``, so draws
     for existing labels never move when further labels are appended.
-    ``label_sigmas`` optionally overrides the per-label standard
-    deviation (mapping label -> sigma); anything absent falls back to
-    ``sigma0``.
     """
-    blocks = {}
-    for tag, label in enumerate(labels):
-        sigma = sigma0 if label_sigmas is None else label_sigmas.get(label, sigma0)
-        blocks[label] = random_sym_block(
-            substream(master_seed, trial_index, tag), m, sigma
-        )
-    return blocks
+    return {
+        label: random_sym_block(substream(master_seed, trial_index, tag), m, sigma0)
+        for tag, label in enumerate(labels)
+    }
 
 
 def run_trials(worker, trials: int, threads: int = 1) -> list:

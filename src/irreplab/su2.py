@@ -45,8 +45,6 @@ __all__ = [
     "f_space",
     "gs_distribution",
     "example_dimension_table",
-    "write_width_csv",
-    "write_distribution_csv",
 ]
 
 DEFAULT_QUAD_POINTS = 512
@@ -334,37 +332,3 @@ def gs_distribution(
         ties,
     )
 
-
-def _fmt(x: float) -> str:
-    return f"{x:.12g}"
-
-
-def write_width_csv(table: WidthTable, destination) -> None:
-    """CSV with columns twoJ, sigmaJ_sq."""
-
-    def _write(fh):
-        fh.write("twoJ,sigmaJ_sq\n")
-        for two_j, val in table.entries:
-            fh.write(f"{two_j},{_fmt(val)}\n")
-
-    if isinstance(destination, (str, bytes)) or hasattr(destination, "__fspath__"):
-        with open(destination, "w", encoding="ascii", newline="") as fh:
-            _write(fh)
-    else:
-        _write(destination)
-
-
-def write_distribution_csv(dist: GsDistribution, dims: DimensionTable, destination) -> None:
-    """CSV with columns twoJ, f_space, f_RM."""
-    space = dict(f_space(dims))
-
-    def _write(fh):
-        fh.write("twoJ,f_space,f_RM\n")
-        for two_j, frac in dist.entries:
-            fh.write(f"{two_j},{_fmt(space[two_j])},{_fmt(frac)}\n")
-
-    if isinstance(destination, (str, bytes)) or hasattr(destination, "__fspath__"):
-        with open(destination, "w", encoding="ascii", newline="") as fh:
-            _write(fh)
-    else:
-        _write(destination)

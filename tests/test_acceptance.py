@@ -16,7 +16,7 @@ from irreplab import (
     build_group,
     build_invariant,
     check_invariance,
-    cn_variance_factors,
+    decompose_cyclic,
     decompose_polyhedral,
     draw_label_blocks,
     eigensolve,
@@ -136,9 +136,9 @@ def test_criterion_6_low_dim_irrep_dominance():
 def test_criterion_7_cn_width_ordering():
     ok = True
     for n in range(3, 13):
-        f = cn_variance_factors(n)
-        ok = ok and f[0] == np.max(f)
-        for k in range(1, n):
+        f = [s.variance_factor for s in decompose_cyclic(n)]
+        ok = ok and f[0] == max(f)
+        for k in range(1, n // 2 + 1):
             if n % 2 == 0 and k == n // 2:
                 # exact analytic tie: the k=n/2 combination flips signs
                 # of the same independent blocks, so its width equals

@@ -90,6 +90,16 @@ class TestSpectrum:
         assert run("spectrum", "--in", tmp_path / "nope.txt", "--group", "tetra",
                    "--out", tmp_path / "o.csv") == 2
 
+    @pytest.mark.parametrize("token", ["nan", "inf"])
+    def test_nonfinite_entry_exits_2(self, tmp_path, capsys, token):
+        hfile = tmp_path / "h.txt"
+        hfile.write_text(f"4\n0 1 1 1\n1 0 1 1\n1 1 0 {token}\n1 1 {token} 0\n")
+        assert run("spectrum", "--in", hfile, "--group", "tetra",
+                   "--out", tmp_path / "o.csv") == 2
+        err = capsys.readouterr().err
+        assert f"{hfile}: matrix entries must be finite" in err
+        assert "symmetric" not in err
+
     def test_dimension_mismatch_exits_2(self, tmp_path):
         hfile = tmp_path / "h.txt"
         write_matrix_text(np.eye(5), hfile)
@@ -132,6 +142,15 @@ class TestCensus:
         one_dim = float(rows["1dim+"][4]) + float(rows["1dim-"][4])
         assert one_dim > 0.25 + 5 * np.sqrt(0.25 * 0.75 / 10000)
 
+
+    def test_cyclic_labels_past_z(self, tmp_path):
+        # C_60 has 31 pair orbits, more than the letters A..Z
+        out = tmp_path / "c.json"
+        assert run("census", "--group", "cyclic", "--n", "60", "--trials", "200",
+                   "--seed", "4", "--format", "json", "--out", out) == 0
+        data = json.loads(out.read_text())
+        assert [row["irrep_label"] for row in data] == [f"k={k}" for k in range(31)]
+        assert sum(round(row["gs_fraction"] * 200) for row in data) == 200
 
     def test_infinite_sigma0_is_numeric_failure(self, tmp_path):
         for m in ("1", "2"):

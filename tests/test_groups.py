@@ -15,6 +15,7 @@ from irreplab import (
     relabel,
     substream,
 )
+from irreplab.groups import _orbit_label
 
 ALL_GROUPS = [("cyclic", n) for n in range(2, 13)] + [
     ("tetra", None),
@@ -105,6 +106,14 @@ class TestPairOrbits:
             for j in range(n):
                 d = min((i - j) % n, (j - i) % n)
                 assert st.label(i, j) == st.labels[d]
+
+    def test_labels_past_z(self):
+        assert [_orbit_label(i) for i in (0, 25, 26, 27, 51, 52, 701, 702)] == [
+            "A", "Z", "AA", "AB", "AZ", "BA", "ZZ", "AAA"]
+        st = pair_orbits(build_group("cyclic", 60))
+        assert st.labels == tuple(_orbit_label(i) for i in range(31))
+        assert st.labels[25:] == ("Z", "AA", "AB", "AC", "AD", "AE")
+        assert st.label(0, 30) == "AE" and st.label(0, 59) == "B"
 
     def test_orbit_sizes_cover_all_pairs(self):
         for kind, n in ALL_GROUPS:

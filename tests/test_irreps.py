@@ -1,4 +1,3 @@
-import io
 import math
 
 import numpy as np
@@ -10,8 +9,7 @@ from irreplab import (
     block_spectra,
     build_group,
     build_invariant,
-    cn_blocks,
-    cn_variance_factors,
+    decompose,
     decompose_cyclic,
     decompose_polyhedral,
     draw_label_blocks,
@@ -23,9 +21,9 @@ from irreplab import (
     relabel,
     sample_invariant,
     substream,
-    write_census_csv,
 )
-from irreplab.irreps import IrrepBlockSpec, _census_from_specs
+from irreplab.cli import main
+from irreplab.irreps import IrrepBlockSpec, _census_from_specs, _cos_angle, _zeta
 
 from test_groups import perm_from_stream
 
@@ -124,28 +122,37 @@ class TestBlockSpectra:
             assert multiset_deviation(dense, union) < 1e-8
 
 
+def cyclic_blocks(n, fs):
+    """Fourier blocks of C_n from distance blocks F_0..F_{n//2} (scalars
+    allowed): each spec of ``decompose_cyclic(n)`` with its combination."""
+    labels = pair_orbits(build_group("cyclic", n)).labels
+    blocks = {lab: np.atleast_2d(f) for lab, f in zip(labels, fs)}
+    return [(spec, spec.combination(blocks)) for spec in decompose_cyclic(n)]
+
+
 class TestCyclicBlocks:
     def test_four_cycle_adjacency(self):
-        blocks = cn_blocks(4, [0.0, 1.0, 0.0])
-        flat = sorted(b[0, 0] for b in blocks.blocks)
+        pairs = cyclic_blocks(4, [0.0, 1.0, 0.0])
+        flat = sorted(float(b[0, 0]) for spec, b in pairs for _ in range(spec.copies))
         assert flat == [-2.0, 0.0, 0.0, 2.0]
-        assert blocks.zeta == (2.0, 1.0)
+        # the k = 0 weights are the double-counting factors zeta_j
+        assert tuple(pairs[0][0].coefficients.values())[1:] == (2.0, 1.0)
 
     def test_three_cycle_scalar_formulas(self):
         a, b = 0.7, -1.3
-        blocks = cn_blocks(3, [a, b])
-        assert blocks.blocks[0][0, 0] == pytest.approx(a + 2 * b, abs=1e-15)
-        assert blocks.blocks[1][0, 0] == pytest.approx(a - b, abs=1e-15)
-        assert blocks.blocks[2][0, 0] == blocks.blocks[1][0, 0]
+        (s0, b0), (s1, b1) = cyclic_blocks(3, [a, b])
+        assert b0[0, 0] == pytest.approx(a + 2 * b, abs=1e-15)
+        assert b1[0, 0] == pytest.approx(a - b, abs=1e-15)
+        assert (s0.copies, s1.copies) == (1, 2)
 
     @pytest.mark.parametrize("n", range(5, 13))
     def test_union_of_blocks_is_dense_spectrum(self, n):
         fs = [random_sym_block(substream(60 + n, 0, j), 2)
               for j in range(n // 2 + 1)]
-        blockset = cn_blocks(n, fs)
-        union = np.sort(
-            np.concatenate([eigensolve(b).eigenvalues for b in blockset.blocks])
-        )
+        union = np.sort(np.concatenate(
+            [eigensolve(b).eigenvalues for spec, b in cyclic_blocks(n, fs)
+             for _ in range(spec.copies)]
+        ))
         g = build_group("cyclic", n)
         labels = pair_orbits(g).labels
         dense = eigensolve(
@@ -155,26 +162,24 @@ class TestCyclicBlocks:
 
     @pytest.mark.parametrize("n", [4, 5, 6, 7, 12])
     def test_mirror_blocks_bitwise_equal(self, n):
-        fs = [random_sym_block(substream(50 + n, 0, j), 3)
-              for j in range(n // 2 + 1)]
-        blockset = cn_blocks(n, fs)
-        for k in range(1, n):
-            assert np.array_equal(blockset.blocks[k].values,
-                                  blockset.blocks[n - k].values)
-
-    def test_wrong_length_rejected(self):
-        with pytest.raises(InvalidInputError):
-            cn_blocks(6, [0.0, 1.0])
+        # mode k > n/2 has the bitwise weights of mode n-k, so its block
+        # is the second copy of spec n-k
+        specs = decompose_cyclic(n)
+        for k in range(n // 2 + 1, n):
+            spec = specs[n - k]
+            weights = [1.0] + [_zeta(j, n) * _cos_angle(k, j, n) for j in range(1, n // 2 + 1)]
+            assert list(spec.coefficients.values()) == weights
+            assert spec.copies == 2
 
     def test_matches_cyclic_spec_coefficients(self):
         n = 8
         fs = [random_sym_block(substream(70, 0, j), 2) for j in range(n // 2 + 1)]
-        labels = pair_orbits(build_group("cyclic", n)).labels
-        blocks = dict(zip(labels, fs))
-        blockset = cn_blocks(n, fs)
-        for k, spec in enumerate(decompose_cyclic(n)):
-            assert np.allclose(spec.combination(blocks),
-                               blockset.blocks[k].values, atol=0)
+        for k, (spec, block) in enumerate(cyclic_blocks(n, fs)):
+            direct = fs[0] + sum(
+                _zeta(j, n) * math.cos(2 * math.pi * k * j / n) * fs[j]
+                for j in range(1, n // 2 + 1)
+            )
+            assert np.allclose(direct, block, atol=0)
 
     def test_eigenvector_structure_scalar_case(self):
         # k=0 eigenvector constant; k=n/2 alternates sign (even n)
@@ -183,32 +188,47 @@ class TestCyclicBlocks:
         g = build_group("cyclic", n)
         labels = pair_orbits(g).labels
         h = build_invariant(g, dict(zip(labels, fs))).values
-        blockset = cn_blocks(n, fs)
+        pairs = cyclic_blocks(n, fs)
         const = np.ones(n) / math.sqrt(n)
-        assert np.max(np.abs(h @ const - blockset.blocks[0][0, 0] * const)) < 1e-12
+        assert np.max(np.abs(h @ const - pairs[0][1][0, 0] * const)) < 1e-12
         alt = np.array([(-1.0) ** j for j in range(n)]) / math.sqrt(n)
-        assert np.max(np.abs(h @ alt - blockset.blocks[n // 2][0, 0] * alt)) < 1e-12
+        assert np.max(np.abs(h @ alt - pairs[n // 2][1][0, 0] * alt)) < 1e-12
+
+    def test_coefficient_keys_are_orbit_labels_past_z(self):
+        g = build_group("cyclic", 60)
+        labels = pair_orbits(g).labels
+        assert len(labels) == 31
+        for spec in decompose_cyclic(60):
+            assert tuple(spec.coefficients) == labels
+        assert [s.coefficients for s in decompose(g)] == [
+            s.coefficients for s in decompose_cyclic(60)]
 
 
 class TestCyclicVarianceFactors:
     def test_spot_values(self):
-        assert list(cn_variance_factors(4)) == [6.0, 2.0, 6.0, 2.0]
-        assert cn_variance_factors(6)[0] == 10.0
-        assert cn_variance_factors(7)[0] == 13.0
-        assert cn_variance_factors(7)[1] == pytest.approx(6.0, rel=1e-14)
-        assert list(cn_variance_factors(2)) == [2.0, 2.0]
+        def rows(n):
+            return [(s.copies, s.variance_factor) for s in decompose_cyclic(n)]
+
+        assert rows(4) == [(1, 6.0), (2, 2.0), (1, 6.0)]
+        assert decompose_cyclic(6)[0].variance_factor == 10.0
+        assert decompose_cyclic(7)[0].variance_factor == 13.0
+        assert decompose_cyclic(7)[1].variance_factor == pytest.approx(6.0, rel=1e-14)
+        assert rows(2) == [(1, 2.0), (1, 2.0)]
 
     @pytest.mark.parametrize("n", range(2, 13))
     def test_mirror_symmetry(self, n):
-        f = cn_variance_factors(n)
-        for k in range(1, n):
-            assert f[k] == f[n - k]
+        # the factor of mode n-k is that of mode k, carried as a second
+        # copy; k = 0 and (even n) k = n/2 are their own mirrors
+        specs = decompose_cyclic(n)
+        assert [s.copies for s in specs] == [
+            1 if k == 0 or 2 * k == n else 2 for k in range(n // 2 + 1)]
+        assert sum(s.copies for s in specs) == n
 
     @pytest.mark.parametrize("n", range(3, 13))
     def test_k0_attains_maximum(self, n):
-        f = cn_variance_factors(n)
-        assert f[0] == np.max(f)
-        for k in range(1, n):
+        f = [s.variance_factor for s in decompose_cyclic(n)]
+        assert f[0] == max(f)
+        for k in range(1, n // 2 + 1):
             if n % 2 == 0 and k == n // 2:
                 # exact tie: every cosine in the k = n/2 sum is +-1, so
                 # the two extreme blocks share the largest width
@@ -217,14 +237,19 @@ class TestCyclicVarianceFactors:
                 assert f[k] < f[0]
 
     def test_matches_spec_variance_factors(self):
+        # closed forms of 1 + sum_j zeta_j^2 cos^2(2 pi k j / n): odd n
+        # gives 2n-1 at k=0 and n-1 elsewhere; even n gives 2n-2 at k=0
+        # and k=n/2, and n-2 elsewhere
         for n in (5, 8):
-            f = cn_variance_factors(n)
             for k, spec in enumerate(decompose_cyclic(n)):
-                assert spec.variance_factor == pytest.approx(f[k], rel=1e-15)
+                if n % 2:
+                    exact = 2 * n - 1 if k == 0 else n - 1
+                else:
+                    exact = 2 * n - 2 if k in (0, n // 2) else n - 2
+                assert spec.variance_factor == pytest.approx(exact, rel=1e-15)
 
     @pytest.mark.parametrize("n", [2, 4, 5, 6, 7])
     def test_empirical_block_variance(self, n):
-        factors = cn_variance_factors(n)
         trials = 10000
         samples = np.empty((n // 2 + 1, trials))
         labels = pair_orbits(build_group("cyclic", n)).labels
@@ -233,8 +258,8 @@ class TestCyclicVarianceFactors:
             blocks = draw_label_blocks(labels, 1, 90 + n, t)
             for k, spec in enumerate(specs):
                 samples[k, t] = spec.combination(blocks)[0, 0]
-        for k in range(n // 2 + 1):
-            assert abs(samples[k].var(ddof=1) / factors[k] - 1.0) < 0.05
+        for k, spec in enumerate(specs):
+            assert abs(samples[k].var(ddof=1) / spec.variance_factor - 1.0) < 0.05
 
 
 class TestCensus:
@@ -281,12 +306,11 @@ class TestCensus:
         with pytest.raises(InvalidInputError):
             ground_state_irrep_census(EnsembleConfig(1, 10))
 
-    def test_csv_layout(self):
-        cfg = EnsembleConfig(1, 10, group="tetra", m=1)
-        res = ground_state_irrep_census(cfg)
-        buf = io.StringIO()
-        write_census_csv(res, buf)
-        lines = buf.getvalue().strip().split("\n")
+    def test_csv_layout(self, tmp_path):
+        out = tmp_path / "c.csv"
+        assert main(["census", "--group", "tetra", "--m", "1", "--trials", "10",
+                     "--seed", "1", "--out", str(out)]) == 0
+        lines = out.read_text().strip().split("\n")
         assert lines[0] == ("irrep_label,copies,block_dim,predicted_variance_factor,"
                             "gs_fraction,dimensional_fraction")
         assert lines[1].startswith("1dim,1,1,10,")

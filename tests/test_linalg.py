@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from irreplab import (
-    EigenOptions,
     InvalidInputError,
     NumericFailureError,
     Spectrum,
@@ -19,14 +18,76 @@ from irreplab import (
     write_matrix_text,
 )
 
-ENGINES = [EigenOptions(engine="lapack"), EigenOptions(engine="jacobi")]
+def _jacobi_rotate(a, v, p, q):
+    apq = a[p, q]
+    gap = a[q, q] - a[p, p]
+    if abs(gap) + 100.0 * abs(apq) == abs(gap):
+        # pivot negligible next to the diagonal gap; the small-angle
+        # limit avoids overflow in theta**2
+        t = apq / gap
+    else:
+        theta = 0.5 * gap / apq
+        t = 1.0 / (abs(theta) + math.sqrt(1.0 + theta * theta))
+        if theta < 0.0:
+            t = -t
+    c = 1.0 / math.sqrt(1.0 + t * t)
+    s = t * c
+    col_p = a[:, p].copy()
+    col_q = a[:, q].copy()
+    a[:, p] = c * col_p - s * col_q
+    a[:, q] = s * col_p + c * col_q
+    row_p = a[p, :].copy()
+    row_q = a[q, :].copy()
+    a[p, :] = c * row_p - s * row_q
+    a[q, :] = s * row_p + c * row_q
+    a[p, q] = 0.0
+    a[q, p] = 0.0
+    if v is not None:
+        v_p = v[:, p].copy()
+        v[:, p] = c * v_p - s * v[:, q]
+        v[:, q] = s * v_p + c * v[:, q]
+
+
+def jacobi_eigensolve(h, want_vectors=False, tol=1e-12, max_sweeps=100):
+    """Oracle: cyclic Jacobi sweeps until the off-diagonal Frobenius norm
+    drops below ``tol * ||H||_F`` (rotation invariant, so the threshold is
+    fixed once per matrix).  Shares no code with LAPACK."""
+    h = h if isinstance(h, SymMatrix) else SymMatrix(h)
+    a = h.values.copy()
+    n = a.shape[0]
+    v = np.eye(n) if want_vectors else None
+    fro = np.linalg.norm(a)
+    threshold = tol * fro
+    sweeps = 0
+    while True:
+        off = math.sqrt(2.0) * float(np.linalg.norm(np.triu(a, 1)))
+        if off <= threshold:
+            break
+        if sweeps >= max_sweeps:
+            raise NumericFailureError(
+                f"Jacobi eigensolver did not converge after {sweeps} sweeps "
+                f"(off-diagonal norm {off:.3e}, threshold {threshold:.3e})",
+                sweeps=sweeps,
+            )
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                if a[p, q] != 0.0:
+                    _jacobi_rotate(a, v, p, q)
+        sweeps += 1
+    eigenvalues = np.diag(a).copy()
+    order = np.argsort(eigenvalues, kind="stable")
+    return Spectrum(eigenvalues[order], v[:, order] if want_vectors else None)
+
+
+# the library solver and the Jacobi oracle, run through the same tests
+ENGINES = [{"solve": eigensolve}, {"solve": jacobi_eigensolve}]
 
 
 def charpoly_bisection_eigs(mat, tol=1e-12):
     """Independent oracle: sign changes of det(H - x I) refined by bisection.
 
     Written against the raw determinant (LU path), so it shares no code
-    with either eigensolver engine.  Assumes simple eigenvalues.
+    with either eigensolver.  Assumes simple eigenvalues.
     """
     n = mat.shape[0]
     radius = float(np.max(np.sum(np.abs(mat), axis=1)))
@@ -95,17 +156,17 @@ class TestSymMatrix:
 class TestEigensolve:
     @pytest.mark.parametrize("options", ENGINES)
     def test_diagonal(self, options):
-        spec = eigensolve(np.diag([2.0, 3.0]), options=options)
+        spec = options["solve"](np.diag([2.0, 3.0]))
         assert np.allclose(spec.eigenvalues, [2.0, 3.0], atol=0)
 
     @pytest.mark.parametrize("options", ENGINES)
     def test_exchange(self, options):
-        spec = eigensolve([[0.0, 1.0], [1.0, 0.0]], options=options)
+        spec = options["solve"]([[0.0, 1.0], [1.0, 0.0]])
         assert np.allclose(spec.eigenvalues, [-1.0, 1.0], atol=1e-15)
 
     @pytest.mark.parametrize("options", ENGINES)
     def test_already_diagonal_sorted(self, options):
-        spec = eigensolve(np.diag([5.0, -1.0, 2.0]), options=options)
+        spec = options["solve"](np.diag([5.0, -1.0, 2.0]))
         assert list(spec.eigenvalues) == [-1.0, 2.0, 5.0]
 
     @pytest.mark.parametrize("options", ENGINES)
@@ -113,14 +174,14 @@ class TestEigensolve:
         h = seeded_5x5()
         oracle = charpoly_bisection_eigs(h.values)
         assert np.max(np.abs(oracle - SEEDED_5X5_EIGS)) < 1e-10
-        spec = eigensolve(h, options=options)
+        spec = options["solve"](h)
         assert np.max(np.abs(spec.eigenvalues - oracle)) < 1e-9
 
     @pytest.mark.parametrize("options", ENGINES)
     @pytest.mark.parametrize("seed,dim", [(100, 3), (101, 5), (102, 9), (103, 16)])
     def test_trace_and_frobenius_sums(self, options, seed, dim):
         h = SymMatrix(random_sym_block(substream(seed, 0, 0), dim))
-        spec = eigensolve(h, options=options)
+        spec = options["solve"](h)
         tol = 1e-8 * dim * max(1.0, h.max_abs())
         assert abs(np.sum(spec.eigenvalues) - np.trace(h.values)) < tol
         assert abs(np.sum(spec.eigenvalues**2) - h.frobenius() ** 2) < tol
@@ -128,7 +189,7 @@ class TestEigensolve:
     @pytest.mark.parametrize("options", ENGINES)
     def test_vectors_orthonormal_and_reconstruct(self, options):
         h = seeded_5x5()
-        spec = eigensolve(h, want_vectors=True, options=options)
+        spec = options["solve"](h, want_vectors=True)
         v = spec.eigenvectors
         assert np.max(np.abs(v.T @ v - np.eye(5))) < 1e-10
         resid = np.max(np.abs((v * spec.eigenvalues) @ v.T - h.values))
@@ -141,7 +202,7 @@ class TestEigensolve:
         for seed, dim in [(200, 2), (201, 6), (202, 11), (203, 17)]:
             h = random_sym_block(substream(seed, 0, 0), dim)
             lap = eigensolve(h).eigenvalues
-            jac = eigensolve(h, options=EigenOptions(engine="jacobi")).eigenvalues
+            jac = jacobi_eigensolve(h).eigenvalues
             assert np.max(np.abs(lap - jac)) < 1e-12 * max(1.0, np.max(np.abs(h)))
 
     def test_nonfinite_rejected(self):
@@ -153,12 +214,8 @@ class TestEigensolve:
     def test_jacobi_sweep_cap_reports_count(self):
         h = random_sym_block(substream(7, 0, 0), 6)
         with pytest.raises(NumericFailureError) as err:
-            eigensolve(h, options=EigenOptions(engine="jacobi", max_sweeps=0))
+            jacobi_eigensolve(h, max_sweeps=0)
         assert err.value.sweeps == 0
-
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(InvalidInputError):
-            EigenOptions(engine="qr")
 
 
 class TestSpectrumType:
@@ -252,4 +309,11 @@ class TestMatrixTextFormat:
         path = tmp_path / "bad.txt"
         path.write_text(text)
         with pytest.raises(InvalidInputError):
+            read_matrix_text(path)
+
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
+    def test_nonfinite_entry_rejected(self, tmp_path, token):
+        path = tmp_path / "nf.txt"
+        path.write_text(f"2\n1 {token}\n{token} 1\n")
+        with pytest.raises(InvalidInputError, match="nf.txt: matrix entries must be finite"):
             read_matrix_text(path)

@@ -118,15 +118,6 @@ class TestLabelBlocks:
         assert np.array_equal(short["A"], longer["A"])
         assert np.array_equal(short["B"], longer["B"])
 
-    def test_per_label_sigma_override(self):
-        draws = np.array(
-            [
-                draw_label_blocks(("A", "B"), 1, 12, t, 1.0, {"B": 3.0})["B"][0, 0]
-                for t in range(20000)
-            ]
-        )
-        assert abs(draws.var(ddof=1) / 9.0 - 1.0) < 0.05
-
 
 class TestEnsembleConfig:
     def test_validation(self):

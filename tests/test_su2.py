@@ -16,9 +16,8 @@ from irreplab import (
     legendre,
     sigma_j_sq,
     width_table,
-    write_distribution_csv,
-    write_width_csv,
 )
+from irreplab.cli import main
 
 DATA = Path(__file__).parent / "data"
 
@@ -244,17 +243,18 @@ class TestGsDistribution:
 class TestCsvOutputs:
     def test_width_csv(self, tmp_path):
         path = tmp_path / "w.csv"
-        write_width_csv(width_table(2), path)
+        assert main(["su2-widths", "--jmax", "2", "--out", str(path)]) == 0
         lines = path.read_text().strip().split("\n")
         assert lines[0] == "twoJ,sigmaJ_sq"
         assert lines[1] == "0,1.57079632679"  # 12 significant digits
         assert len(lines) == 4
 
     def test_distribution_csv(self, tmp_path):
-        t = DimensionTable(((0, 2), (4, 6)))
-        dist = gs_distribution(t, EnsembleConfig(3, 100))
+        dims = tmp_path / "dims.csv"
+        DimensionTable(((0, 2), (4, 6))).to_csv(dims)
         path = tmp_path / "d.csv"
-        write_distribution_csv(dist, t, path)
+        assert main(["gsdist", "--dims", str(dims), "--trials", "100", "--seed", "3",
+                     "--out", str(path)]) == 0
         lines = path.read_text().strip().split("\n")
         assert lines[0] == "twoJ,f_space,f_RM"
         assert lines[1].startswith("0,0.25,")
