@@ -23,21 +23,20 @@ n, m = 6, 2
 group = build_group("cyclic", n)
 structure = pair_orbits(group)
 
-print(f"C_{n} acting on {n} sites; pair-orbit labels: {structure.labels}")
-print("distance pattern of the invariant matrix (label of each site pair):")
+print(f"C_{n} acting on {n} sites; {structure.count} pair orbits, numbered by cyclic distance")
+print("distance pattern of the invariant matrix (orbit of each site pair):")
 for i in range(n):
-    print("   ", " ".join(structure.label(i, j) for j in range(n)))
+    print("   ", " ".join(str(k) for k in structure.label_index[i]))
 
 # one random symmetric block per distance, then the big invariant matrix
 fs = [random_sym_block(substream(2024, 0, j), m) for j in range(n // 2 + 1)]
-blocks = dict(zip(structure.labels, fs))
-h = build_invariant(group, blocks)
+h = build_invariant(group, fs)
 print(f"\nassembled {h.dim}x{h.dim} invariant matrix from "
       f"{len(fs)} distance blocks of size {m}x{m}")
 
 # Fourier blocks: h_k = F_0 + sum_j zeta_j cos(2 pi k j / n) F_j, for
 # k = 0..n/2; the modes k and n-k give the same block, counted twice
-union = block_spectra(group, blocks).eigenvalues
+union = block_spectra(group, fs).eigenvalues
 dense = eigensolve(h).eigenvalues
 print(f"union of the Fourier-block spectra vs dense spectrum: "
       f"max deviation {multiset_deviation(dense, union):.2e}")

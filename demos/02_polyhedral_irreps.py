@@ -24,17 +24,17 @@ for kind in ("tetra", "octa", "cube"):
     group = build_group(kind)
     structure = pair_orbits(group)
     print(f"== {group.name}: order {group.order}, {group.sites} vertices")
-    print(f"   pair orbits: {structure.orbit_sizes()}")
+    print(f"   pair-orbit sizes, by orbit number: {structure.orbit_sizes()}")
 
-    print("   irrep blocks (combination, multiplicity, variance factor):")
+    print("   irrep blocks (combination of orbit blocks F_k, multiplicity, variance factor):")
     for spec in decompose_polyhedral(group):
         combo = " ".join(
-            f"{c:+g}{lab}" for lab, c in spec.coefficients.items())
+            f"{c:+g}F{k}" for k, c in spec.coefficients.items())
         print(f"     {spec.label:6s} {combo:24s} x{spec.copies}   "
               f"{spec.variance_factor:g} sigma0^2")
 
     # verify on a random draw: block union reproduces the dense spectrum
-    blocks = draw_label_blocks(structure.labels, 3, 99, 0)
+    blocks = draw_label_blocks(structure.count, 3, 99, 0)
     h = build_invariant(group, blocks)
     dev = multiset_deviation(eigensolve(h).eigenvalues,
                              block_spectra(group, blocks).eigenvalues)
@@ -46,4 +46,4 @@ print("The scalar sanity check: with diagonal 0 and nearest-neighbor 1 the")
 print("tetrahedron matrix is the complete-graph adjacency, whose spectrum")
 print("{3, -1, -1, -1} is exactly the 1-dim block 0+3*1 and the 3-dim block 0-1.")
 g = build_group("tetra")
-print("eigenvalues:", eigensolve(build_invariant(g, {"A": 0.0, "B": 1.0})).eigenvalues)
+print("eigenvalues:", eigensolve(build_invariant(g, [0.0, 1.0])).eigenvalues)

@@ -109,11 +109,11 @@ def _cmd_spectrum(args) -> int:
         )
     structure = pair_orbits(group)
     m = args.m
-    blocks = {}
-    for label in structure.labels:
-        i, j = structure.pairs_of(label)[0]
+    blocks = []
+    for orbit in range(structure.count):
+        i, j = structure.pairs_of(orbit)[0]
         sub = h.values[i * m:(i + 1) * m, j * m:(j + 1) * m]
-        blocks[label] = 0.5 * (sub + sub.T)
+        blocks.append(0.5 * (sub + sub.T))
 
     rows = [(spec.label, float(v)) for spec, ev in _block_eigenvalues(group, blocks)
             for _ in range(spec.copies) for v in ev]

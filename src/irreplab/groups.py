@@ -20,7 +20,7 @@ physics; see `relabel` and the relabeling tests):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Sequence
 
 import numpy as np
 
@@ -94,15 +94,6 @@ class PointGroup:
                 raise InvalidInputError(f"{g} is not a permutation of {sites} sites")
         return cls(kind, sites, gens, _closure(gens, sites))
 
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "sites": self.sites,
-            "order": self.order,
-            "generators": [list(g) for g in self.generators],
-            "elements": [list(e) for e in self.elements],
-        }
-
 
 def build_group(kind: str, n: int | None = None) -> PointGroup:
     """Construct a supported group by name.
@@ -152,54 +143,31 @@ def relabel(group: PointGroup, perm) -> PointGroup:
 class PairOrbitStructure:
     """Orbits of unordered site pairs under the group action.
 
-    ``labels`` lists the orbit labels in canonical order: the diagonal
-    orbit first, then ascending by each orbit's lexicographically
-    smallest pair; labels A, B, ..., Z, AA, AB, ... are assigned in that
-    order (see `_orbit_label`).
-    ``label_index[i, j]`` is the position of the label of pair (i, j) in
-    ``labels``.
+    The ``count`` orbits are numbered in canonical order: the diagonal
+    orbit is 0, the others follow ascending by each orbit's
+    lexicographically smallest pair.  ``label_index[i, j]`` is the
+    number of the orbit of pair (i, j).
     """
 
-    labels: tuple[str, ...]
     label_index: np.ndarray
-    diagonal_label: str
-
-    def label(self, i: int, j: int) -> str:
-        return self.labels[self.label_index[i, j]]
+    count: int
 
     @property
     def sites(self) -> int:
         return self.label_index.shape[0]
 
-    def pairs_of(self, label: str) -> list[tuple[int, int]]:
-        idx = self.labels.index(label)
-        ii, jj = np.nonzero(np.triu(self.label_index == idx))
+    def pairs_of(self, orbit: int) -> list[tuple[int, int]]:
+        ii, jj = np.nonzero(np.triu(self.label_index == orbit))
         return [(int(i), int(j)) for i, j in zip(ii, jj)]
 
-    def orbit_sizes(self) -> dict[str, int]:
-        return {lab: len(self.pairs_of(lab)) for lab in self.labels}
-
-    def to_dict(self) -> dict:
-        table = [[self.label(i, j) for j in range(self.sites)] for i in range(self.sites)]
-        return {
-            "labels": list(self.labels),
-            "diagonal_label": self.diagonal_label,
-            "assignment": table,
-        }
-
-
-def _orbit_label(index: int) -> str:
-    """Label of the orbit at position ``index``: A..Z, then AA, AB, ..., ZZ, AAA."""
-    label = ""
-    index += 1
-    while index:
-        index, r = divmod(index - 1, 26)
-        label = chr(ord("A") + r) + label
-    return label
+    def orbit_sizes(self) -> list[int]:
+        """Number of pairs in each orbit, indexed by orbit."""
+        upper = self.label_index[np.triu_indices(self.sites)]
+        return np.bincount(upper, minlength=self.count).tolist()
 
 
 def pair_orbits(group: PointGroup) -> PairOrbitStructure:
-    """Compute the pair-orbit labeling of a group's site action."""
+    """Number the pair orbits of a group's site action."""
     n = group.sites
     index = -np.ones((n, n), dtype=np.int64)
     orbits = []
@@ -229,13 +197,11 @@ def pair_orbits(group: PointGroup) -> PairOrbitStructure:
             f"{len(diagonal_orbits)} orbits"
         )
     order = sorted(range(len(orbits)), key=lambda k: (orbits[k][0] != orbits[k][1], orbits[k]))
-    labels = tuple(_orbit_label(k) for k in range(len(order)))
     remap = np.empty(len(orbits), dtype=np.int64)
-    for new, old in enumerate(order):
-        remap[old] = new
+    remap[order] = np.arange(len(orbits))
     index = remap[index]
     index.flags.writeable = False
-    return PairOrbitStructure(labels, index, labels[0])
+    return PairOrbitStructure(index, len(orbits))
 
 
 def _coerce_block(value, m: int | None):
@@ -253,27 +219,33 @@ def _coerce_block(value, m: int | None):
     return block
 
 
-def build_invariant(group: PointGroup, blocks: Mapping[str, object]) -> SymMatrix:
+def _check_block_count(structure: PairOrbitStructure, blocks) -> None:
+    if len(blocks) != structure.count:
+        raise InvalidInputError(
+            f"got {len(blocks)} blocks for {structure.count} pair orbits"
+        )
+
+
+def build_invariant(group: PointGroup, blocks: Sequence) -> SymMatrix:
     """Assemble the general group-invariant matrix from per-orbit blocks.
 
-    ``blocks`` maps every orbit label to one symmetric m x m block (or
-    a scalar, taken as 1 x 1).  Block (i, j) of the result is the block
-    of the orbit of (i, j), so the matrix commutes with every group
-    element lifted as permutation (x) identity.
+    ``blocks[k]`` is the symmetric m x m block (or a scalar, taken as
+    1 x 1) of orbit k, one per orbit.  Block (i, j) of the result is the
+    block of the orbit of (i, j), so the matrix commutes with every
+    group element lifted as permutation (x) identity.
     """
     structure = pair_orbits(group)
-    coerced = {}
+    _check_block_count(structure, blocks)
+    coerced = []
     m = None
-    for label in structure.labels:
-        if label not in blocks:
-            raise InvalidInputError(f"missing block for orbit label {label!r}")
-        coerced[label] = _coerce_block(blocks[label], m)
-        m = coerced[label].shape[0]
+    for value in blocks:
+        coerced.append(_coerce_block(value, m))
+        m = coerced[-1].shape[0]
     n = group.sites
     h = np.empty((n * m, n * m), dtype=np.float64)
     for i in range(n):
         for j in range(n):
-            h[i * m:(i + 1) * m, j * m:(j + 1) * m] = coerced[structure.label(i, j)]
+            h[i * m:(i + 1) * m, j * m:(j + 1) * m] = coerced[structure.label_index[i, j]]
     return SymMatrix(h)
 
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -26,7 +26,7 @@ from .errors import InvalidInputError, NumericFailureError
 from .groups import (
     PairOrbitStructure,
     PointGroup,
-    _orbit_label,
+    _check_block_count,
     build_group,
     build_invariant,
     pair_orbits,
@@ -57,7 +57,7 @@ __all__ = [
 class IrrepBlockSpec:
     """One block of the block-diagonal form.
 
-    ``coefficients`` maps orbit labels to the weights of the
+    ``coefficients`` maps orbit numbers to the weights of the
     combination block; ``copies`` is how many times the block repeats
     in the block-diagonal form.  The predicted per-element variance of
     the block, in units of the input element variance, is the sum of
@@ -66,16 +66,16 @@ class IrrepBlockSpec:
 
     label: str
     copies: int
-    coefficients: dict[str, float]
+    coefficients: dict[int, float]
 
     @property
     def variance_factor(self) -> float:
         return float(sum(c * c for c in self.coefficients.values()))
 
-    def combination(self, blocks: Mapping[str, np.ndarray]) -> np.ndarray:
+    def combination(self, blocks: Sequence[np.ndarray]) -> np.ndarray:
         out = None
-        for lab, c in self.coefficients.items():
-            term = c * np.asarray(blocks[lab], dtype=np.float64)
+        for orbit, c in self.coefficients.items():
+            term = c * np.asarray(blocks[orbit], dtype=np.float64)
             out = term if out is None else out + term
         return out
 
@@ -84,34 +84,23 @@ def _classify_cube_offdiagonal(structure: PairOrbitStructure):
     """Split the cube's off-diagonal orbits into edge / face / body classes.
 
     The body-diagonal orbit has 4 pairs.  The two 12-pair orbits are
-    told apart structurally: the edge orbit forms a connected graph on
-    the 8 vertices (the cube skeleton), the face-diagonal orbit splits
-    into two components (the two inscribed tetrahedra).
+    told apart by their triangles: the edge orbit is the cube skeleton,
+    which is bipartite, so ``trace(A^3) == 0`` for its adjacency matrix
+    A; the face-diagonal orbit is two inscribed tetrahedra, so its
+    ``trace(A^3) > 0``.
     """
     sizes = structure.orbit_sizes()
-    off = [lab for lab in structure.labels if lab != structure.diagonal_label]
-    body = [lab for lab in off if sizes[lab] == 4]
-    twelves = [lab for lab in off if sizes[lab] == 12]
+    body = [k for k in range(1, structure.count) if sizes[k] == 4]
+    twelves = [k for k in range(1, structure.count) if sizes[k] == 12]
     if len(body) != 1 or len(twelves) != 2:
         raise InvalidInputError("unexpected cube orbit structure")
 
-    def components(label):
-        pairs = structure.pairs_of(label)
-        parent = list(range(structure.sites))
+    def triangles(orbit):
+        a = (structure.label_index == orbit).astype(np.int64)
+        return int(np.trace(a @ a @ a))
 
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for a, b in pairs:
-            parent[find(a)] = find(b)
-        return len({find(v) for v in range(structure.sites)})
-
-    first, second = twelves
-    edge, face = (first, second) if components(first) == 1 else (second, first)
-    if components(edge) != 1 or components(face) != 2:
+    edge, face = sorted(twelves, key=triangles)
+    if triangles(edge) != 0 or triangles(face) == 0:
         raise InvalidInputError("unexpected cube orbit structure")
     return edge, face, body[0]
 
@@ -120,22 +109,26 @@ def decompose_polyhedral(group: PointGroup) -> list[IrrepBlockSpec]:
     """Block-diagonal structure of a polyhedral invariant matrix.
 
     Returned in canonical order (ties in the census break toward the
-    earlier entry):
+    earlier entry).  A is orbit 0 (the diagonal); B, C, D name the
+    off-diagonal orbit classes, which are orbits 1, 2, 3 in the
+    canonical vertex numbering:
 
-    * tetra: (diag + 3 off) x1, (diag - off) x3; variance factors 10, 2.
-    * octa: with A diagonal, B adjacent, C antipodal:
+    * tetra: (A + 3B) x1, (A - B) x3 with B the edges; variance
+      factors 10, 2.
+    * octa: with B adjacent, C antipodal:
       (A+4B+C) x1, (A-2B+C) x2, (A-C) x3; factors 18, 6, 2.
     * cube: with B edges, C face diagonals, D body diagonals:
       (A+3B+3C+D) x1, (A-3B+3C-D) x1, (A-C+B-D) x3, (A-C-B+D) x3;
       factors 20, 20, 4, 4.
 
-    The label classes are identified from the orbit structure itself,
-    so any relabeling of the sites decomposes identically.
+    The classes are identified from the orbit structure itself, so any
+    relabeling of the sites decomposes identically, whatever numbers
+    its orbits get.
     """
     structure = pair_orbits(group)
-    diag = structure.diagonal_label
+    diag = 0
     sizes = structure.orbit_sizes()
-    off = [lab for lab in structure.labels if lab != diag]
+    off = range(1, structure.count)
     if group.kind == "tetra":
         (b,) = off
         return [
@@ -143,8 +136,8 @@ def decompose_polyhedral(group: PointGroup) -> list[IrrepBlockSpec]:
             IrrepBlockSpec("3dim", 3, {diag: 1.0, b: -1.0}),
         ]
     if group.kind == "octa":
-        anti = [lab for lab in off if sizes[lab] == group.sites // 2]
-        adj = [lab for lab in off if sizes[lab] != group.sites // 2]
+        anti = [k for k in off if sizes[k] == group.sites // 2]
+        adj = [k for k in off if sizes[k] != group.sites // 2]
         if len(anti) != 1 or len(adj) != 1:
             raise InvalidInputError("unexpected octahedron orbit structure")
         b, c = adj[0], anti[0]
@@ -191,7 +184,8 @@ def decompose_cyclic(n: int) -> list[IrrepBlockSpec]:
     """Fourier block structure of a C_n invariant matrix.
 
     Block k (k = 0..floor(n/2)) combines the distance blocks F_0..F_d
-    (orbit labels A, B, ... in distance order) with weights
+    (keyed by the distance j, which is also the orbit number in the
+    canonical site numbering) with weights
     ``zeta_{j,n} cos(2 pi k j / n)``; blocks with 0 < k < n/2 occur
     twice (the k and n-k Fourier modes coincide bitwise).
 
@@ -203,41 +197,38 @@ def decompose_cyclic(n: int) -> list[IrrepBlockSpec]:
     if n < 2:
         raise InvalidInputError("cyclic group needs n >= 2")
     half = n // 2
-    labels = [_orbit_label(j) for j in range(half + 1)]
     specs = []
     for k in range(half + 1):
-        coeff = {labels[0]: 1.0}
+        coeff = {0: 1.0}
         for j in range(1, half + 1):
-            coeff[labels[j]] = _zeta(j, n) * _cos_angle(k, j, n)
+            coeff[j] = _zeta(j, n) * _cos_angle(k, j, n)
         copies = 1 if k == 0 or (n % 2 == 0 and k == half) else 2
         specs.append(IrrepBlockSpec(f"k={k}", copies, coeff))
     return specs
 
 
 def decompose(group: PointGroup) -> list[IrrepBlockSpec]:
-    """Block specs for any supported group, keyed by its own orbit labels."""
+    """Block specs for any supported group, keyed by its own orbit numbers."""
     if group.kind == "cyclic":
-        specs = decompose_cyclic(group.sites)
         structure = pair_orbits(group)
-        # walk the generator to find which orbit label carries each
-        # cyclic distance (identity mapping for the canonical numbering,
-        # but correct for any relabeling)
+        # walk the generator to find which orbit holds each cyclic
+        # distance (the identity for the canonical numbering, but correct
+        # for any relabeling)
         gen = group.generators[0]
         site = 0
-        by_distance = [structure.diagonal_label]
-        for _ in range(group.sites // 2):
+        orbit_of = []
+        for _ in range(group.sites // 2 + 1):
+            orbit_of.append(int(structure.label_index[0, site]))
             site = gen[site]
-            by_distance.append(structure.label(0, site))
-        remap = {_orbit_label(j): lab for j, lab in enumerate(by_distance)}
         return [
             IrrepBlockSpec(s.label, s.copies,
-                           {remap[lab]: c for lab, c in s.coefficients.items()})
-            for s in specs
+                           {orbit_of[j]: c for j, c in s.coefficients.items()})
+            for s in decompose_cyclic(group.sites)
         ]
     return decompose_polyhedral(group)
 
 
-def _block_eigenvalues(group: PointGroup, blocks: Mapping[str, np.ndarray]):
+def _block_eigenvalues(group: PointGroup, blocks: Sequence[np.ndarray]):
     """(spec, eigenvalues of its combination block) for every block of
     ``group``, in canonical order."""
     return [
@@ -246,13 +237,15 @@ def _block_eigenvalues(group: PointGroup, blocks: Mapping[str, np.ndarray]):
     ]
 
 
-def block_spectra(group: PointGroup, blocks: Mapping[str, np.ndarray]) -> Spectrum:
+def block_spectra(group: PointGroup, blocks: Sequence[np.ndarray]) -> Spectrum:
     """Spectrum of the invariant matrix computed block by block.
 
-    Concatenates the eigenvalues of every combination block, repeated
-    by multiplicity, and sorts: equal (to 1e-8 and usually much better)
-    to the dense spectrum of ``build_invariant(group, blocks)``.
+    ``blocks[k]`` is the block of orbit k, one per orbit.  Concatenates
+    the eigenvalues of every combination block, repeated by
+    multiplicity, and sorts: equal (to 1e-8 and usually much better) to
+    the dense spectrum of ``build_invariant(group, blocks)``.
     """
+    _check_block_count(pair_orbits(group), blocks)
     values = [ev for spec, ev in _block_eigenvalues(group, blocks) for _ in range(spec.copies)]
     return Spectrum(np.sort(np.concatenate(values)))
 
@@ -261,7 +254,7 @@ def sample_invariant(group: PointGroup, cfg: EnsembleConfig, trial_index: int = 
     """Draw one invariant matrix; returns (matrix, blocks used)."""
     structure = pair_orbits(group)
     blocks = draw_label_blocks(
-        structure.labels, cfg.m, cfg.master_seed, trial_index, cfg.sigma0
+        structure.count, cfg.m, cfg.master_seed, trial_index, cfg.sigma0
     )
     return build_invariant(group, blocks), blocks
 
@@ -303,7 +296,7 @@ class CensusResult:
 
 def _census_from_specs(
     specs: Sequence[IrrepBlockSpec],
-    labels: Sequence[str],
+    orbits: int,
     sites: int,
     cfg: EnsembleConfig,
     threads: int = 1,
@@ -311,7 +304,7 @@ def _census_from_specs(
     m = cfg.m
 
     def chunk_minima(trials):
-        blocks = _label_block_rows(labels, m, cfg.master_seed, trials, cfg.sigma0)
+        blocks = _label_block_rows(orbits, m, cfg.master_seed, trials, cfg.sigma0)
         minima = np.empty((trials.size, len(specs)))
         for i, spec in enumerate(specs):
             combo = spec.combination(blocks)
@@ -324,8 +317,8 @@ def _census_from_specs(
                 raise NumericFailureError(f"eigensolve failed: {exc}") from exc
         return minima
 
-    # a chunk holds one block per label, which outweighs the draw for m > 2
-    row_elements = max(_row_uniforms(m * (m + 1) // 2), len(labels) * m * m)
+    # a chunk holds one block per orbit, which outweighs the draw for m > 2
+    row_elements = max(_row_uniforms(m * (m + 1) // 2), orbits * m * m)
     counts, ties = _chunked_tally(chunk_minima, cfg.trials, row_elements, threads)
     rows = tuple(
         CensusRow(spec.label, spec.copies, m, spec.variance_factor,
@@ -339,7 +332,7 @@ def ground_state_irrep_census(cfg: EnsembleConfig, threads: int = 1) -> CensusRe
     """Fraction of ensemble ground states landing in each irrep block.
 
     For each of ``cfg.trials`` trials, draws one symmetric random block
-    per orbit label (trial- and label-private streams), forms every
+    per pair orbit (trial- and orbit-private streams), forms every
     combination block, and records which block attains the global
     minimum eigenvalue.  Exact ties are counted toward the earlier
     block in canonical order and tallied in ``tie_count`` (they have
@@ -351,5 +344,5 @@ def ground_state_irrep_census(cfg: EnsembleConfig, threads: int = 1) -> CensusRe
     group = build_group(cfg.group, cfg.n)
     structure = pair_orbits(group)
     specs = decompose(group)
-    return _census_from_specs(specs, structure.labels, group.sites, cfg, threads)
+    return _census_from_specs(specs, structure.count, group.sites, cfg, threads)
 

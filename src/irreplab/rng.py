@@ -281,41 +281,41 @@ class EnsembleConfig:
             raise InvalidInputError("block size m must be >= 1")
 
 
-def _label_block_rows(labels, m: int, master_seed: int, trials, sigma0: float = 1.0):
-    """``draw_label_blocks`` for every trial in ``trials`` at once: maps
-    each label to the (len(trials), m, m) stack of its blocks.
+def _label_block_rows(orbits: int, m: int, master_seed: int, trials, sigma0: float = 1.0):
+    """``draw_label_blocks`` for every trial in ``trials`` at once: one
+    (len(trials), m, m) stack of blocks per orbit.
 
     Entries are bitwise equal to ``random_sym_block``'s, which adds 0.0
     to every entry (turning -0.0 into +0.0) when it mirrors the upper
     triangle.
     """
     rows, cols = np.triu_indices(m)
-    blocks = {}
-    for tag, label in enumerate(labels):
+    blocks = []
+    for tag in range(orbits):
         z = sigma0 * _normals_rows(master_seed, trials, tag, m * (m + 1) // 2) + 0.0
         stack = np.empty((z.shape[0], m, m), dtype=np.float64)
         stack[:, rows, cols] = z
         stack[:, cols, rows] = z
-        blocks[label] = stack
+        blocks.append(stack)
     return blocks
 
 
 def draw_label_blocks(
-    labels,
+    orbits: int,
     m: int,
     master_seed: int,
     trial_index: int,
     sigma0: float = 1.0,
-) -> dict[str, np.ndarray]:
-    """One random symmetric block per orbit label for a single trial.
+) -> list[np.ndarray]:
+    """One random symmetric block per pair orbit for a single trial.
 
-    The stream tag of a label is its position in ``labels``, so draws
-    for existing labels never move when further labels are appended.
+    The stream tag of orbit k is k, so draws for existing orbits never
+    move when further orbits are added.
     """
-    return {
-        label: random_sym_block(substream(master_seed, trial_index, tag), m, sigma0)
-        for tag, label in enumerate(labels)
-    }
+    return [
+        random_sym_block(substream(master_seed, trial_index, tag), m, sigma0)
+        for tag in range(orbits)
+    ]
 
 
 def run_trials(worker, trials: int, threads: int = 1) -> list:

@@ -102,14 +102,6 @@ def sigma_j_sq(j: int, quad_points: int = DEFAULT_QUAD_POINTS) -> float:
     return float(np.sum(weights * p * p * s * s))
 
 
-def legendre_pair_integral(j1: int, j2: int, quad_points: int = DEFAULT_QUAD_POINTS) -> float:
-    """``integral_0^pi P_j1(cos w) P_j2(cos w) sin w dw`` (orthogonality check)."""
-    _check_quad_points(quad_points)
-    theta, weights = _angular_grid(quad_points)
-    c = np.cos(theta)
-    return float(np.sum(weights * legendre(j1, c) * legendre(j2, c) * np.sin(theta)))
-
-
 def effective_width(
     two_j: int,
     n_j: int,

@@ -64,11 +64,11 @@ def test_criterion_2_polyhedral_variance_factors():
         group = build_group(kind)
         specs = decompose_polyhedral(group)
         ok = ok and [s.variance_factor for s in specs] == want
-        labels = pair_orbits(group).labels
+        orbits = pair_orbits(group).count
         trials = 10000
         samples = np.empty((len(specs), trials))
         for t in range(trials):
-            blocks = draw_label_blocks(labels, 1, 2, t)
+            blocks = draw_label_blocks(orbits, 1, 2, t)
             for i, spec in enumerate(specs):
                 samples[i, t] = spec.combination(blocks)[0, 0]
         rel = np.abs(samples.var(axis=1, ddof=1) /
@@ -83,10 +83,10 @@ def test_criterion_3_spectrum_union_oracle():
     worst = 0.0
     for kind, n in ALL_GROUPS:
         group = build_group(kind, n)
-        labels = pair_orbits(group).labels
+        orbits = pair_orbits(group).count
         for m in (1, 2, 5):
             for seed in range(20):
-                blocks = draw_label_blocks(labels, m, 1000 + seed, seed)
+                blocks = draw_label_blocks(orbits, m, 1000 + seed, seed)
                 dense = eigensolve(build_invariant(group, blocks)).eigenvalues
                 union = block_spectra(group, blocks).eigenvalues
                 worst = max(worst, multiset_deviation(dense, union))
@@ -98,9 +98,9 @@ def test_criterion_4_invariance():
     worst = 0.0
     for kind, n in ALL_GROUPS:
         group = build_group(kind, n)
-        labels = pair_orbits(group).labels
+        orbits = pair_orbits(group).count
         for m in (1, 3):
-            h = build_invariant(group, draw_label_blocks(labels, m, 7, 0))
+            h = build_invariant(group, draw_label_blocks(orbits, m, 7, 0))
             worst = max(worst, check_invariance(h, group, m))
     report(4, "built Hamiltonians commute with all generators",
            worst < 1e-12, f"max violation {worst:.1e}")

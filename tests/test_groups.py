@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 
@@ -15,7 +13,6 @@ from irreplab import (
     relabel,
     substream,
 )
-from irreplab.groups import _orbit_label
 
 ALL_GROUPS = [("cyclic", n) for n in range(2, 13)] + [
     ("tetra", None),
@@ -78,48 +75,51 @@ class TestBuildGroup:
 class TestPairOrbits:
     def test_tetra_two_labels(self):
         st = pair_orbits(build_group("tetra"))
-        assert st.labels == ("A", "B")
-        assert st.diagonal_label == "A"
-        assert all(st.label(i, j) == "B" for i in range(4) for j in range(4) if i != j)
+        assert st.count == 2
+        assert all(st.label_index[i, i] == 0 for i in range(4))
+        assert all(st.label_index[i, j] == 1 for i in range(4) for j in range(4) if i != j)
 
     def test_octa_antipodal_class(self):
         st = pair_orbits(build_group("octa"))
-        assert st.labels == ("A", "B", "C")
+        assert st.count == 3
         for pair in [(0, 2), (1, 3), (4, 5)]:
-            assert st.label(*pair) == "C"
-        assert st.label(0, 1) == "B"
-        assert st.orbit_sizes() == {"A": 6, "B": 12, "C": 3}
+            assert st.label_index[pair] == 2
+        assert st.label_index[0, 1] == 1
+        assert st.orbit_sizes() == [6, 12, 3]
 
     def test_cube_four_classes(self):
         st = pair_orbits(build_group("cube"))
-        assert st.labels == ("A", "B", "C", "D")
+        assert st.count == 4
         for pair in [(0, 6), (1, 7), (2, 4), (3, 5)]:
-            assert st.label(*pair) == "D"
-        assert st.orbit_sizes() == {"A": 8, "B": 12, "C": 12, "D": 4}
+            assert st.label_index[pair] == 3
+        assert st.orbit_sizes() == [8, 12, 12, 4]
 
     @pytest.mark.parametrize("n", range(2, 13))
     def test_cyclic_distance_labels(self, n):
         st = pair_orbits(build_group("cyclic", n))
-        assert len(st.labels) == 1 + n // 2
-        # circulant pattern: the label depends only on the cyclic distance
+        assert st.count == 1 + n // 2
+        # circulant pattern: the orbit is the cyclic distance
         for i in range(n):
             for j in range(n):
                 d = min((i - j) % n, (j - i) % n)
-                assert st.label(i, j) == st.labels[d]
+                assert st.label_index[i, j] == d
 
     def test_labels_past_z(self):
-        assert [_orbit_label(i) for i in (0, 25, 26, 27, 51, 52, 701, 702)] == [
-            "A", "Z", "AA", "AB", "AZ", "BA", "ZZ", "AAA"]
         st = pair_orbits(build_group("cyclic", 60))
-        assert st.labels == tuple(_orbit_label(i) for i in range(31))
-        assert st.labels[25:] == ("Z", "AA", "AB", "AC", "AD", "AE")
-        assert st.label(0, 30) == "AE" and st.label(0, 59) == "B"
+        assert st.count == 31
+        assert st.label_index[0, 30] == 30 and st.label_index[0, 59] == 1
 
     def test_orbit_sizes_cover_all_pairs(self):
         for kind, n in ALL_GROUPS:
             g = build_group(kind, n)
             st = pair_orbits(g)
-            assert sum(st.orbit_sizes().values()) == g.sites * (g.sites + 1) // 2
+            assert len(st.orbit_sizes()) == st.count
+            assert sum(st.orbit_sizes()) == g.sites * (g.sites + 1) // 2
+
+    def test_pairs_of_lists_each_orbit(self):
+        st = pair_orbits(build_group("octa"))
+        assert st.pairs_of(2) == [(0, 2), (1, 3), (4, 5)]
+        assert [len(st.pairs_of(k)) for k in range(st.count)] == st.orbit_sizes()
 
     def test_assignment_invariant_under_full_group(self):
         for kind in ("tetra", "octa", "cube"):
@@ -128,26 +128,18 @@ class TestPairOrbits:
             for e in g.elements:
                 for i in range(g.sites):
                     for j in range(g.sites):
-                        assert st.label(e[i], e[j]) == st.label(i, j)
-
-    def test_json_dump_roundtrips(self):
-        st = pair_orbits(build_group("octa"))
-        blob = json.dumps(st.to_dict())
-        data = json.loads(blob)
-        assert data["labels"] == ["A", "B", "C"]
-        assert data["diagonal_label"] == "A"
-        assert data["assignment"][0][2] == "C"
+                        assert st.label_index[e[i], e[j]] == st.label_index[i, j]
 
 
 class TestBuildInvariant:
     def test_complete_graph_spectrum(self):
         g = build_group("tetra")
-        h = build_invariant(g, {"A": 0.0, "B": 1.0})
+        h = build_invariant(g, [0.0, 1.0])
         assert np.allclose(eigensolve(h).eigenvalues, [-1, -1, -1, 3], atol=1e-14)
 
     def test_octahedron_adjacency_spectrum(self):
         g = build_group("octa")
-        h = build_invariant(g, {"A": 0.0, "B": 1.0, "C": 0.0})
+        h = build_invariant(g, [0.0, 1.0, 0.0])
         assert np.allclose(
             eigensolve(h).eigenvalues, [-2, -2, 0, 0, 0, 4], atol=1e-14
         )
@@ -157,26 +149,31 @@ class TestBuildInvariant:
     def test_random_blocks_commute_with_generators(self, kind, n, m):
         g = build_group(kind, n)
         st = pair_orbits(g)
-        blocks = draw_label_blocks(st.labels, m, 77, 0)
+        blocks = draw_label_blocks(st.count, m, 77, 0)
         h = build_invariant(g, blocks)
         assert check_invariance(h, g, m) == 0.0
         assert check_invariance(h, g, m, full=True) == 0.0
 
     def test_missing_label_rejected(self):
         g = build_group("octa")
-        with pytest.raises(InvalidInputError):
-            build_invariant(g, {"A": 0.0, "B": 1.0})
+        with pytest.raises(InvalidInputError, match="got 2 blocks for 3 pair orbits"):
+            build_invariant(g, [0.0, 1.0])
+
+    def test_extra_block_rejected(self):
+        g = build_group("octa")
+        with pytest.raises(InvalidInputError, match="got 4 blocks for 3 pair orbits"):
+            build_invariant(g, [0.0, 1.0, 0.0, 2.0])
 
     def test_inconsistent_block_size_rejected(self):
         g = build_group("tetra")
         with pytest.raises(InvalidInputError):
-            build_invariant(g, {"A": np.eye(2), "B": np.eye(3)})
+            build_invariant(g, [np.eye(2), np.eye(3)])
 
 
 class TestCheckInvariance:
     def test_perturbation_detected_exactly(self):
         g = build_group("cube")
-        h = build_invariant(g, draw_label_blocks(pair_orbits(g).labels, 2, 5, 0))
+        h = build_invariant(g, draw_label_blocks(pair_orbits(g).count, 2, 5, 0))
         bumped = h.values.copy()
         bumped[0, 3] += 1e-3
         bumped[3, 0] += 1e-3
@@ -217,12 +214,14 @@ class TestRelabeling:
         g2 = relabel(g, perm)
         assert g2.order == g.order
         st, st2 = pair_orbits(g), pair_orbits(g2)
-        assert sorted(st.orbit_sizes().values()) == sorted(st2.orbit_sizes().values())
-        # push blocks through the label correspondence induced by perm
-        mapping = {st.label(i, j): st2.label(perm[i], perm[j])
+        assert sorted(st.orbit_sizes()) == sorted(st2.orbit_sizes())
+        # push blocks through the orbit correspondence induced by perm
+        mapping = {st.label_index[i, j]: st2.label_index[perm[i], perm[j]]
                    for i in range(g.sites) for j in range(g.sites)}
-        blocks = draw_label_blocks(st.labels, 2, 99 + seed, 0)
-        blocks2 = {mapping[lab]: blk for lab, blk in blocks.items()}
+        blocks = draw_label_blocks(st.count, 2, 99 + seed, 0)
+        blocks2 = [None] * st2.count
+        for k, blk in enumerate(blocks):
+            blocks2[mapping[k]] = blk
         h = build_invariant(g, blocks)
         h2 = build_invariant(g2, blocks2)
         assert check_invariance(h2, g2) == 0.0
@@ -232,7 +231,7 @@ class TestRelabeling:
 
     def test_group_element_relabeling_is_symmetry(self):
         g = build_group("octa")
-        blocks = draw_label_blocks(pair_orbits(g).labels, 2, 31, 0)
+        blocks = draw_label_blocks(pair_orbits(g).count, 2, 31, 0)
         h = build_invariant(g, blocks)
         for e in g.elements:
             g2 = relabel(g, e)

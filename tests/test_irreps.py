@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.stats import multivariate_normal
 
 from irreplab import (
     EnsembleConfig,
@@ -25,7 +28,7 @@ from irreplab import (
 from irreplab.cli import main
 from irreplab.irreps import IrrepBlockSpec, _census_from_specs, _cos_angle, _zeta
 
-from test_groups import perm_from_stream
+from test_groups import ALL_GROUPS, perm_from_stream
 
 
 class TestPolyhedralDecomposition:
@@ -35,8 +38,8 @@ class TestPolyhedralDecomposition:
             ("1dim", 1, 10.0),
             ("3dim", 3, 2.0),
         ]
-        assert specs[0].coefficients == {"A": 1.0, "B": 3.0}
-        assert specs[1].coefficients == {"A": 1.0, "B": -1.0}
+        assert specs[0].coefficients == {0: 1.0, 1: 3.0}
+        assert specs[1].coefficients == {0: 1.0, 1: -1.0}
 
     def test_octa(self):
         specs = decompose_polyhedral(build_group("octa"))
@@ -45,7 +48,7 @@ class TestPolyhedralDecomposition:
             ("2dim", 2, 6.0),
             ("3dim", 3, 2.0),
         ]
-        assert specs[0].coefficients == {"A": 1.0, "B": 4.0, "C": 1.0}
+        assert specs[0].coefficients == {0: 1.0, 1: 4.0, 2: 1.0}
 
     def test_cube(self):
         specs = decompose_polyhedral(build_group("cube"))
@@ -55,8 +58,8 @@ class TestPolyhedralDecomposition:
             ("3dim+", 3, 4.0),
             ("3dim-", 3, 4.0),
         ]
-        assert specs[0].coefficients == {"A": 1.0, "B": 3.0, "C": 3.0, "D": 1.0}
-        assert specs[2].coefficients == {"A": 1.0, "B": 1.0, "C": -1.0, "D": -1.0}
+        assert specs[0].coefficients == {0: 1.0, 1: 3.0, 2: 3.0, 3: 1.0}
+        assert specs[2].coefficients == {0: 1.0, 1: 1.0, 2: -1.0, 3: -1.0}
 
     @pytest.mark.parametrize("kind", ["tetra", "octa", "cube"])
     def test_copies_sum_to_sites(self, kind):
@@ -74,7 +77,7 @@ class TestPolyhedralDecomposition:
 
     def test_relabeled_cyclic_group_decomposes(self):
         g = relabel(build_group("cyclic", 6), perm_from_stream(6, 14))
-        blocks = draw_label_blocks(pair_orbits(g).labels, 2, 44, 0)
+        blocks = draw_label_blocks(pair_orbits(g).count, 2, 44, 0)
         dense = eigensolve(build_invariant(g, blocks)).eigenvalues
         assert multiset_deviation(dense, block_spectra(g, blocks).eigenvalues) < 1e-10
 
@@ -86,7 +89,7 @@ class TestPolyhedralDecomposition:
         expected = {"tetra": [2.0, 10.0], "octa": [2.0, 6.0, 18.0],
                     "cube": [4.0, 4.0, 20.0, 20.0]}[kind]
         assert factors == expected
-        blocks = draw_label_blocks(pair_orbits(g).labels, 2, 55, 0)
+        blocks = draw_label_blocks(pair_orbits(g).count, 2, 55, 0)
         dense = eigensolve(build_invariant(g, blocks)).eigenvalues
         assert multiset_deviation(dense, block_spectra(g, blocks).eigenvalues) < 1e-10
 
@@ -94,29 +97,47 @@ class TestPolyhedralDecomposition:
 class TestBlockSpectra:
     def test_complete_graph(self):
         g = build_group("tetra")
-        ev = block_spectra(g, {"A": np.zeros((1, 1)), "B": np.ones((1, 1))}).eigenvalues
+        ev = block_spectra(g, [np.zeros((1, 1)), np.ones((1, 1))]).eigenvalues
         assert np.allclose(ev, [-1, -1, -1, 3], atol=1e-14)
 
     def test_cube_graph(self):
         g = build_group("cube")
-        blocks = {"A": np.zeros((1, 1)), "B": np.ones((1, 1)),
-                  "C": np.zeros((1, 1)), "D": np.zeros((1, 1))}
+        blocks = [np.zeros((1, 1)), np.ones((1, 1)), np.zeros((1, 1)), np.zeros((1, 1))]
         ev = block_spectra(g, blocks).eigenvalues
         assert np.allclose(ev, [-3, -1, -1, -1, 1, 1, 1, 3], atol=1e-14)
 
     def test_octa_random_blocks_match_dense(self):
         g = build_group("octa")
-        blocks = draw_label_blocks(pair_orbits(g).labels, 3, 4, 0)
+        blocks = draw_label_blocks(pair_orbits(g).count, 3, 4, 0)
         dense = eigensolve(build_invariant(g, blocks)).eigenvalues
         assert multiset_deviation(dense, block_spectra(g, blocks).eigenvalues) < 1e-8
 
-    @pytest.mark.parametrize("kind,n", [("cyclic", n) for n in range(2, 13)]
-                             + [("tetra", None), ("octa", None), ("cube", None)])
+    def test_too_few_blocks_rejected(self):
+        g = build_group("cyclic", 6)
+        with pytest.raises(InvalidInputError, match="got 2 blocks for 4 pair orbits"):
+            block_spectra(g, [np.eye(1), np.eye(1)])
+
+    def test_too_many_blocks_rejected(self):
+        g = build_group("cyclic", 6)
+        with pytest.raises(InvalidInputError, match="got 5 blocks for 4 pair orbits"):
+            block_spectra(g, [np.eye(1)] * 5)
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), group=st.sampled_from(ALL_GROUPS), m=st.integers(1, 3),
+           seed=st.integers(0, 2**64 - 1), trial=st.integers(0, 2**40))
+    def test_union_equals_dense_under_relabeling(self, data, group, m, seed, trial):
+        g = build_group(*group)
+        g = relabel(g, data.draw(st.permutations(range(g.sites)), label="perm"))
+        blocks = draw_label_blocks(pair_orbits(g).count, m, seed, trial)
+        dense = eigensolve(build_invariant(g, blocks)).eigenvalues
+        assert multiset_deviation(dense, block_spectra(g, blocks).eigenvalues) < 1e-8
+
+    @pytest.mark.parametrize("kind,n", ALL_GROUPS)
     def test_union_equals_dense_all_groups(self, kind, n):
         g = build_group(kind, n)
-        st = pair_orbits(g)
+        orbits = pair_orbits(g).count
         for m, seed in [(1, 0), (2, 1), (5, 2)]:
-            blocks = draw_label_blocks(st.labels, m, 37 + seed, seed)
+            blocks = draw_label_blocks(orbits, m, 37 + seed, seed)
             dense = eigensolve(build_invariant(g, blocks)).eigenvalues
             union = block_spectra(g, blocks).eigenvalues
             assert multiset_deviation(dense, union) < 1e-8
@@ -125,8 +146,7 @@ class TestBlockSpectra:
 def cyclic_blocks(n, fs):
     """Fourier blocks of C_n from distance blocks F_0..F_{n//2} (scalars
     allowed): each spec of ``decompose_cyclic(n)`` with its combination."""
-    labels = pair_orbits(build_group("cyclic", n)).labels
-    blocks = {lab: np.atleast_2d(f) for lab, f in zip(labels, fs)}
+    blocks = [np.atleast_2d(f) for f in fs]
     return [(spec, spec.combination(blocks)) for spec in decompose_cyclic(n)]
 
 
@@ -154,10 +174,7 @@ class TestCyclicBlocks:
              for _ in range(spec.copies)]
         ))
         g = build_group("cyclic", n)
-        labels = pair_orbits(g).labels
-        dense = eigensolve(
-            build_invariant(g, dict(zip(labels, fs)))
-        ).eigenvalues
+        dense = eigensolve(build_invariant(g, fs)).eigenvalues
         assert multiset_deviation(dense, union) < 1e-8
 
     @pytest.mark.parametrize("n", [4, 5, 6, 7, 12])
@@ -186,20 +203,18 @@ class TestCyclicBlocks:
         n = 6
         fs = [float(substream(81, 0, j).normal()) for j in range(n // 2 + 1)]
         g = build_group("cyclic", n)
-        labels = pair_orbits(g).labels
-        h = build_invariant(g, dict(zip(labels, fs))).values
+        h = build_invariant(g, fs).values
         pairs = cyclic_blocks(n, fs)
         const = np.ones(n) / math.sqrt(n)
         assert np.max(np.abs(h @ const - pairs[0][1][0, 0] * const)) < 1e-12
         alt = np.array([(-1.0) ** j for j in range(n)]) / math.sqrt(n)
         assert np.max(np.abs(h @ alt - pairs[n // 2][1][0, 0] * alt)) < 1e-12
 
-    def test_coefficient_keys_are_orbit_labels_past_z(self):
+    def test_coefficient_keys_are_orbit_numbers_past_z(self):
         g = build_group("cyclic", 60)
-        labels = pair_orbits(g).labels
-        assert len(labels) == 31
+        assert pair_orbits(g).count == 31
         for spec in decompose_cyclic(60):
-            assert tuple(spec.coefficients) == labels
+            assert tuple(spec.coefficients) == tuple(range(31))
         assert [s.coefficients for s in decompose(g)] == [
             s.coefficients for s in decompose_cyclic(60)]
 
@@ -252,10 +267,9 @@ class TestCyclicVarianceFactors:
     def test_empirical_block_variance(self, n):
         trials = 10000
         samples = np.empty((n // 2 + 1, trials))
-        labels = pair_orbits(build_group("cyclic", n)).labels
         specs = decompose_cyclic(n)
         for t in range(trials):
-            blocks = draw_label_blocks(labels, 1, 90 + n, t)
+            blocks = draw_label_blocks(n // 2 + 1, 1, 90 + n, t)
             for k, spec in enumerate(specs):
                 samples[k, t] = spec.combination(blocks)[0, 0]
         for k, spec in enumerate(specs):
@@ -273,17 +287,17 @@ class TestCensus:
         assert sum(r.gs_count for r in res.rows) == cfg.trials
 
     def test_single_block_degenerate_census(self):
-        specs = [IrrepBlockSpec("only", 1, {"A": 1.0})]
+        specs = [IrrepBlockSpec("only", 1, {0: 1.0})]
         cfg = EnsembleConfig(1, 50, m=2)
-        res = _census_from_specs(specs, ("A",), 1, cfg)
+        res = _census_from_specs(specs, 1, 1, cfg)
         assert res.rows[0].gs_fraction == 1.0
 
     def test_exact_tie_detection(self):
         # two identical combinations always tie; the earlier one wins
-        specs = [IrrepBlockSpec("first", 1, {"A": 1.0}),
-                 IrrepBlockSpec("second", 1, {"A": 1.0})]
+        specs = [IrrepBlockSpec("first", 1, {0: 1.0}),
+                 IrrepBlockSpec("second", 1, {0: 1.0})]
         cfg = EnsembleConfig(5, 64, m=2)
-        res = _census_from_specs(specs, ("A",), 2, cfg)
+        res = _census_from_specs(specs, 1, 2, cfg)
         assert res.tie_count == 64
         assert res.rows[0].gs_count == 64
         assert res.rows[1].gs_count == 0
@@ -317,6 +331,52 @@ class TestCensus:
         assert lines[2].startswith("3dim,3,1,2,")
 
 
+def exact_scalar_census(group):
+    """Exact ground-state fractions of the m = 1 census.
+
+    With scalar blocks, irrep i's block is the linear form C_i . z in the
+    independent standard normals z of the orbits, so its share is the
+    Gaussian orthant probability P(C_i z - C_j z < 0 for every j != i).
+    """
+    specs = decompose(group)
+    c = np.zeros((len(specs), pair_orbits(group).count))
+    for i, spec in enumerate(specs):
+        for orbit, coeff in spec.coefficients.items():
+            c[i, orbit] = coeff
+    probs = []
+    for i in range(len(specs)):
+        diff = c[i] - np.delete(c, i, axis=0)  # row j: the form L_i - L_j
+        cov = diff @ diff.T
+        # unseeded, the integrator's result moves in the 6th digit
+        zero = np.zeros(len(cov))
+        probs.append(multivariate_normal(zero, cov, seed=0).cdf(zero))
+    return np.array(probs)
+
+
+class TestExactScalarCensus:
+    def test_probabilities_sum_to_one(self):
+        for kind, n in ALL_GROUPS:
+            assert exact_scalar_census(build_group(kind, n)).sum() == pytest.approx(1.0, abs=1e-4)
+
+    def test_spot_values(self):
+        assert exact_scalar_census(build_group("tetra")) == pytest.approx([0.5, 0.5], abs=1e-4)
+        assert exact_scalar_census(build_group("octa")) == pytest.approx(
+            [0.426, 0.375, 0.199], abs=1e-3)
+        assert exact_scalar_census(build_group("cube")) == pytest.approx(
+            [0.31, 0.31, 0.19, 0.19], abs=1e-3)
+
+    @pytest.mark.parametrize("kind,n", ALL_GROUPS)
+    def test_census_matches_orthant_probabilities(self, kind, n):
+        cfg = EnsembleConfig(2024, 20000, group=kind, n=n, m=1)
+        res = ground_state_irrep_census(cfg)
+        p = exact_scalar_census(build_group(kind, n))
+        f = np.array([r.gs_fraction for r in res.rows])
+        # 1e-4 covers the integrator's error
+        window = 5 * np.sqrt(p * (1 - p) / cfg.trials) + 1e-4
+        assert np.all(np.abs(f - p) <= window), (f, p)
+        assert res.tie_count == 0
+
+
 class TestSampleInvariant:
     def test_deterministic_and_invariant(self):
         g = build_group("cube")
@@ -327,4 +387,4 @@ class TestSampleInvariant:
         from irreplab import check_invariance
 
         assert check_invariance(h1, g, 2) == 0.0
-        assert set(blocks1) == {"A", "B", "C", "D"}
+        assert len(blocks1) == 4

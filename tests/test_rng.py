@@ -108,15 +108,15 @@ class TestSymBlock:
 
 class TestLabelBlocks:
     def test_tags_follow_label_position(self):
-        blocks = draw_label_blocks(("A", "B"), 2, 17, 4)
+        blocks = draw_label_blocks(2, 2, 17, 4)
         direct = random_sym_block(substream(17, 4, 1), 2)
-        assert np.array_equal(blocks["B"], direct)
+        assert np.array_equal(blocks[1], direct)
 
     def test_appending_labels_preserves_earlier_draws(self):
-        short = draw_label_blocks(("A", "B"), 3, 21, 0)
-        longer = draw_label_blocks(("A", "B", "C"), 3, 21, 0)
-        assert np.array_equal(short["A"], longer["A"])
-        assert np.array_equal(short["B"], longer["B"])
+        short = draw_label_blocks(2, 3, 21, 0)
+        longer = draw_label_blocks(3, 3, 21, 0)
+        assert np.array_equal(short[0], longer[0])
+        assert np.array_equal(short[1], longer[1])
 
 
 class TestEnsembleConfig:
@@ -182,13 +182,12 @@ class TestBatchedRows:
 
     @pytest.mark.parametrize("m", [1, 2, 5])
     def test_stacked_label_blocks_match_per_trial_draws(self, m):
-        labels = ("A", "B", "C")
         trials = np.arange(3, 9)
-        stacked = _label_block_rows(labels, m, 23, trials, 1.5)
+        stacked = _label_block_rows(3, m, 23, trials, 1.5)
         for row, trial in enumerate(trials):
-            single = draw_label_blocks(labels, m, 23, int(trial), 1.5)
-            for label in labels:
-                assert np.array_equal(stacked[label][row], single[label])
+            single = draw_label_blocks(3, m, 23, int(trial), 1.5)
+            for orbit in range(3):
+                assert np.array_equal(stacked[orbit][row], single[orbit])
 
 
 class TestTally:

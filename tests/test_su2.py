@@ -18,6 +18,7 @@ from irreplab import (
     width_table,
 )
 from irreplab.cli import main
+from irreplab.su2 import _angular_grid
 
 DATA = Path(__file__).parent / "data"
 
@@ -38,6 +39,13 @@ def legendre_coefficient_oracle(j, x):
     for k in range(j + 1):
         total += math.comb(j, k) ** 2 * (x - 1.0) ** (j - k) * (x + 1.0) ** k
     return total / 2.0**j
+
+
+def legendre_pair_integral(j1, j2):
+    """``integral_0^pi P_j1(cos w) P_j2(cos w) sin w dw`` on the default grid."""
+    theta, weights = _angular_grid(512)
+    c = np.cos(theta)
+    return float(np.sum(weights * legendre(j1, c) * legendre(j2, c) * np.sin(theta)))
 
 
 class TestLegendre:
@@ -97,8 +105,6 @@ class TestWidthIntegral:
         assert all(a > b for a, b in zip(vals, vals[1:]))
 
     def test_legendre_orthogonality_on_grid(self):
-        from irreplab.su2 import legendre_pair_integral
-
         for j1 in range(11):
             for j2 in range(j1, 11):
                 got = legendre_pair_integral(j1, j2)
