@@ -92,6 +92,8 @@ def _cmd_build(args) -> int:
 
 
 def _cmd_spectrum(args) -> int:
+    if args.m < 1:
+        raise InvalidInputError(f"--m must be >= 1, got {args.m}")
     h, asym = read_matrix_text(args.infile)
     if h.dim % args.m != 0:
         raise InvalidInputError(f"matrix dim {h.dim} is not a multiple of m={args.m}")

@@ -219,11 +219,18 @@ def _coerce_block(value, m: int | None):
     return block
 
 
-def _check_block_count(structure: PairOrbitStructure, blocks) -> None:
+def _coerce_blocks(structure: PairOrbitStructure, blocks) -> list[np.ndarray]:
+    """One exactly symmetric m x m float block per orbit, or InvalidInputError."""
     if len(blocks) != structure.count:
         raise InvalidInputError(
             f"got {len(blocks)} blocks for {structure.count} pair orbits"
         )
+    coerced = []
+    m = None
+    for value in blocks:
+        coerced.append(_coerce_block(value, m))
+        m = coerced[-1].shape[0]
+    return coerced
 
 
 def build_invariant(group: PointGroup, blocks: Sequence) -> SymMatrix:
@@ -235,12 +242,8 @@ def build_invariant(group: PointGroup, blocks: Sequence) -> SymMatrix:
     group element lifted as permutation (x) identity.
     """
     structure = pair_orbits(group)
-    _check_block_count(structure, blocks)
-    coerced = []
-    m = None
-    for value in blocks:
-        coerced.append(_coerce_block(value, m))
-        m = coerced[-1].shape[0]
+    coerced = _coerce_blocks(structure, blocks)
+    m = coerced[0].shape[0]
     n = group.sites
     h = np.empty((n * m, n * m), dtype=np.float64)
     for i in range(n):
@@ -261,7 +264,8 @@ def check_invariance(h, group: PointGroup, m: int | None = None, full: bool = Fa
     """Largest violation of ``H = (P (x) I) H (P (x) I)^T``.
 
     Scans the group generators by default; ``full=True`` scans every
-    element.  Zero (exactly) for matrices assembled by `build_invariant`.
+    element.  Zero (exactly) for matrices assembled by `build_invariant`,
+    and NaN when a non-finite entry makes a difference NaN.
     """
     h = h.values if isinstance(h, SymMatrix) else np.asarray(h, dtype=np.float64)
     dim = h.shape[0]
@@ -278,5 +282,5 @@ def check_invariance(h, group: PointGroup, m: int | None = None, full: bool = Fa
     perms = group.elements if full else group.generators
     worst = 0.0
     for g in perms:
-        worst = max(worst, float(np.max(np.abs(h - _permuted_blockwise(h, g, m)))))
-    return worst
+        worst = np.maximum(worst, np.max(np.abs(h - _permuted_blockwise(h, g, m))))
+    return float(worst)

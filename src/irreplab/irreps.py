@@ -26,7 +26,7 @@ from .errors import InvalidInputError, NumericFailureError
 from .groups import (
     PairOrbitStructure,
     PointGroup,
-    _check_block_count,
+    _coerce_blocks,
     build_group,
     build_invariant,
     pair_orbits,
@@ -243,19 +243,25 @@ def block_spectra(group: PointGroup, blocks: Sequence[np.ndarray]) -> Spectrum:
     ``blocks[k]`` is the block of orbit k, one per orbit.  Concatenates
     the eigenvalues of every combination block, repeated by
     multiplicity, and sorts: equal (to 1e-8 and usually much better) to
-    the dense spectrum of ``build_invariant(group, blocks)``.
+    the dense spectrum of ``build_invariant(group, blocks)``.  Blocks
+    are checked as `build_invariant` checks them.
     """
-    _check_block_count(pair_orbits(group), blocks)
+    blocks = _coerce_blocks(pair_orbits(group), blocks)
     values = [ev for spec, ev in _block_eigenvalues(group, blocks) for _ in range(spec.copies)]
     return Spectrum(np.sort(np.concatenate(values)))
 
 
 def sample_invariant(group: PointGroup, cfg: EnsembleConfig, trial_index: int = 0):
-    """Draw one invariant matrix; returns (matrix, blocks used)."""
-    structure = pair_orbits(group)
-    blocks = draw_label_blocks(
-        structure.count, cfg.m, cfg.master_seed, trial_index, cfg.sigma0
-    )
+    """Draw one invariant matrix; returns (matrix, blocks used).
+
+    A non-finite entry (``cfg.sigma0`` too large) raises
+    ``NumericFailureError``.
+    """
+    with np.errstate(over="ignore"):
+        blocks = draw_label_blocks(pair_orbits(group).count, cfg.m, cfg.master_seed,
+                                   trial_index, cfg.sigma0)
+    if not np.isfinite(blocks).all():
+        raise NumericFailureError("non-finite entry in the sampled matrix")
     return build_invariant(group, blocks), blocks
 
 

@@ -22,12 +22,16 @@ so the sequences can be reproduced from this description alone:
   ``f = sqrt(-2 ln(s) / s)``.  The second deviate of a pair is kept in a
   one-slot queue, never discarded.
 
-The census and the J distribution draw a whole chunk of trials at once:
-the stream states of every trial in the chunk are derived as one array,
-and each row keeps the same accepted pairs, in the same order, that
-``substream(seed, trial, tag).normals(count)`` would.  The batched and
-the scalar paths therefore produce the same draws bit for bit, and
-splitting the trials into chunks (or over threads) changes nothing.
+``SubStream.normal`` is the reference implementation of this scheme.
+Every batched draw goes through one vectorised kernel, ``_polar_pairs``,
+which scans the polar acceptance of any array of stream states at once
+and returns each stream's next accepted pairs and its state after them:
+``SubStream.normals`` runs it on its own state, ``draw_label_blocks`` on
+the orbit tags of one trial, and the census and the J distribution on
+the trials of a chunk.  Each row keeps the same accepted pairs, in the
+same order, that repeated ``normal()`` calls would, so every path gives
+the same draws bit for bit, and splitting the trials into chunks (or
+over threads) changes nothing.
 """
 
 from __future__ import annotations
@@ -105,15 +109,6 @@ class SubStream:
         """Next uniform deviate on [0, 1)."""
         return (self.next_uint64() >> 11) * _TO_UNIT
 
-    def uniforms(self, count: int) -> np.ndarray:
-        """Next ``count`` uniforms, identical to ``count`` calls of uniform()."""
-        if count < 0:
-            raise InvalidInputError("count must be >= 0")
-        steps = np.arange(1, count + 1, dtype=np.uint64)
-        states = np.uint64(self._state) + _U64_GOLDEN * steps
-        self._state = (self._state + count * _GOLDEN) & _MASK
-        return (_mix64_array(states) >> _SHIFT_11) * _TO_UNIT
-
     def normal(self) -> float:
         """Next standard normal deviate (polar method)."""
         if self._pending is not None:
@@ -136,37 +131,13 @@ class SubStream:
         normal() calls however the requests are batched."""
         if count < 0:
             raise InvalidInputError("count must be >= 0")
-        out = np.empty(count, dtype=np.float64)
-        filled = 0
-        if self._pending is not None and count > 0:
-            out[0] = self._pending
-            self._pending = None
-            filled = 1
-        while filled < count:
-            need_pairs = (count - filled + 1) // 2
-            batch = max(8, need_pairs + (need_pairs >> 2) + 4)
-            base = self._state
-            u = self.uniforms(2 * batch)
-            v1 = 2.0 * u[0::2] - 1.0
-            v2 = 2.0 * u[1::2] - 1.0
-            s = v1 * v1 + v2 * v2
-            ok = np.flatnonzero((s > 0.0) & (s < 1.0))
-            if ok.size >= need_pairs:
-                used = ok[:need_pairs]
-                # rewind past the uniforms the sequential path never consumed
-                self._state = (base + 2 * (int(used[-1]) + 1) * _GOLDEN) & _MASK
-            else:
-                used = ok
-            f = np.sqrt(-2.0 * np.log(s[used]) / s[used])
-            pair_vals = np.empty(2 * used.size, dtype=np.float64)
-            pair_vals[0::2] = v1[used] * f
-            pair_vals[1::2] = v2[used] * f
-            take = min(pair_vals.size, count - filled)
-            out[filled:filled + take] = pair_vals[:take]
-            filled += take
-            if take < pair_vals.size:
-                self._pending = float(pair_vals[take])
-        return out
+        head = [] if self._pending is None else [self._pending]
+        pairs, ends = _polar_pairs(np.array([self._state], dtype=np.uint64),
+                                   (count - len(head) + 1) // 2)
+        self._state = int(ends[0])
+        out = np.concatenate([head, pairs[0]])
+        self._pending = float(out[-1]) if out.size > count else None
+        return out[:count]
 
     def __repr__(self):
         return f"SubStream(state=0x{self._state:016x})"
@@ -182,8 +153,8 @@ def substream(master_seed: int, trial_index: int, stream_tag: int) -> SubStream:
 
 def _pair_budget(need: int) -> int:
     # polar pairs drawn per row for ``need`` accepted ones: the acceptance
-    # rate is pi/4, and the margin puts a short row (which falls back to
-    # the scalar stream) several standard deviations out
+    # rate is pi/4, and the margin puts a short row (which carries on
+    # with a second draw) several standard deviations out
     return need + need // 3 + 4 * math.isqrt(need) + 6
 
 
@@ -192,26 +163,21 @@ def _row_uniforms(count: int) -> int:
     return 2 * _pair_budget((count + 1) // 2)
 
 
-def _normals_rows(master_seed: int, trials, tag: int, count: int,
-                  pairs: int | None = None) -> np.ndarray:
-    """Row r is ``substream(master_seed, trials[r], tag).normals(count)``.
+def _polar_pairs(states: np.ndarray, need: int) -> tuple[np.ndarray, np.ndarray]:
+    """The next ``need`` accepted polar pairs of every stream state in the
+    1-d uint64 array ``states``.
 
-    All rows draw ``pairs`` polar pairs at once (default
-    ``_pair_budget``); a row with fewer than ``ceil(count / 2)`` accepted
-    pairs is completed by its scalar stream.
+    Returns a (rows, 2 * need) array holding each row's deviates in
+    stream order, and the state after the last uniform each row used.
+    Every row draws ``_pair_budget(need)`` pairs at once; a row short of
+    ``need`` accepted pairs carries on from the end of its budget.
     """
-    trials = np.asarray(trials, dtype=np.uint64)
-    states = _mix64_array(np.uint64(mix64(master_seed)) ^ (trials + np.uint64(_TRIAL_SALT)))
-    states = _mix64_array(states ^ np.uint64((tag + _TAG_SALT) & _MASK))
-    out = np.empty((trials.size, count), dtype=np.float64)
-    need = (count + 1) // 2
     if need == 0:
-        return out
-    if pairs is None:
-        pairs = _pair_budget(need)
-    steps = _U64_GOLDEN * np.arange(1, 2 * pairs + 1, dtype=np.uint64)
-    # the (rows, 2 * pairs) grids dominate the chunk's memory, so they are
-    # transformed in place; each step rounds exactly as SubStream.normals
+        return np.empty((states.size, 0)), states
+    budget = _pair_budget(need)
+    steps = _U64_GOLDEN * np.arange(1, 2 * budget + 1, dtype=np.uint64)
+    # the (rows, 2 * budget) grids dominate a chunk's memory, so they are
+    # transformed in place; each step rounds exactly as SubStream.normal
     words = _mix64_array(states[:, None] + steps)
     words >>= _SHIFT_11
     v = words * _TO_UNIT
@@ -223,17 +189,52 @@ def _normals_rows(master_seed: int, trials, tag: int, count: int,
     s += v2 * v2
     ok = (s > 0.0) & (s < 1.0)
     rank = np.cumsum(ok, axis=1, dtype=np.int32)
-    full = rank[:, -1] >= need
-    used = ok & (rank <= need) & full[:, None]
+    used = ok & (rank <= need)
     s = s[used]
     f = np.sqrt(-2.0 * np.log(s) / s)
-    pair_vals = np.empty((np.count_nonzero(full), 2 * need), dtype=np.float64)
-    pair_vals[:, 0::2] = (v1[used] * f).reshape(-1, need)
-    pair_vals[:, 1::2] = (v2[used] * f).reshape(-1, need)
-    out[full] = pair_vals[:, :count]
-    for row in np.flatnonzero(~full):
-        out[row] = SubStream(int(states[row])).normals(count)
-    return out
+    vals = np.empty(2 * f.size)
+    vals[0::2] = v1[used] * f
+    vals[1::2] = v2[used] * f
+    # a row's last uniform ends its need-th accepted pair, or its budget
+    last = np.minimum(2 * np.count_nonzero(rank < need, axis=1) + 1, steps.size - 1)
+    ends = states + steps[last]
+    got = np.minimum(rank[:, -1], need)
+    if (got == need).all():
+        return vals.reshape(states.size, 2 * need), ends
+    pairs = np.empty((states.size, 2 * need))
+    pairs[np.arange(2 * need) < 2 * got[:, None]] = vals
+    for row in np.flatnonzero(got < need):
+        pairs[row, 2 * got[row]:], ends[row:row + 1] = _polar_pairs(
+            ends[row:row + 1], int(need - got[row]))
+    return pairs, ends
+
+
+def _normals_rows(master_seed: int, trials, tags, count: int) -> np.ndarray:
+    """Row r is ``substream(master_seed, trials[r], tags[r]).normals(count)``,
+    with ``trials`` and ``tags`` broadcast together."""
+    trials = np.asarray(trials, dtype=np.uint64)
+    states = _mix64_array(np.uint64(mix64(master_seed)) ^ (trials + np.uint64(_TRIAL_SALT)))
+    states = _mix64_array(states ^ (np.asarray(tags, dtype=np.uint64) + np.uint64(_TAG_SALT)))
+    return _polar_pairs(states, (count + 1) // 2)[0][:, :count]
+
+
+def _sym_blocks(z: np.ndarray, m: int, sigma0: float) -> np.ndarray:
+    """(rows, m, m) symmetric blocks whose upper triangles, row-major, are
+    the rows of ``sigma0 * z``; the strict lower triangles mirror them
+    bitwise.  Adding 0.0 turns every -0.0 into +0.0."""
+    rows, cols = np.triu_indices(m)
+    z = sigma0 * z + 0.0
+    blocks = np.empty((z.shape[0], m, m))
+    blocks[:, rows, cols] = z
+    blocks[:, cols, rows] = z
+    return blocks
+
+
+def _check_block_args(m: int, sigma0: float) -> None:
+    if m < 1:
+        raise InvalidInputError("block size m must be >= 1")
+    if not sigma0 > 0.0:
+        raise InvalidInputError("sigma0 must be positive")
 
 
 def random_sym_block(stream: SubStream, m: int, sigma0: float = 1.0) -> np.ndarray:
@@ -243,15 +244,8 @@ def random_sym_block(stream: SubStream, m: int, sigma0: float = 1.0) -> np.ndarr
     are i.i.d. normal with standard deviation ``sigma0``; the strict
     lower triangle mirrors the upper bitwise.
     """
-    if m < 1:
-        raise InvalidInputError("block size m must be >= 1")
-    if sigma0 <= 0.0:
-        raise InvalidInputError("sigma0 must be positive")
-    z = sigma0 * stream.normals(m * (m + 1) // 2)
-    block = np.zeros((m, m), dtype=np.float64)
-    block[np.triu_indices(m)] = z
-    block += np.triu(block, 1).T
-    return block
+    _check_block_args(m, sigma0)
+    return _sym_blocks(stream.normals(m * (m + 1) // 2)[None], m, sigma0)[0]
 
 
 @dataclass(frozen=True)
@@ -283,21 +277,9 @@ class EnsembleConfig:
 
 def _label_block_rows(orbits: int, m: int, master_seed: int, trials, sigma0: float = 1.0):
     """``draw_label_blocks`` for every trial in ``trials`` at once: one
-    (len(trials), m, m) stack of blocks per orbit.
-
-    Entries are bitwise equal to ``random_sym_block``'s, which adds 0.0
-    to every entry (turning -0.0 into +0.0) when it mirrors the upper
-    triangle.
-    """
-    rows, cols = np.triu_indices(m)
-    blocks = []
-    for tag in range(orbits):
-        z = sigma0 * _normals_rows(master_seed, trials, tag, m * (m + 1) // 2) + 0.0
-        stack = np.empty((z.shape[0], m, m), dtype=np.float64)
-        stack[:, rows, cols] = z
-        stack[:, cols, rows] = z
-        blocks.append(stack)
-    return blocks
+    (len(trials), m, m) stack of blocks per orbit."""
+    return [_sym_blocks(_normals_rows(master_seed, trials, tag, m * (m + 1) // 2), m, sigma0)
+            for tag in range(orbits)]
 
 
 def draw_label_blocks(
@@ -307,15 +289,16 @@ def draw_label_blocks(
     trial_index: int,
     sigma0: float = 1.0,
 ) -> list[np.ndarray]:
-    """One random symmetric block per pair orbit for a single trial.
+    """One random symmetric block per pair orbit for a single trial;
+    block k is ``random_sym_block(substream(master_seed, trial_index, k), m, sigma0)``.
 
     The stream tag of orbit k is k, so draws for existing orbits never
     move when further orbits are added.
     """
-    return [
-        random_sym_block(substream(master_seed, trial_index, tag), m, sigma0)
-        for tag in range(orbits)
-    ]
+    _check_block_args(m, sigma0)
+    # reduced mod 2**64, as substream() reduces it
+    z = _normals_rows(master_seed, [trial_index & _MASK], np.arange(orbits), m * (m + 1) // 2)
+    return list(_sym_blocks(z, m, sigma0))
 
 
 def run_trials(worker, trials: int, threads: int = 1) -> list:
@@ -355,7 +338,10 @@ def _chunked_tally(chunk_minima, trials: int, row_elements: int,
 
     def worker(chunk):
         start = chunk * size
-        return _tally(chunk_minima(np.arange(start, min(trials, start + size))))
+        # a non-finite run is reported once, by _tally
+        with np.errstate(over="ignore", invalid="ignore"):
+            minima = chunk_minima(np.arange(start, min(trials, start + size)))
+        return _tally(minima)
 
     outcomes = run_trials(worker, -(-trials // size), threads)
     return sum(c for c, _ in outcomes), sum(t for _, t in outcomes)

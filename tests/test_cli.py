@@ -41,6 +41,14 @@ class TestBuild:
     def test_cyclic_needs_n(self, tmp_path):
         assert run("build", "--group", "cyclic", "--out", tmp_path / "x") == 2
 
+    @pytest.mark.parametrize("sigma0", ["inf", "1.7e308"])
+    def test_nonfinite_matrix_is_numeric_failure(self, tmp_path, capsys, sigma0):
+        out = tmp_path / "h.txt"
+        assert run("build", "--group", "cube", "--m", "2", "--sigma0", sigma0,
+                   "--out", out) == 3
+        assert "non-finite entry" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_unknown_group_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as err:
             run("build", "--group", "dodeca", "--out", tmp_path / "x")
@@ -105,6 +113,14 @@ class TestSpectrum:
         write_matrix_text(np.eye(5), hfile)
         assert run("spectrum", "--in", hfile, "--group", "tetra",
                    "--out", tmp_path / "o.csv") == 2
+
+    @pytest.mark.parametrize("m", ["0", "-2"])
+    def test_block_size_below_one_exits_2(self, tmp_path, capsys, m):
+        hfile = tmp_path / "h.txt"
+        write_matrix_text(np.eye(4), hfile)
+        assert run("spectrum", "--in", hfile, "--group", "tetra", "--m", m,
+                   "--out", tmp_path / "o.csv") == 2
+        assert f"--m must be >= 1, got {m}" in capsys.readouterr().err
 
 
 class TestCensus:

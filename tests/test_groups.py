@@ -195,6 +195,11 @@ class TestCheckInvariance:
         # max cannot exceed word length times the generator max
         assert full <= 12 * gen
 
+    def test_nan_entry_reads_nan(self):
+        h = np.ones((4, 4))
+        h[1, 2] = h[2, 1] = np.nan
+        assert np.isnan(check_invariance(h, build_group("tetra"), 1))
+
     def test_dimension_mismatch_rejected(self):
         g = build_group("tetra")
         with pytest.raises(InvalidInputError):

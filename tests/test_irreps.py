@@ -122,6 +122,14 @@ class TestBlockSpectra:
         with pytest.raises(InvalidInputError, match="got 5 blocks for 4 pair orbits"):
             block_spectra(g, [np.eye(1)] * 5)
 
+    def test_mixed_block_sizes_rejected(self):
+        with pytest.raises(InvalidInputError, match="inconsistent block size 3, expected 2"):
+            block_spectra(build_group("tetra"), [np.eye(2), np.eye(3)])
+
+    def test_asymmetric_block_rejected(self):
+        with pytest.raises(InvalidInputError, match="exactly symmetric"):
+            block_spectra(build_group("tetra"), [[[0, 1], [0, 0]], np.eye(2)])
+
     @settings(max_examples=150, deadline=None)
     @given(data=st.data(), group=st.sampled_from(ALL_GROUPS), m=st.integers(1, 3),
            seed=st.integers(0, 2**64 - 1), trial=st.integers(0, 2**40))

@@ -12,6 +12,7 @@ from irreplab import (
     run_trials,
     substream,
 )
+from irreplab import rng
 from irreplab.errors import NumericFailureError
 from irreplab.rng import _label_block_rows, _normals_rows, _tally
 
@@ -19,6 +20,12 @@ from irreplab.rng import _label_block_rows, _normals_rows, _tally
 FIRST_UINT64 = 10188629700888939329
 FIRST_UNIFORM = 0.5523267228177061
 FIRST_NORMAL = 0.4632575191403335
+
+
+def scalar_normals(seed, trial, tag, count):
+    """The reference: ``count`` calls of ``SubStream.normal``."""
+    s = substream(seed, trial, tag)
+    return np.array([s.normal() for _ in range(count)])
 
 
 class TestDeterminism:
@@ -38,12 +45,6 @@ class TestDeterminism:
         assert substream(1, 0, 0).uniform() == FIRST_UNIFORM
         assert substream(1, 0, 0).normal() == FIRST_NORMAL
 
-    def test_uniform_batch_matches_scalar_path(self):
-        batched = substream(4, 2, 7).uniforms(200)
-        s = substream(4, 2, 7)
-        singles = np.array([s.uniform() for _ in range(200)])
-        assert np.array_equal(batched, singles)
-
     def test_normal_batch_matches_scalar_path(self):
         batched = substream(4, 2, 7).normals(201)
         s = substream(4, 2, 7)
@@ -55,6 +56,22 @@ class TestDeterminism:
         s = substream(13, 5, 1)
         pieces = np.concatenate([s.normals(1), s.normals(7), s.normals(2), s.normals(30)])
         assert np.array_equal(whole, pieces)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**64 - 1),
+        sizes=st.lists(st.integers(0, 9), max_size=8),
+        budget=st.integers(1, 3),
+    )
+    def test_any_split_matches_scalar_path_on_a_short_budget(self, seed, sizes, budget):
+        # requests of up to 5 pairs outrun a budget of 1-3 pairs, so the
+        # kernel's continuation and the pending slot are exercised together
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(rng, "_pair_budget", lambda need: budget)
+            s = substream(seed, 1, 2)
+            batched = np.concatenate([[]] + [s.normals(k) for k in sizes])
+        assert np.array_equal(batched, scalar_normals(seed, 1, 2, sum(sizes)))
+        assert s.normal() == scalar_normals(seed, 1, 2, sum(sizes) + 1)[-1]
 
     def test_empty_request(self):
         s = substream(1, 0, 0)
@@ -108,9 +125,16 @@ class TestSymBlock:
 
 class TestLabelBlocks:
     def test_tags_follow_label_position(self):
-        blocks = draw_label_blocks(2, 2, 17, 4)
-        direct = random_sym_block(substream(17, 4, 1), 2)
-        assert np.array_equal(blocks[1], direct)
+        blocks = draw_label_blocks(3, 2, 17, 4)
+        for tag in range(3):
+            assert np.array_equal(blocks[tag], random_sym_block(substream(17, 4, tag), 2))
+
+    @pytest.mark.parametrize("m, sigma0", [(0, 1.0), (2, 0.0), (2, float("nan"))])
+    def test_bad_shape_or_width_rejected(self, m, sigma0):
+        with pytest.raises(InvalidInputError):
+            draw_label_blocks(2, m, 1, 0, sigma0)
+        with pytest.raises(InvalidInputError):
+            random_sym_block(substream(1, 0, 0), m, sigma0)
 
     def test_appending_labels_preserves_earlier_draws(self):
         short = draw_label_blocks(2, 3, 21, 0)
@@ -165,29 +189,28 @@ class TestBatchedRows:
             assert np.array_equal(row, substream(seed, int(trial), tag).normals(count))
 
     @pytest.mark.parametrize("pairs", [1, 2, 3])
-    def test_short_rows_fall_back_to_scalar_stream(self, pairs):
-        # a budget of a few pairs leaves most rows short of 20 accepted pairs
-        trials = np.arange(50)
-        batched = _normals_rows(7, trials, 3, 40, pairs=pairs)
-        expected = np.stack([substream(7, t, 3).normals(40) for t in range(50)])
-        assert np.array_equal(batched, expected)
+    def test_short_rows_fall_back_to_scalar_stream(self, pairs, monkeypatch):
+        # a budget of a few pairs leaves every row short of 20 accepted
+        # pairs, so each carries on through the kernel many times
+        monkeypatch.setattr(rng, "_pair_budget", lambda need: pairs)
+        batched = _normals_rows(7, np.arange(50), 3, 40)
+        assert np.array_equal(batched, np.stack([scalar_normals(7, t, 3, 40) for t in range(50)]))
 
-    def test_partly_short_rows(self):
-        # one pair each: rows whose first pair is rejected fall back, the
-        # others are served from the batch
-        trials = np.arange(200)
-        batched = _normals_rows(19, trials, 0, 2, pairs=1)
-        expected = np.stack([substream(19, t, 0).normals(2) for t in range(200)])
-        assert np.array_equal(batched, expected)
+    def test_partly_short_rows(self, monkeypatch):
+        # one pair each: rows whose first pair is rejected carry on, the
+        # others are served from the first draw
+        monkeypatch.setattr(rng, "_pair_budget", lambda need: 1)
+        batched = _normals_rows(19, np.arange(200), 0, 2)
+        assert np.array_equal(batched, np.stack([scalar_normals(19, t, 0, 2) for t in range(200)]))
 
     @pytest.mark.parametrize("m", [1, 2, 5])
     def test_stacked_label_blocks_match_per_trial_draws(self, m):
         trials = np.arange(3, 9)
         stacked = _label_block_rows(3, m, 23, trials, 1.5)
         for row, trial in enumerate(trials):
-            single = draw_label_blocks(3, m, 23, int(trial), 1.5)
             for orbit in range(3):
-                assert np.array_equal(stacked[orbit][row], single[orbit])
+                single = random_sym_block(substream(23, int(trial), orbit), m, 1.5)
+                assert np.array_equal(stacked[orbit][row], single)
 
 
 class TestTally:
