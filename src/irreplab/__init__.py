@@ -34,8 +34,6 @@ from .linalg import (
     eigensolve,
     multiset_deviation,
     read_matrix_text,
-    similarity,
-    spectrum_multiset_equal,
     write_matrix_text,
 )
 from .rng import (
@@ -67,9 +65,7 @@ __all__ = [
     "SymMatrix",
     "Spectrum",
     "eigensolve",
-    "similarity",
     "multiset_deviation",
-    "spectrum_multiset_equal",
     "write_matrix_text",
     "read_matrix_text",
     "EnsembleConfig",

@@ -281,6 +281,7 @@ def check_invariance(h, group: PointGroup, m: int | None = None, full: bool = Fa
         )
     perms = group.elements if full else group.generators
     worst = 0.0
-    for g in perms:
-        worst = np.maximum(worst, np.max(np.abs(h - _permuted_blockwise(h, g, m))))
+    with np.errstate(invalid="ignore"):  # inf - inf is the documented NaN
+        for g in perms:
+            worst = np.maximum(worst, np.max(np.abs(h - _permuted_blockwise(h, g, m))))
     return float(worst)

@@ -6,13 +6,15 @@ runs LAPACK (`numpy.linalg.eigh` / `eigvalsh`) and checks every
 eigenvector decomposition it returns against the matrix.
 
 A plain text matrix format is defined for interchange: first line the
-dimension, then one row of space-separated decimals per line.  The
-parser symmetrizes what it reads and reports the largest asymmetry it
-had to repair.
+dimension, then one row of space-separated decimals per line.  Each
+distinct value is converted once in either direction.  The parser
+symmetrizes what it reads and reports the largest asymmetry it had to
+repair.
 """
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,9 +25,7 @@ __all__ = [
     "SymMatrix",
     "Spectrum",
     "eigensolve",
-    "similarity",
     "multiset_deviation",
-    "spectrum_multiset_equal",
     "write_matrix_text",
     "read_matrix_text",
 ]
@@ -60,12 +60,17 @@ class SymMatrix:
 
     @classmethod
     def symmetrized(cls, values):
-        """Build from possibly asymmetric data via (M + M^T)/2."""
+        """Build from possibly asymmetric data via (M + M^T)/2.
+
+        Data symmetric to the bit is kept as is: M + M^T can overflow.
+        """
         arr = np.asarray(values, dtype=np.float64)
         if arr.ndim == 0:
             arr = arr.reshape(1, 1)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise InvalidInputError(f"expected a square matrix, got shape {arr.shape}")
+        if np.array_equal(arr.view(np.uint64), arr.T.view(np.uint64)):
+            return cls(arr)
         return cls(0.5 * (arr + arr.T))
 
     @property
@@ -82,9 +87,6 @@ class SymMatrix:
     def max_abs(self) -> float:
         """Largest entry magnitude, ||H||_max."""
         return float(np.max(np.abs(self._values)))
-
-    def frobenius(self) -> float:
-        return float(np.linalg.norm(self._values))
 
     def __repr__(self):
         return f"SymMatrix(dim={self.dim})"
@@ -168,24 +170,6 @@ def eigensolve(h, want_vectors: bool = False) -> Spectrum:
     return Spectrum(eigenvalues, vectors)
 
 
-def similarity(h, p, ortho_tol: float = 1e-10) -> SymMatrix:
-    """Orthogonal similarity transform ``P^T H P``.
-
-    ``p`` must be orthogonal: ``||P^T P - I||_max <= ortho_tol``.
-    The spectrum of the result equals the spectrum of ``h``.
-    """
-    h = _as_sym(h)
-    p = np.asarray(p, dtype=np.float64)
-    if p.shape != (h.dim, h.dim):
-        raise InvalidInputError("transform shape does not match matrix")
-    defect = np.max(np.abs(p.T @ p - np.eye(h.dim)))
-    if defect > ortho_tol:
-        raise InvalidInputError(
-            f"matrix is not orthogonal (||P^T P - I||_max = {defect:.3e})"
-        )
-    return SymMatrix.symmetrized(p.T @ h.values @ p)
-
-
 def multiset_deviation(a, b) -> float:
     """Largest elementwise gap between two ascending eigenvalue lists."""
     a = np.asarray(a, dtype=np.float64)
@@ -199,52 +183,76 @@ def multiset_deviation(a, b) -> float:
     return float(np.max(np.abs(a - b)))
 
 
-def spectrum_multiset_equal(a, b, tol: float) -> bool:
-    """True iff the two ascending lists agree elementwise within ``tol``."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.size != b.size:
-        return False
-    return bool(a.size == 0 or np.max(np.abs(a - b)) <= tol)
+class _Memo(dict):
+    """Maps each distinct key through ``convert`` once."""
+
+    def __init__(self, convert):
+        self.convert = convert
+
+    def __missing__(self, key):
+        value = self[key] = self.convert(key)
+        return value
 
 
-def write_matrix_text(h, path, digits: int = 17) -> None:
-    """Write a matrix in the text interchange format."""
+def _word(bits: int) -> str:
+    """The ``.17g`` word of the float64 with bit pattern ``bits``."""
+    return format(struct.unpack("<d", struct.pack("<Q", bits))[0], ".17g")
+
+
+def write_matrix_text(h, path) -> None:
+    """Write a matrix in the text interchange format.
+
+    Entries get 17 significant digits (``.17g``), the precision at which
+    every float64 reads back bit for bit.  The conversion is correctly
+    rounded, so each distinct bit pattern (-0.0 is not 0.0) is formatted
+    once and its word reused: an invariant matrix repeats few values.
+    """
     h = _as_sym(h)
+    words = _Memo(_word)
     with open(path, "w", encoding="ascii") as fh:
         fh.write(f"{h.dim}\n")
-        for row in h.values:
-            fh.write(" ".join(f"{x:.{digits}g}" for x in row))
+        for bits in h.values.view(np.uint64):
+            fh.write(" ".join(map(words.__getitem__, bits.tolist())))
             fh.write("\n")
 
 
 def read_matrix_text(path) -> tuple[SymMatrix, float]:
-    """Read the text format; returns (matrix, max asymmetry repaired)."""
-    with open(path, "r", encoding="ascii") as fh:
-        lines = [ln for ln in (line.strip() for line in fh) if ln]
-    if not lines:
-        raise InvalidInputError(f"{path}: empty matrix file")
-    try:
-        dim = int(lines[0])
-    except ValueError as exc:
-        raise InvalidInputError(f"{path}: first line must be the dimension") from exc
-    if dim < 1:
-        raise InvalidInputError(f"{path}: dimension must be >= 1")
-    if len(lines) - 1 != dim:
-        raise InvalidInputError(
-            f"{path}: expected {dim} rows, found {len(lines) - 1}"
-        )
+    """Read the text format; returns (matrix, max asymmetry repaired).
+
+    Tokens take Python ``float`` syntax; each distinct token is parsed
+    once.  The file is streamed, blank lines are skipped, and rows past
+    the declared dimension are counted but not kept, so the header alone
+    never sizes an allocation.  The row count is checked before the rows.
+    """
+    floats = _Memo(float)
     rows = []
-    for ln in lines[1:]:
+    found = 0
+    with open(path, "r", encoding="ascii") as fh:
+        lines = filter(None, map(str.strip, fh))
+        header = next(lines, None)
+        if header is None:
+            raise InvalidInputError(f"{path}: empty matrix file")
         try:
-            row = [float(tok) for tok in ln.split()]
+            dim = int(header)
         except ValueError as exc:
-            raise InvalidInputError(f"{path}: malformed number in row") from exc
+            raise InvalidInputError(f"{path}: first line must be the dimension") from exc
+        if dim < 1:
+            raise InvalidInputError(f"{path}: dimension must be >= 1")
+        for found, line in enumerate(lines, 1):
+            if found <= dim:
+                try:
+                    rows.append(list(map(floats.__getitem__, line.split())))
+                except ValueError as exc:
+                    rows.append(exc)
+    if found != dim:
+        raise InvalidInputError(f"{path}: expected {dim} rows, found {found}")
+    for row in rows:
+        if isinstance(row, ValueError):
+            raise InvalidInputError(f"{path}: malformed number in row") from row
         if len(row) != dim:
             raise InvalidInputError(f"{path}: row of length {len(row)}, expected {dim}")
-        rows.append(row)
     m = np.array(rows, dtype=np.float64)
     if not np.all(np.isfinite(m)):
         raise InvalidInputError(f"{path}: matrix entries must be finite")
-    asym = float(np.max(np.abs(m - m.T))) if dim > 0 else 0.0
+    asym = float(np.max(np.abs(m - m.T)))
     return SymMatrix.symmetrized(m), asym

@@ -183,12 +183,6 @@ class DimensionTable:
             raise InvalidInputError(f"{path}: no dimension rows found")
         return cls(tuple(entries))
 
-    def to_csv(self, path) -> None:
-        with open(path, "w", encoding="ascii", newline="") as fh:
-            fh.write("twoJ,dim\n")
-            for two_j, dim in self.entries:
-                fh.write(f"{two_j},{dim}\n")
-
 
 def example_dimension_table() -> DimensionTable:
     """The bundled illustrative table (shaped like a mid-size shell-model

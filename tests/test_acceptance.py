@@ -31,6 +31,7 @@ from irreplab import (
 from irreplab.cli import main
 
 DATA = Path(__file__).parent / "data"
+SRC_DATA = Path(__file__).parents[1] / "src" / "irreplab" / "data"
 
 ALL_GROUPS = [("cyclic", n) for n in range(2, 13)] + [
     ("tetra", None),
@@ -185,8 +186,7 @@ def test_criterion_9_byte_determinism(tmp_path):
         census.append(out.read_bytes())
     ok = ok and census[0] == census[1]
     # ground-state distribution, same treatment
-    dims = tmp_path / "dims.csv"
-    example_dimension_table().to_csv(dims)
+    dims = SRC_DATA / "example_dims.csv"
     dist = []
     for name, threads in [("d1.csv", 1), ("d2.csv", 3)]:
         out = tmp_path / name

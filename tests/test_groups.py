@@ -200,6 +200,10 @@ class TestCheckInvariance:
         h[1, 2] = h[2, 1] = np.nan
         assert np.isnan(check_invariance(h, build_group("tetra"), 1))
 
+    def test_infinite_entries_read_nan_without_warning(self):
+        # inf - inf is NaN; the suite turns numpy's RuntimeWarning into an error
+        assert np.isnan(check_invariance(np.full((4, 4), np.inf), build_group("tetra"), 1))
+
     def test_dimension_mismatch_rejected(self):
         g = build_group("tetra")
         with pytest.raises(InvalidInputError):

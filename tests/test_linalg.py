@@ -1,7 +1,10 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from irreplab import (
     InvalidInputError,
@@ -12,11 +15,10 @@ from irreplab import (
     multiset_deviation,
     random_sym_block,
     read_matrix_text,
-    similarity,
-    spectrum_multiset_equal,
     substream,
     write_matrix_text,
 )
+from irreplab.cli import main
 
 def _jacobi_rotate(a, v, p, q):
     apq = a[p, q]
@@ -184,7 +186,7 @@ class TestEigensolve:
         spec = options["solve"](h)
         tol = 1e-8 * dim * max(1.0, h.max_abs())
         assert abs(np.sum(spec.eigenvalues) - np.trace(h.values)) < tol
-        assert abs(np.sum(spec.eigenvalues**2) - h.frobenius() ** 2) < tol
+        assert abs(np.sum(spec.eigenvalues**2) - np.linalg.norm(h.values) ** 2) < tol
 
     @pytest.mark.parametrize("options", ENGINES)
     def test_vectors_orthonormal_and_reconstruct(self, options):
@@ -244,6 +246,30 @@ def random_givens_orthogonal(dim, seed, rotations=None):
         g[j, i] = math.sin(angle)
         p = p @ g
     return p
+
+
+def similarity(h, p, ortho_tol=1e-10):
+    """Orthogonal similarity transform ``P^T H P``; ``p`` must satisfy
+    ``||P^T P - I||_max <= ortho_tol``."""
+    h = h if isinstance(h, SymMatrix) else SymMatrix(h)
+    p = np.asarray(p, dtype=np.float64)
+    if p.shape != (h.dim, h.dim):
+        raise InvalidInputError("transform shape does not match matrix")
+    defect = np.max(np.abs(p.T @ p - np.eye(h.dim)))
+    if defect > ortho_tol:
+        raise InvalidInputError(
+            f"matrix is not orthogonal (||P^T P - I||_max = {defect:.3e})"
+        )
+    return SymMatrix.symmetrized(p.T @ h.values @ p)
+
+
+def spectrum_multiset_equal(a, b, tol):
+    """True iff the two ascending lists agree elementwise within ``tol``."""
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    if a.size != b.size:
+        return False
+    return bool(a.size == 0 or np.max(np.abs(a - b)) <= tol)
 
 
 class TestSimilarity:
@@ -317,3 +343,100 @@ class TestMatrixTextFormat:
         path.write_text(f"2\n1 {token}\n{token} 1\n")
         with pytest.raises(InvalidInputError, match="nf.txt: matrix entries must be finite"):
             read_matrix_text(path)
+
+    def test_bit_symmetric_data_kept_exactly(self, tmp_path):
+        # (x + x) / 2 would overflow for |x| >= 2**1023
+        big = np.finfo(np.float64).max
+        path = tmp_path / "big.txt"
+        write_matrix_text(np.array([[big, -big], [-big, 5e-324]]), path)
+        back, asym = read_matrix_text(path)
+        assert asym == 0.0
+        assert back[0, 0] == big and back[0, 1] == -big and back[1, 1] == 5e-324
+
+    def test_blank_lines_skipped(self, tmp_path):
+        path = tmp_path / "gaps.txt"
+        path.write_text("\n2\n\n1 2\n  \n2 3\n\n")
+        back, _ = read_matrix_text(path)
+        assert back.values.tolist() == [[1.0, 2.0], [2.0, 3.0]]
+
+    @pytest.mark.parametrize(
+        "text,found",
+        [("2\n1 2\n", 1), ("2\n1 2\n2 1\n3 3\n", 3), ("2\n1 2 3\n2 1 0\n3 3 3\n", 3),
+         ("2\n1 zz\n", 1), ("1000000000\n1 2\n2 1\n", 2)],
+    )
+    def test_row_count_checked_first(self, tmp_path, text, found):
+        # the count is reported before any row's contents, and the
+        # declared dimension alone allocates nothing
+        path = tmp_path / "rows.txt"
+        path.write_text(text)
+        dim = text.split("\n", 1)[0]
+        with pytest.raises(InvalidInputError, match=f"expected {dim} rows, found {found}$"):
+            read_matrix_text(path)
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [("2\n1 2\n2 1 0\n", "row of length 3, expected 2"),
+         ("2\n1 zz\n1 2 3\n", "malformed number in row")],
+    )
+    def test_first_bad_row_reported(self, tmp_path, text, message):
+        path = tmp_path / "row.txt"
+        path.write_text(text)
+        with pytest.raises(InvalidInputError, match=message):
+            read_matrix_text(path)
+
+    def test_python_float_syntax(self, tmp_path):
+        path = tmp_path / "syntax.txt"
+        path.write_text("2\n1_0 +.5\n0.5e0 -0\n")
+        back, asym = read_matrix_text(path)
+        assert back.values.tolist() == [[10.0, 0.5], [0.5, -0.0]]
+        assert math.copysign(1.0, back[1, 1]) == -1.0
+        assert asym == 0.0
+
+
+def _reference_text(values):
+    """The format written one element at a time, as the first writer did."""
+    rows = (" ".join(format(float(x), ".17g") for x in row) for row in values)
+    return f"{values.shape[0]}\n" + "".join(row + "\n" for row in rows)
+
+
+SPECIAL_VALUES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308,
+                  1.7976931348623157e308, -1.7976931348623157e308, 0.1, -1.0 / 3.0]
+
+
+class TestMatrixTextBytes:
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        data=st.data(),
+        dim=st.integers(1, 6),
+        pool=st.lists(
+            st.one_of(st.sampled_from(SPECIAL_VALUES),
+                      st.floats(allow_nan=False, allow_infinity=False)),
+            min_size=1, max_size=5,
+        ),
+    )
+    def test_bytes_match_per_element_format_and_read_back(self, tmp_path, data, dim, pool):
+        # few distinct values, as in an invariant matrix
+        picks = data.draw(st.lists(st.integers(0, len(pool) - 1),
+                                   min_size=dim * dim, max_size=dim * dim))
+        values = np.array([pool[i] for i in picks]).reshape(dim, dim)
+        values = np.where(np.tri(dim, dtype=bool), values, values.T)
+        path = tmp_path / "h.txt"
+        write_matrix_text(values, path)
+        assert path.read_bytes() == _reference_text(values).encode("ascii")
+        back, asym = read_matrix_text(path)
+        assert asym == 0.0
+        assert np.array_equal(back.values.view(np.uint64), values.view(np.uint64))
+
+    @pytest.mark.parametrize(
+        "args,digest",
+        [(["--group", "cube", "--m", "60"],
+          "034070abd4b6d7af99903259c364cec853a0d292d2174d2af4c53e6f5ccc4312"),
+         (["--group", "cyclic", "--n", "50", "--m", "8"],
+          "990e9b0bfe4893da810910b25e512bac5986734c526ab5ddcee941b0b0b85a94")],
+    )
+    def test_build_bytes_pinned(self, tmp_path, capsys, args, digest):
+        # digests of the matrices built before the writer cached its words
+        out = tmp_path / "h.txt"
+        assert main(["build", *args, "--seed", "11", "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
