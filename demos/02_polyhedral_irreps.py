@@ -6,6 +6,10 @@ vertex pairs (diagonal, edges, face diagonals, ...).  The matrix
 block-diagonalizes into a handful of signed combinations of those
 blocks, and the sum of squared combination coefficients predicts each
 irrep block's element variance.
+
+No table is typed in: the 0/1 adjacency matrices of the pair orbits
+commute (no irrep repeats), and their shared integer eigenvalues are the
+combination coefficients, one copy per eigenvector.
 """
 
 from irreplab import (
@@ -13,7 +17,7 @@ from irreplab import (
     build_group,
     build_invariant,
     check_invariance,
-    decompose_polyhedral,
+    decompose,
     draw_label_blocks,
     eigensolve,
     multiset_deviation,
@@ -27,7 +31,7 @@ for kind in ("tetra", "octa", "cube"):
     print(f"   pair-orbit sizes, by orbit number: {structure.orbit_sizes()}")
 
     print("   irrep blocks (combination of orbit blocks F_k, multiplicity, variance factor):")
-    for spec in decompose_polyhedral(group):
+    for spec in decompose(group):
         combo = " ".join(
             f"{c:+g}F{k}" for k, c in spec.coefficients.items())
         print(f"     {spec.label:6s} {combo:24s} x{spec.copies}   "

@@ -24,7 +24,6 @@ from .irreps import (
     block_spectra,
     decompose,
     decompose_cyclic,
-    decompose_polyhedral,
     ground_state_irrep_census,
     sample_invariant,
 )
@@ -83,7 +82,6 @@ __all__ = [
     "check_invariance",
     "IrrepBlockSpec",
     "decompose",
-    "decompose_polyhedral",
     "decompose_cyclic",
     "block_spectra",
     "sample_invariant",

@@ -22,7 +22,7 @@ from . import __version__
 from .errors import InvalidInputError, NumericFailureError
 from .groups import build_group, check_invariance, pair_orbits
 from .irreps import _block_eigenvalues, ground_state_irrep_census, sample_invariant
-from .linalg import eigensolve, multiset_deviation, read_matrix_text, write_matrix_text
+from .linalg import SymMatrix, eigensolve, multiset_deviation, read_matrix_text, write_matrix_text
 from .rng import EnsembleConfig
 from .su2 import DimensionTable, f_space, gs_distribution, width_table
 
@@ -115,7 +115,7 @@ def _cmd_spectrum(args) -> int:
     for orbit in range(structure.count):
         i, j = structure.pairs_of(orbit)[0]
         sub = h.values[i * m:(i + 1) * m, j * m:(j + 1) * m]
-        blocks.append(0.5 * (sub + sub.T))
+        blocks.append(SymMatrix.symmetrized(sub).values)
 
     rows = [(spec.label, float(v)) for spec, ev in _block_eigenvalues(group, blocks)
             for _ in range(spec.copies) for v in ev]

@@ -3,11 +3,19 @@
 A group-invariant matrix built from per-orbit random blocks is
 orthogonally equivalent to a direct sum of small combination blocks,
 one per irreducible representation of the site action.  Each
-combination is a signed integer (polyhedra) or cosine-weighted (cyclic)
-sum of the orbit blocks, so its element variance is the sum of squared
-coefficients times the per-element variance of the inputs.  That single
-number per irrep is what makes the ground-state statistics predictable:
-wider blocks reach lower.
+combination is a weighted sum of the orbit blocks, so its element
+variance is the sum of squared coefficients times the per-element
+variance of the inputs.  That single number per irrep is what makes the
+ground-state statistics predictable: wider blocks reach lower.
+
+Cyclic groups use the closed-form Fourier weights.  Every other group
+must act without repeating an irrep; its weights are then the integer
+eigenvalues of the commuting pair-orbit adjacency matrices, derived
+rather than tabulated.  Its blocks are ordered by ascending dimension
+and named ``<d>dim``; when two blocks share a dimension, the one with
+the larger sum over orbits of (orbit size x coefficient), a quantity
+that does not depend on how the sites are numbered, is ``<d>dim+`` and
+the other ``<d>dim-``.
 
 The master consistency check, used throughout the tests: the sorted
 eigenvalues of the dense invariant matrix equal the multiset union of
@@ -17,6 +25,7 @@ the combination-block eigenvalues, each repeated by its multiplicity.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -24,7 +33,6 @@ import numpy as np
 
 from .errors import InvalidInputError, NumericFailureError
 from .groups import (
-    PairOrbitStructure,
     PointGroup,
     _coerce_blocks,
     build_group,
@@ -42,7 +50,6 @@ from .rng import (
 
 __all__ = [
     "IrrepBlockSpec",
-    "decompose_polyhedral",
     "decompose_cyclic",
     "decompose",
     "block_spectra",
@@ -80,84 +87,40 @@ class IrrepBlockSpec:
         return out
 
 
-def _classify_cube_offdiagonal(structure: PairOrbitStructure):
-    """Split the cube's off-diagonal orbits into edge / face / body classes.
+def _decompose_by_orbit_algebra(group: PointGroup) -> list[IrrepBlockSpec]:
+    """Irrep blocks of a multiplicity-free action, read off its orbit algebra.
 
-    The body-diagonal orbit has 4 pairs.  The two 12-pair orbits are
-    told apart by their triangles: the edge orbit is the cube skeleton,
-    which is bipartite, so ``trace(A^3) == 0`` for its adjacency matrix
-    A; the face-diagonal orbit is two inscribed tetrahedra, so its
-    ``trace(A^3) > 0``.
-    """
-    sizes = structure.orbit_sizes()
-    body = [k for k in range(1, structure.count) if sizes[k] == 4]
-    twelves = [k for k in range(1, structure.count) if sizes[k] == 12]
-    if len(body) != 1 or len(twelves) != 2:
-        raise InvalidInputError("unexpected cube orbit structure")
-
-    def triangles(orbit):
-        a = (structure.label_index == orbit).astype(np.int64)
-        return int(np.trace(a @ a @ a))
-
-    edge, face = sorted(twelves, key=triangles)
-    if triangles(edge) != 0 or triangles(face) == 0:
-        raise InvalidInputError("unexpected cube orbit structure")
-    return edge, face, body[0]
-
-
-def decompose_polyhedral(group: PointGroup) -> list[IrrepBlockSpec]:
-    """Block-diagonal structure of a polyhedral invariant matrix.
-
-    Returned in canonical order (ties in the census break toward the
-    earlier entry).  A is orbit 0 (the diagonal); B, C, D name the
-    off-diagonal orbit classes, which are orbits 1, 2, 3 in the
-    canonical vertex numbering:
-
-    * tetra: (A + 3B) x1, (A - B) x3 with B the edges; variance
-      factors 10, 2.
-    * octa: with B adjacent, C antipodal:
-      (A+4B+C) x1, (A-2B+C) x2, (A-C) x3; factors 18, 6, 2.
-    * cube: with B edges, C face diagonals, D body diagonals:
-      (A+3B+3C+D) x1, (A-3B+3C-D) x1, (A-C+B-D) x3, (A-C-B+D) x3;
-      factors 20, 20, 4, 4.
-
-    The classes are identified from the orbit structure itself, so any
-    relabeling of the sites decomposes identically, whatever numbers
-    its orbits get.
+    The orbit adjacency matrices A_k commute exactly when no irrep
+    repeats, and their common eigenspaces are then the irreps (Bannai &
+    Ito, *Algebraic Combinatorics I*, 1984).  Each eigenvector v of one
+    fixed combination of the A_k has the integer coefficients
+    ``v^T A_k v``; identical rows make up one irrep, one copy per row.
     """
     structure = pair_orbits(group)
-    diag = 0
+    adj = np.array([structure.label_index == k for k in range(structure.count)], dtype=np.int64)
+    products = adj[:, None] @ adj[None, :]
+    if not np.array_equal(products, products.transpose(1, 0, 2, 3)):
+        raise InvalidInputError(f"{group.name}: pair-orbit matrices do not commute")
+    mix = sum(a / (k + math.pi) for k, a in enumerate(adj))
+    vectors = eigensolve(mix, want_vectors=True).eigenvectors
+    coeffs = np.rint(np.einsum("ji,kjl,li->ik", vectors, adj, vectors))
+    if np.linalg.norm(adj @ vectors - vectors[None] * coeffs.T[:, None]) > 1e-8:
+        raise InvalidInputError(f"{group.name}: pair-orbit coefficients are not integers")
+    copies = Counter(map(tuple, coeffs.tolist()))
     sizes = structure.orbit_sizes()
-    off = range(1, structure.count)
-    if group.kind == "tetra":
-        (b,) = off
-        return [
-            IrrepBlockSpec("1dim", 1, {diag: 1.0, b: 3.0}),
-            IrrepBlockSpec("3dim", 3, {diag: 1.0, b: -1.0}),
-        ]
-    if group.kind == "octa":
-        anti = [k for k in off if sizes[k] == group.sites // 2]
-        adj = [k for k in off if sizes[k] != group.sites // 2]
-        if len(anti) != 1 or len(adj) != 1:
-            raise InvalidInputError("unexpected octahedron orbit structure")
-        b, c = adj[0], anti[0]
-        return [
-            IrrepBlockSpec("1dim", 1, {diag: 1.0, b: 4.0, c: 1.0}),
-            IrrepBlockSpec("2dim", 2, {diag: 1.0, b: -2.0, c: 1.0}),
-            IrrepBlockSpec("3dim", 3, {diag: 1.0, c: -1.0}),
-        ]
-    if group.kind == "cube":
-        b, c, d = _classify_cube_offdiagonal(structure)
-        return [
-            IrrepBlockSpec("1dim+", 1, {diag: 1.0, b: 3.0, c: 3.0, d: 1.0}),
-            IrrepBlockSpec("1dim-", 1, {diag: 1.0, b: -3.0, c: 3.0, d: -1.0}),
-            IrrepBlockSpec("3dim+", 3, {diag: 1.0, b: 1.0, c: -1.0, d: -1.0}),
-            IrrepBlockSpec("3dim-", 3, {diag: 1.0, b: -1.0, c: -1.0, d: 1.0}),
-        ]
-    raise InvalidInputError(
-        f"no polyhedral decomposition for group {group.name!r}; "
-        "use the cyclic Fourier path for cyclic groups"
-    )
+    weight = {row: sum(s * c for s, c in zip(sizes, row)) for row in copies}
+    rows = sorted(copies, key=lambda row: (copies[row], -weight[row]))
+    specs = []
+    for row in rows:
+        twins = [r for r in rows if copies[r] == copies[row]]
+        label = f"{copies[row]}dim"
+        if len(twins) > 2 or len({weight[r] for r in twins}) < len(twins):
+            raise InvalidInputError(f"{group.name}: no +/- rule names its {label} blocks")
+        if len(twins) == 2:
+            label += "+" if row == twins[0] else "-"
+        specs.append(IrrepBlockSpec(label, copies[row],
+                                    {k: c for k, c in enumerate(row) if c != 0}))
+    return specs
 
 
 def _zeta(j: int, n: int) -> float:
@@ -208,7 +171,11 @@ def decompose_cyclic(n: int) -> list[IrrepBlockSpec]:
 
 
 def decompose(group: PointGroup) -> list[IrrepBlockSpec]:
-    """Block specs for any supported group, keyed by its own orbit numbers."""
+    """Block specs for any supported group, keyed by its own orbit numbers.
+
+    Raises ``InvalidInputError`` for a non-cyclic group whose pair-orbit
+    matrices do not commute or have non-integer eigenvalues.
+    """
     if group.kind == "cyclic":
         structure = pair_orbits(group)
         # walk the generator to find which orbit holds each cyclic
@@ -225,7 +192,7 @@ def decompose(group: PointGroup) -> list[IrrepBlockSpec]:
                            {orbit_of[j]: c for j, c in s.coefficients.items()})
             for s in decompose_cyclic(group.sites)
         ]
-    return decompose_polyhedral(group)
+    return _decompose_by_orbit_algebra(group)
 
 
 def _block_eigenvalues(group: PointGroup, blocks: Sequence[np.ndarray]):

@@ -219,15 +219,16 @@ def write_matrix_text(h, path) -> None:
 def read_matrix_text(path) -> tuple[SymMatrix, float]:
     """Read the text format; returns (matrix, max asymmetry repaired).
 
-    Tokens take Python ``float`` syntax; each distinct token is parsed
-    once.  The file is streamed, blank lines are skipped, and rows past
-    the declared dimension are counted but not kept, so the header alone
-    never sizes an allocation.  The row count is checked before the rows.
+    Tokens take Python ``float`` syntax, and a non-ASCII byte makes its
+    token malformed; each distinct token is parsed once.  The file is
+    streamed, blank lines are skipped, and rows past the declared
+    dimension are counted but not kept, so the header alone never sizes
+    an allocation.  The row count is checked before the rows.
     """
     floats = _Memo(float)
     rows = []
     found = 0
-    with open(path, "r", encoding="ascii") as fh:
+    with open(path, "r", encoding="ascii", errors="replace") as fh:
         lines = filter(None, map(str.strip, fh))
         header = next(lines, None)
         if header is None:

@@ -163,7 +163,7 @@ class DimensionTable:
     @classmethod
     def from_csv(cls, path) -> "DimensionTable":
         entries = []
-        with open(path, "r", encoding="ascii") as fh:
+        with open(path, "r", encoding="ascii", errors="replace") as fh:
             for lineno, raw in enumerate(fh, 1):
                 line = raw.split("#", 1)[0].strip()
                 if not line:

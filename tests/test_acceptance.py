@@ -16,8 +16,8 @@ from irreplab import (
     build_group,
     build_invariant,
     check_invariance,
+    decompose,
     decompose_cyclic,
-    decompose_polyhedral,
     draw_label_blocks,
     eigensolve,
     example_dimension_table,
@@ -63,7 +63,7 @@ def test_criterion_2_polyhedral_variance_factors():
     details = []
     for kind, want in expected.items():
         group = build_group(kind)
-        specs = decompose_polyhedral(group)
+        specs = decompose(group)
         ok = ok and [s.variance_factor for s in specs] == want
         orbits = pair_orbits(group).count
         trials = 10000

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -114,6 +115,24 @@ class TestSpectrum:
         assert run("spectrum", "--in", hfile, "--group", "tetra",
                    "--out", tmp_path / "o.csv") == 2
 
+    def test_non_ascii_byte_exits_2(self, tmp_path, capsys):
+        hfile = tmp_path / "h.txt"
+        hfile.write_bytes(b"2\n1 2\n2 \xe9\n")
+        assert run("spectrum", "--in", hfile, "--group", "cyclic",
+                   "--out", tmp_path / "o.csv") == 2
+        assert f"{hfile}: malformed number in row" in capsys.readouterr().err
+
+    def test_largest_finite_entries_kept(self, tmp_path):
+        # the orbit blocks are bit-symmetric, so symmetrizing them must
+        # not form big + big
+        hfile = tmp_path / "h.txt"
+        hfile.write_text("2\n1.7976931348623157e308 0\n0 1.7976931348623157e308\n")
+        out = tmp_path / "o.csv"
+        assert run("spectrum", "--in", hfile, "--group", "cyclic", "--out", out) == 0
+        rows = [ln.split(",") for ln in out.read_text().strip().split("\n")[1:]]
+        assert [lab for lab, _ in rows] == ["k=0", "k=1", "dense", "dense"]
+        assert {v for _, v in rows} == {format(1.7976931348623157e308, ".12g")}
+
     @pytest.mark.parametrize("m", ["0", "-2"])
     def test_block_size_below_one_exits_2(self, tmp_path, capsys, m):
         hfile = tmp_path / "h.txt"
@@ -158,6 +177,15 @@ class TestCensus:
         one_dim = float(rows["1dim+"][4]) + float(rows["1dim-"][4])
         assert one_dim > 0.25 + 5 * np.sqrt(0.25 * 0.75 / 10000)
 
+
+    def test_cube_scalar_bytes_pinned(self, tmp_path):
+        # m = 1 takes no eigenvalues and the derived coefficients are exact
+        # integers, so the digest is the same on every platform
+        out = tmp_path / "c.csv"
+        assert run("census", "--group", "cube", "--m", "1", "--trials", "2000",
+                   "--seed", "11", "--threads", "1", "--out", out) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "0eb482fd6d0b1e9898fccfd5d55328389d4244b8236338035db828cb6a5d7fdd")
 
     def test_cyclic_labels_past_z(self, tmp_path):
         # C_60 has 31 pair orbits, more than the letters A..Z
@@ -211,6 +239,13 @@ class TestGsDist:
         assert run("gsdist", "--dims", dims, "--trials", "10", "--sigma0", "1e308",
                    "--out", tmp_path / "d.csv") == 3
         assert "numeric failure" in capsys.readouterr().err
+
+    def test_non_ascii_byte_exits_2(self, tmp_path, capsys):
+        dims = tmp_path / "dims.csv"
+        dims.write_bytes(b"twoJ,dim\n0,1\n2,\xe9\n")
+        assert run("gsdist", "--dims", dims, "--trials", "10",
+                   "--out", tmp_path / "d.csv") == 2
+        assert f"{dims}:3: twoJ and dim must be integers" in capsys.readouterr().err
 
     @pytest.mark.parametrize("threads", ["0", "-3"])
     def test_threads_below_one_rejected(self, tmp_path, threads):

@@ -9,12 +9,12 @@ from scipy.stats import multivariate_normal
 from irreplab import (
     EnsembleConfig,
     InvalidInputError,
+    PointGroup,
     block_spectra,
     build_group,
     build_invariant,
     decompose,
     decompose_cyclic,
-    decompose_polyhedral,
     draw_label_blocks,
     eigensolve,
     ground_state_irrep_census,
@@ -32,48 +32,85 @@ from test_groups import ALL_GROUPS, perm_from_stream
 
 
 class TestPolyhedralDecomposition:
+    # The coefficient tables the orbit-algebra derivation replaced.  Key
+    # order is part of the expectation: it fixes the summation order of
+    # `IrrepBlockSpec.combination`, and with it every census byte.
+    TABLES = {
+        "tetra": [
+            ("1dim", 1, 10.0, [(0, 1.0), (1, 3.0)]),
+            ("3dim", 3, 2.0, [(0, 1.0), (1, -1.0)]),
+        ],
+        "octa": [
+            ("1dim", 1, 18.0, [(0, 1.0), (1, 4.0), (2, 1.0)]),
+            ("2dim", 2, 6.0, [(0, 1.0), (1, -2.0), (2, 1.0)]),
+            ("3dim", 3, 2.0, [(0, 1.0), (2, -1.0)]),
+        ],
+        "cube": [
+            ("1dim+", 1, 20.0, [(0, 1.0), (1, 3.0), (2, 3.0), (3, 1.0)]),
+            ("1dim-", 1, 20.0, [(0, 1.0), (1, -3.0), (2, 3.0), (3, -1.0)]),
+            ("3dim+", 3, 4.0, [(0, 1.0), (1, 1.0), (2, -1.0), (3, -1.0)]),
+            ("3dim-", 3, 4.0, [(0, 1.0), (1, -1.0), (2, -1.0), (3, 1.0)]),
+        ],
+    }
+
+    def check_table(self, kind):
+        specs = decompose(build_group(kind))
+        assert [(s.label, s.copies, s.variance_factor, list(s.coefficients.items()))
+                for s in specs] == self.TABLES[kind]
+
     def test_tetra(self):
-        specs = decompose_polyhedral(build_group("tetra"))
-        assert [(s.label, s.copies, s.variance_factor) for s in specs] == [
-            ("1dim", 1, 10.0),
-            ("3dim", 3, 2.0),
-        ]
-        assert specs[0].coefficients == {0: 1.0, 1: 3.0}
-        assert specs[1].coefficients == {0: 1.0, 1: -1.0}
+        self.check_table("tetra")
 
     def test_octa(self):
-        specs = decompose_polyhedral(build_group("octa"))
-        assert [(s.label, s.copies, s.variance_factor) for s in specs] == [
-            ("1dim", 1, 18.0),
-            ("2dim", 2, 6.0),
-            ("3dim", 3, 2.0),
-        ]
-        assert specs[0].coefficients == {0: 1.0, 1: 4.0, 2: 1.0}
+        self.check_table("octa")
 
     def test_cube(self):
-        specs = decompose_polyhedral(build_group("cube"))
-        assert [(s.label, s.copies, s.variance_factor) for s in specs] == [
-            ("1dim+", 1, 20.0),
-            ("1dim-", 1, 20.0),
-            ("3dim+", 3, 4.0),
-            ("3dim-", 3, 4.0),
-        ]
-        assert specs[0].coefficients == {0: 1.0, 1: 3.0, 2: 3.0, 3: 1.0}
-        assert specs[2].coefficients == {0: 1.0, 1: 1.0, 2: -1.0, 3: -1.0}
+        self.check_table("cube")
 
     @pytest.mark.parametrize("kind", ["tetra", "octa", "cube"])
     def test_copies_sum_to_sites(self, kind):
         g = build_group(kind)
-        assert sum(s.copies for s in decompose_polyhedral(g)) == g.sites
+        assert sum(s.copies for s in decompose(g)) == g.sites
 
     def test_variance_factor_is_sum_of_squared_coefficients(self):
         for kind in ("tetra", "octa", "cube"):
-            for s in decompose_polyhedral(build_group(kind)):
+            for s in decompose(build_group(kind)):
                 assert s.variance_factor == sum(c * c for c in s.coefficients.values())
 
     def test_cyclic_rejected(self):
-        with pytest.raises(InvalidInputError):
-            decompose_polyhedral(build_group("cyclic", 5))
+        # C_5 outside the Fourier path: its orbit matrices commute, but
+        # their eigenvalues 2 cos 72 deg are not integers
+        g = PointGroup.from_generators("c5", 5, [(1, 2, 3, 4, 0)])
+        with pytest.raises(InvalidInputError, match="c5: pair-orbit coefficients are not integers"):
+            decompose(g)
+
+    def test_non_commuting_action_rejected(self):
+        # S_3 acting on itself by left multiplication repeats its 2-dim irrep
+        g = PointGroup.from_generators("s3", 6, [(2, 3, 0, 1, 5, 4), (3, 2, 5, 4, 0, 1)])
+        assert g.order == 6
+        with pytest.raises(InvalidInputError, match="s3: pair-orbit matrices do not commute"):
+            decompose(g)
+
+    def test_unnameable_blocks_rejected(self):
+        # the Klein four-group acting on itself has four 1-dim irreps,
+        # more than the +/- rule can name
+        g = PointGroup.from_generators("v4", 4, [(1, 0, 3, 2), (2, 3, 0, 1)])
+        with pytest.raises(InvalidInputError, match="v4: no \\+/- rule names its 1dim blocks"):
+            decompose(g)
+
+    @settings(max_examples=50, deadline=None)
+    @given(kind=st.sampled_from(["tetra", "octa", "cube"]), data=st.data())
+    def test_relabeling_moves_coefficients_with_their_pairs(self, kind, data):
+        g = build_group(kind)
+        perm = data.draw(st.permutations(range(g.sites)), label="perm")
+        h = relabel(g, perm)
+        old, new = pair_orbits(g), pair_orbits(h)
+        moved = {k: int(new.label_index[perm[i], perm[j]])
+                 for k in range(old.count) for i, j in old.pairs_of(k)}
+        for a, b in zip(decompose(g), decompose(h)):
+            assert (b.label, b.copies, b.variance_factor) == (a.label, a.copies, a.variance_factor)
+            assert b.coefficients == {moved[k]: c for k, c in a.coefficients.items()}
+            assert list(b.coefficients) == sorted(b.coefficients)
 
     def test_relabeled_cyclic_group_decomposes(self):
         g = relabel(build_group("cyclic", 6), perm_from_stream(6, 14))
@@ -85,7 +122,7 @@ class TestPolyhedralDecomposition:
     def test_relabeled_group_same_factors(self, kind):
         # decomposition is tied to orbit structure, not to vertex numbering
         g = relabel(build_group(kind), perm_from_stream(build_group(kind).sites, 8))
-        factors = sorted(s.variance_factor for s in decompose_polyhedral(g))
+        factors = sorted(s.variance_factor for s in decompose(g))
         expected = {"tetra": [2.0, 10.0], "octa": [2.0, 6.0, 18.0],
                     "cube": [4.0, 4.0, 20.0, 20.0]}[kind]
         assert factors == expected
