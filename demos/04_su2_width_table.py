@@ -21,7 +21,7 @@ exact = {
 
 print("width factor w_J = integral P_J(cos w)^2 sin^2 w dw  (J = 0..10):")
 table = width_table(10)
-for two_j, val in table.entries:
+for two_j, val in table:
     j = two_j // 2
     note = ""
     if j in exact:

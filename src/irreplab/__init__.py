@@ -46,7 +46,6 @@ from .rng import (
 from .su2 import (
     DimensionTable,
     GsDistribution,
-    WidthTable,
     effective_width,
     example_dimension_table,
     f_space,
@@ -92,7 +91,6 @@ __all__ = [
     "sigma_j_sq",
     "effective_width",
     "width_table",
-    "WidthTable",
     "DimensionTable",
     "GsDistribution",
     "f_space",

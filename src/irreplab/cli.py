@@ -24,7 +24,7 @@ from .groups import build_group, check_invariance, pair_orbits
 from .irreps import _block_eigenvalues, ground_state_irrep_census, sample_invariant
 from .linalg import SymMatrix, eigensolve, multiset_deviation, read_matrix_text, write_matrix_text
 from .rng import EnsembleConfig
-from .su2 import DimensionTable, f_space, gs_distribution, width_table
+from .su2 import DEFAULT_QUAD_POINTS, DimensionTable, f_space, gs_distribution, width_table
 
 USAGE_ERROR = 2
 NUMERIC_ERROR = 3
@@ -121,6 +121,8 @@ def _cmd_spectrum(args) -> int:
             for _ in range(spec.copies) for v in ev]
     dense = eigensolve(h).eigenvalues
     deviation = multiset_deviation(np.sort([v for _, v in rows]), dense)
+    if not np.isfinite(deviation):
+        raise NumericFailureError("block and dense eigenvalues differ beyond the float range")
     rows.extend(("dense", float(v)) for v in dense)
 
     _write_rows(args.out, args.format, ("irrep_label", "eigenvalue"), rows)
@@ -157,8 +159,8 @@ def _cmd_census(args) -> int:
 
 
 def _cmd_su2_widths(args) -> int:
-    table = width_table(args.jmax, args.quad_points)
-    _write_rows(args.out, args.format, ("twoJ", "sigmaJ_sq"), table.entries)
+    _write_rows(args.out, args.format, ("twoJ", "sigmaJ_sq"),
+                width_table(args.jmax, args.quad_points))
     config = {"jmax": args.jmax, "quad_points": args.quad_points,
               "out": args.out, "format": args.format}
     _write_manifest(args.out, "su2-widths", config, [args.out])
@@ -234,7 +236,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("su2-widths", help="universal per-J width factors")
     p.add_argument("--jmax", type=int, default=10)
-    p.add_argument("--quad-points", type=int, default=512)
+    p.add_argument("--quad-points", type=int, default=DEFAULT_QUAD_POINTS)
     _add_common_output(p)
     p.set_defaults(func=_cmd_su2_widths)
 
@@ -244,7 +246,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--sigma0", type=float, default=1.0)
     p.add_argument("--jmax", type=int, default=None, help="drop table rows above this J")
-    p.add_argument("--quad-points", type=int, default=512)
+    p.add_argument("--quad-points", type=int, default=DEFAULT_QUAD_POINTS)
     p.add_argument("--threads", type=int, default=os.cpu_count() or 1)
     _add_common_output(p)
     p.set_defaults(func=_cmd_gsdist)

@@ -260,12 +260,12 @@ def _permuted_blockwise(h: np.ndarray, g: Perm, m: int) -> np.ndarray:
     return blocks[inverse][:, :, inverse].reshape(n * m, n * m)
 
 
-def check_invariance(h, group: PointGroup, m: int | None = None, full: bool = False) -> float:
-    """Largest violation of ``H = (P (x) I) H (P (x) I)^T``.
+def check_invariance(h, group: PointGroup, m: int | None = None) -> float:
+    """Largest violation of ``H = (P (x) I) H (P (x) I)^T`` over the generators.
 
-    Scans the group generators by default; ``full=True`` scans every
-    element.  Zero (exactly) for matrices assembled by `build_invariant`,
-    and NaN when a non-finite entry makes a difference NaN.
+    Zero, exactly, when H commutes with every group element, as matrices
+    assembled by `build_invariant` do; NaN when a non-finite entry makes
+    a difference NaN.
     """
     h = h.values if isinstance(h, SymMatrix) else np.asarray(h, dtype=np.float64)
     dim = h.shape[0]
@@ -279,9 +279,8 @@ def check_invariance(h, group: PointGroup, m: int | None = None, full: bool = Fa
         raise InvalidInputError(
             f"matrix dim {dim} does not equal sites*m = {group.sites * m}"
         )
-    perms = group.elements if full else group.generators
     worst = 0.0
     with np.errstate(invalid="ignore"):  # inf - inf is the documented NaN
-        for g in perms:
+        for g in group.generators:
             worst = np.maximum(worst, np.max(np.abs(h - _permuted_blockwise(h, g, m))))
     return float(worst)

@@ -39,7 +39,6 @@ __all__ = [
     "sigma_j_sq",
     "effective_width",
     "DimensionTable",
-    "WidthTable",
     "width_table",
     "GsDistribution",
     "f_space",
@@ -112,17 +111,24 @@ def effective_width(
     """Spectral width ``sqrt(N_J) * sigma * sqrt(w_J)`` of the J subspace.
 
     ``width_factor`` overrides the computed ``w_J`` (needed for odd
-    ``two_j``, where the Legendre-polynomial integral does not apply).
+    ``two_j``, where the Legendre-polynomial integral does not apply)
+    and must be positive and finite.
     """
     if n_j < 1:
         raise InvalidInputError("subspace dimension must be >= 1")
+    if not sigma_scale > 0.0:
+        raise InvalidInputError("sigma_scale must be positive")
     if width_factor is None:
         if two_j % 2 != 0:
             raise InvalidInputError(
-                "half-integer J has no polynomial width integral; "
-                "pass width_factor explicitly"
+                f"two_j={two_j} is half-integer; pass its width factor explicitly"
             )
         width_factor = sigma_j_sq(two_j // 2, quad_points)
+    elif not 0.0 < width_factor < math.inf:
+        raise InvalidInputError(
+            f"width factor for two_j={two_j} must be positive and finite, "
+            f"got {width_factor}"
+        )
     return math.sqrt(n_j) * sigma_scale * math.sqrt(width_factor)
 
 
@@ -193,29 +199,14 @@ def example_dimension_table() -> DimensionTable:
         return DimensionTable.from_csv(path)
 
 
-@dataclass(frozen=True)
-class WidthTable:
-    """Universal width factors w_J keyed by 2J."""
+def width_table(j_max: int, quad_points: int = DEFAULT_QUAD_POINTS):
+    """``(2J, w_J)`` pairs for integer J = 0..j_max, as a tuple.
 
-    entries: tuple[tuple[int, float], ...]
-
-    def factor(self, two_j: int) -> float:
-        for tj, val in self.entries:
-            if tj == two_j:
-                return val
-        raise KeyError(two_j)
-
-    def as_dict(self) -> dict[int, float]:
-        return dict(self.entries)
-
-
-def width_table(j_max: int, quad_points: int = DEFAULT_QUAD_POINTS) -> WidthTable:
-    """Width factors for integer J = 0..j_max."""
+    ``dict()`` of them is a valid ``widths`` argument of `gs_distribution`.
+    """
     if j_max < 0:
         raise InvalidInputError("j_max must be >= 0")
-    return WidthTable(
-        tuple((2 * j, sigma_j_sq(j, quad_points)) for j in range(j_max + 1))
-    )
+    return tuple((2 * j, sigma_j_sq(j, quad_points)) for j in range(j_max + 1))
 
 
 def f_space(dims: DimensionTable) -> list[tuple[int, float]]:
@@ -251,29 +242,6 @@ class GsDistribution:
         return best[0]
 
 
-def _resolve_widths(dims: DimensionTable, quad_points: int, widths) -> np.ndarray:
-    if widths is None:
-        factors = {}
-    elif isinstance(widths, WidthTable):
-        factors = widths.as_dict()
-    else:
-        factors = dict(widths)
-    out = np.empty(len(dims.entries))
-    for i, (two_j, _) in enumerate(dims.entries):
-        if two_j in factors:
-            out[i] = float(factors[two_j])
-        elif two_j % 2 == 0:
-            out[i] = sigma_j_sq(two_j // 2, quad_points)
-        else:
-            raise InvalidInputError(
-                f"two_j={two_j} is half-integer; provide its width factor "
-                "explicitly via `widths`"
-            )
-        if not out[i] > 0.0:
-            raise InvalidInputError("width factors must be positive")
-    return out
-
-
 def gs_distribution(
     dims: DimensionTable,
     cfg: EnsembleConfig,
@@ -292,14 +260,16 @@ def gs_distribution(
     energy alike and cannot change any trial's winner, unless it
     overflows, in which case ``NumericFailureError`` is raised.
 
-    ``widths`` optionally overrides the computed width factors w_J
-    (mapping two_j -> factor, or a WidthTable); required for
-    half-integer J entries.
+    ``widths`` optionally overrides the computed width factors w_J,
+    as a mapping two_j -> factor or as ``(two_j, factor)`` pairs such as
+    `width_table` output; required for half-integer J entries.  Each
+    width comes from `effective_width`, which rejects factors that are
+    not positive and finite.
     """
-    factors = _resolve_widths(dims, quad_points, widths)
+    factors = dict(widths or ())
     eff = np.array(
-        [math.sqrt(dim) * cfg.sigma0 * math.sqrt(factors[i])
-         for i, (_, dim) in enumerate(dims.entries)]
+        [effective_width(two_j, dim, cfg.sigma0, quad_points, factors.get(two_j))
+         for two_j, dim in dims.entries]
     )
     entry_dims = [dim for _, dim in dims.entries]
 

@@ -133,6 +133,16 @@ class TestSpectrum:
         assert [lab for lab, _ in rows] == ["k=0", "k=1", "dense", "dense"]
         assert {v for _, v in rows} == {format(1.7976931348623157e308, ".12g")}
 
+    def test_deviation_beyond_float_range_exits_3(self, tmp_path, capsys):
+        # blocks read +max twice, the dense spectrum is -max, +max: their
+        # gap overflows, which must not pass as an infinite deviation
+        hfile = tmp_path / "h.txt"
+        hfile.write_text("2\n1.7976931348623157e308 0\n0 -1.7976931348623157e308\n")
+        out = tmp_path / "o.csv"
+        assert run("spectrum", "--in", hfile, "--group", "cyclic", "--out", out) == 3
+        assert "numeric failure" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [hfile]
+
     @pytest.mark.parametrize("m", ["0", "-2"])
     def test_block_size_below_one_exits_2(self, tmp_path, capsys, m):
         hfile = tmp_path / "h.txt"

@@ -3,6 +3,7 @@ import pytest
 
 from irreplab import (
     InvalidInputError,
+    PointGroup,
     build_group,
     build_invariant,
     check_invariance,
@@ -19,6 +20,12 @@ ALL_GROUPS = [("cyclic", n) for n in range(2, 13)] + [
     ("octa", None),
     ("cube", None),
 ]
+
+
+def every_element(g):
+    # the same group with every element as a generator, so that
+    # check_invariance scans all of them
+    return PointGroup.from_generators(g.kind, g.sites, g.elements)
 
 
 def perm_from_stream(sites, seed):
@@ -152,7 +159,7 @@ class TestBuildInvariant:
         blocks = draw_label_blocks(st.count, m, 77, 0)
         h = build_invariant(g, blocks)
         assert check_invariance(h, g, m) == 0.0
-        assert check_invariance(h, g, m, full=True) == 0.0
+        assert check_invariance(h, every_element(g), m) == 0.0
 
     def test_missing_label_rejected(self):
         g = build_group("octa")
@@ -181,7 +188,7 @@ class TestCheckInvariance:
         assert violation == pytest.approx(1e-3, abs=1e-15)
         # single off-diagonal-entry perturbations violate every element
         # that moves the pair by the same amount
-        assert check_invariance(bumped, g, 2, full=True) == pytest.approx(
+        assert check_invariance(bumped, every_element(g), 2) == pytest.approx(
             violation, abs=1e-15
         )
 
@@ -189,7 +196,7 @@ class TestCheckInvariance:
         g = build_group("octa")
         noise = random_sym_block(substream(123, 0, 0), 6)
         gen = check_invariance(noise, g, 1)
-        full = check_invariance(noise, g, 1, full=True)
+        full = check_invariance(noise, every_element(g), 1)
         assert gen > 0.0 and full >= gen
         # violations propagate through generator words; the full-group
         # max cannot exceed word length times the generator max

@@ -1,0 +1,26 @@
+import importlib
+import pkgutil
+
+import pytest
+
+import irreplab
+
+MODULES = [
+    importlib.import_module(f"irreplab.{info.name}")
+    for info in pkgutil.iter_modules(irreplab.__path__)
+]
+EXPORTING = [mod for mod in MODULES if hasattr(mod, "__all__")]
+
+
+@pytest.mark.parametrize("mod", EXPORTING, ids=lambda mod: mod.__name__)
+def test_module_exports_resolve_to_the_package_objects(mod):
+    for name in mod.__all__:
+        assert getattr(irreplab, name) is getattr(mod, name), name
+
+
+def test_package_exports_are_the_module_union():
+    union = {name for mod in EXPORTING for name in mod.__all__}
+    expected = union | {"InvalidInputError", "NumericFailureError", "__version__"}
+    assert len(irreplab.__all__) == len(set(irreplab.__all__))
+    assert set(irreplab.__all__) == expected
+    assert all(hasattr(irreplab, name) for name in irreplab.__all__)

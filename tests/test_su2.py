@@ -21,6 +21,7 @@ from irreplab.cli import main
 from irreplab.su2 import _angular_grid
 
 DATA = Path(__file__).parent / "data"
+BAD_FACTORS = [-1.0, 0.0, math.nan, math.inf]
 
 
 def write_dims_csv(table, path):
@@ -120,8 +121,8 @@ class TestWidthIntegral:
 
     def test_width_table_rows(self):
         table = width_table(4)
-        assert [tj for tj, _ in table.entries] == [0, 2, 4, 6, 8]
-        assert table.factor(0) == pytest.approx(math.pi / 2, abs=1e-12)
+        assert [tj for tj, _ in table] == [0, 2, 4, 6, 8]
+        assert dict(table)[0] == pytest.approx(math.pi / 2, abs=1e-12)
 
 
 class TestEffectiveWidth:
@@ -144,6 +145,16 @@ class TestEffectiveWidth:
         with pytest.raises(InvalidInputError):
             effective_width(3, 5)
         assert effective_width(3, 4, width_factor=0.25) == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("factor", BAD_FACTORS)
+    def test_factor_must_be_positive_and_finite(self, factor):
+        with pytest.raises(InvalidInputError, match="positive and finite"):
+            effective_width(4, 3, width_factor=factor)
+
+    @pytest.mark.parametrize("scale", [0.0, -2.0, math.nan])
+    def test_scale_must_be_positive(self, scale):
+        with pytest.raises(InvalidInputError, match="sigma_scale"):
+            effective_width(4, 3, scale)
 
 
 class TestDimensionTable:
@@ -241,6 +252,19 @@ class TestGsDistribution:
             gs_distribution(t, EnsembleConfig(1, 10))
         dist = gs_distribution(t, EnsembleConfig(1, 10), widths={3: 0.3})
         assert sum(c for _, c in dist.counts) == 10
+
+    @pytest.mark.parametrize("factor", BAD_FACTORS)
+    def test_bad_width_factor_rejected(self, factor):
+        t = DimensionTable(((0, 5), (4, 5)))
+        with pytest.raises(InvalidInputError, match="positive and finite"):
+            gs_distribution(t, EnsembleConfig(1, 10), widths={4: factor})
+
+    def test_width_table_pairs_are_widths(self):
+        t = example_dimension_table()
+        cfg = EnsembleConfig(3, 300)
+        table = width_table(10)
+        assert gs_distribution(t, cfg, widths=table) == gs_distribution(t, cfg)
+        assert gs_distribution(t, cfg, widths=dict(table)) == gs_distribution(t, cfg)
 
     def test_matches_frozen_baseline(self):
         baseline = json.loads((DATA / "gsdist_baseline.json").read_text())
