@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 import numpy as np
@@ -230,7 +229,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--sigma0", type=float, default=1.0)
-    p.add_argument("--threads", type=int, default=os.cpu_count() or 1)
+    p.add_argument("--threads", type=int, default=1)
     _add_common_output(p)
     p.set_defaults(func=_cmd_census)
 
@@ -247,7 +246,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sigma0", type=float, default=1.0)
     p.add_argument("--jmax", type=int, default=None, help="drop table rows above this J")
     p.add_argument("--quad-points", type=int, default=DEFAULT_QUAD_POINTS)
-    p.add_argument("--threads", type=int, default=os.cpu_count() or 1)
+    p.add_argument("--threads", type=int, default=1)
     _add_common_output(p)
     p.set_defaults(func=_cmd_gsdist)
 

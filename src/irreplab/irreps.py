@@ -43,7 +43,7 @@ from .linalg import Spectrum, SymMatrix, eigensolve
 from .rng import (
     EnsembleConfig,
     _chunked_tally,
-    _label_block_rows,
+    _normals_rows,
     _row_uniforms,
     draw_label_blocks,
 )
@@ -197,11 +197,16 @@ def decompose(group: PointGroup) -> list[IrrepBlockSpec]:
 
 def _block_eigenvalues(group: PointGroup, blocks: Sequence[np.ndarray]):
     """(spec, eigenvalues of its combination block) for every block of
-    ``group``, in canonical order."""
-    return [
-        (spec, eigensolve(SymMatrix.symmetrized(spec.combination(blocks))).eigenvalues)
-        for spec in decompose(group)
-    ]
+    ``group``, in canonical order.  A combination block that overflows
+    raises ``NumericFailureError``."""
+    out = []
+    for spec in decompose(group):
+        with np.errstate(over="ignore"):
+            combo = spec.combination(blocks)
+        if not np.isfinite(combo).all():
+            raise NumericFailureError(f"{spec.label} block overflows the float range")
+        out.append((spec, eigensolve(SymMatrix.symmetrized(combo)).eigenvalues))
+    return out
 
 
 def block_spectra(group: PointGroup, blocks: Sequence[np.ndarray]) -> Spectrum:
@@ -267,6 +272,38 @@ class CensusResult:
         raise KeyError(label)
 
 
+def _census_minima(specs: Sequence[IrrepBlockSpec], orbits: int, cfg: EnsembleConfig,
+                   trials: np.ndarray) -> np.ndarray:
+    """(len(trials), len(specs)) lowest eigenvalues of every combination
+    block of the given trials.
+
+    Works on packed upper triangles: each orbit's sigma-scaled triangle
+    (the values ``_sym_blocks`` places) is drawn once and combined per
+    spec, and only the combined triangle is unpacked, into one m x m
+    buffer per trial that every spec reuses.  The combination is
+    elementwise, so each block holds the same bits as the combination
+    of the full ``draw_label_blocks`` blocks.
+    """
+    m = cfg.m
+    packed = [cfg.sigma0 * _normals_rows(cfg.master_seed, trials, tag, m * (m + 1) // 2) + 0.0
+              for tag in range(orbits)]
+    minima = np.empty((trials.size, len(specs)))
+    rows, cols = np.triu_indices(m)
+    blocks = np.empty((trials.size, m, m))
+    for i, spec in enumerate(specs):
+        combo = spec.combination(packed)
+        if m == 1:
+            minima[:, i] = combo[:, 0]
+            continue
+        blocks[:, rows, cols] = combo
+        blocks[:, cols, rows] = combo
+        try:
+            minima[:, i] = np.linalg.eigvalsh(blocks)[:, 0]
+        except np.linalg.LinAlgError as exc:
+            raise NumericFailureError(f"eigensolve failed: {exc}") from exc
+    return minima
+
+
 def _census_from_specs(
     specs: Sequence[IrrepBlockSpec],
     orbits: int,
@@ -275,24 +312,12 @@ def _census_from_specs(
     threads: int = 1,
 ) -> CensusResult:
     m = cfg.m
-
-    def chunk_minima(trials):
-        blocks = _label_block_rows(orbits, m, cfg.master_seed, trials, cfg.sigma0)
-        minima = np.empty((trials.size, len(specs)))
-        for i, spec in enumerate(specs):
-            combo = spec.combination(blocks)
-            if m == 1:
-                minima[:, i] = combo[:, 0, 0]
-                continue
-            try:
-                minima[:, i] = np.linalg.eigvalsh(combo)[:, 0]
-            except np.linalg.LinAlgError as exc:
-                raise NumericFailureError(f"eigensolve failed: {exc}") from exc
-        return minima
-
-    # a chunk holds one block per orbit, which outweighs the draw for m > 2
+    # the bound of one full m x m block per orbit, kept so that chunks
+    # group the same trials; the packed kernel holds one triangle per
+    # orbit and one m x m buffer in their place
     row_elements = max(_row_uniforms(m * (m + 1) // 2), orbits * m * m)
-    counts, ties = _chunked_tally(chunk_minima, cfg.trials, row_elements, threads)
+    counts, ties = _chunked_tally(lambda trials: _census_minima(specs, orbits, cfg, trials),
+                                  cfg.trials, row_elements, threads)
     rows = tuple(
         CensusRow(spec.label, spec.copies, m, spec.variance_factor,
                   int(counts[i]), cfg.trials, sites)

@@ -60,9 +60,11 @@ class SymMatrix:
 
     @classmethod
     def symmetrized(cls, values):
-        """Build from possibly asymmetric data via (M + M^T)/2.
+        """Build from possibly asymmetric data via M/2 + M^T/2.
 
-        Data symmetric to the bit is kept as is: M + M^T can overflow.
+        Data symmetric to the bit is kept as is.  Halving first keeps
+        entries near the float range finite; the bits equal (M + M^T)/2
+        unless that sum overflows or turns subnormal.
         """
         arr = np.asarray(values, dtype=np.float64)
         if arr.ndim == 0:
@@ -71,7 +73,7 @@ class SymMatrix:
             raise InvalidInputError(f"expected a square matrix, got shape {arr.shape}")
         if np.array_equal(arr.view(np.uint64), arr.T.view(np.uint64)):
             return cls(arr)
-        return cls(0.5 * (arr + arr.T))
+        return cls(0.5 * arr + 0.5 * arr.T)
 
     @property
     def values(self) -> np.ndarray:
@@ -224,7 +226,8 @@ def read_matrix_text(path) -> tuple[SymMatrix, float]:
     token malformed; each distinct token is parsed once.  The file is
     streamed, blank lines are skipped, and rows past the declared
     dimension are counted but not kept, so the header alone never sizes
-    an allocation.  The row count is checked before the rows.
+    an allocation.  The row count is checked before the rows, and the
+    repaired asymmetry must be finite.
     """
     floats = _Memo(float)
     rows = []
@@ -256,5 +259,8 @@ def read_matrix_text(path) -> tuple[SymMatrix, float]:
     m = np.array(rows, dtype=np.float64)
     if not np.all(np.isfinite(m)):
         raise InvalidInputError(f"{path}: matrix entries must be finite")
-    asym = float(np.max(np.abs(m - m.T)))
+    with np.errstate(over="ignore"):
+        asym = float(np.max(np.abs(m - m.T)))
+    if not np.isfinite(asym):
+        raise InvalidInputError(f"{path}: asymmetry beyond the float range")
     return SymMatrix.symmetrized(m), asym

@@ -275,13 +275,6 @@ class EnsembleConfig:
             raise InvalidInputError("block size m must be >= 1")
 
 
-def _label_block_rows(orbits: int, m: int, master_seed: int, trials, sigma0: float = 1.0):
-    """``draw_label_blocks`` for every trial in ``trials`` at once: one
-    (len(trials), m, m) stack of blocks per orbit."""
-    return [_sym_blocks(_normals_rows(master_seed, trials, tag, m * (m + 1) // 2), m, sigma0)
-            for tag in range(orbits)]
-
-
 def draw_label_blocks(
     orbits: int,
     m: int,
@@ -330,10 +323,11 @@ def _tally(minima: np.ndarray) -> tuple[np.ndarray, int]:
 def _chunked_tally(chunk_minima, trials: int, row_elements: int,
                    threads: int = 1) -> tuple[np.ndarray, int]:
     """Tally ``chunk_minima(trial_indices) -> (rows, k)`` over trials
-    0..trials-1.  ``row_elements`` is the most array elements one trial
+    0..trials-1.  ``row_elements`` bounds the array elements one trial
     of a chunk holds at once; a chunk holds about ``_CHUNK_ELEMENTS`` of
     them, and chunks are spread over ``threads`` workers.  The result
-    depends on neither."""
+    depends on neither.  The census passes the bound of one full m x m
+    block per orbit, above what its packed kernel holds."""
     size = max(1, _CHUNK_ELEMENTS // row_elements)
 
     def worker(chunk):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from irreplab import build_group, check_invariance, read_matrix_text, write_matrix_text
-from irreplab.cli import main
+from irreplab.cli import _build_parser, main
 
 
 def run(*args):
@@ -143,6 +143,32 @@ class TestSpectrum:
         assert "numeric failure" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == [hfile]
 
+    def test_asymmetric_entries_near_the_float_range_symmetrized(self, tmp_path):
+        # halving before the sum keeps the 1.7e308 diagonal finite
+        hfile = tmp_path / "h.txt"
+        hfile.write_text("2\n1.7e308 1\n2 0\n")
+        out = tmp_path / "o.csv"
+        assert run("spectrum", "--in", hfile, "--group", "cyclic", "--out", out) == 0
+        config = json.loads((tmp_path / "o.csv.manifest.json").read_text())["config"]
+        assert config["file_asymmetry"] == 1.0
+
+    def test_asymmetry_beyond_float_range_exits_2(self, tmp_path, capsys):
+        hfile = tmp_path / "h.txt"
+        hfile.write_text("2\n0 -1.7e308\n1.7e308 0\n")
+        assert run("spectrum", "--in", hfile, "--group", "cyclic",
+                   "--out", tmp_path / "o.csv") == 2
+        assert f"{hfile}: asymmetry beyond the float range" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [hfile]
+
+    def test_block_combination_overflow_exits_3(self, tmp_path, capsys):
+        # a valid invariant matrix whose k=0 block, F_0 + F_1, overflows
+        hfile = tmp_path / "h.txt"
+        hfile.write_text("2\n1e308 1e308\n1e308 1e308\n")
+        assert run("spectrum", "--in", hfile, "--group", "cyclic",
+                   "--out", tmp_path / "o.csv") == 3
+        assert "numeric failure: k=0 block overflows" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [hfile]
+
     @pytest.mark.parametrize("m", ["0", "-2"])
     def test_block_size_below_one_exits_2(self, tmp_path, capsys, m):
         hfile = tmp_path / "h.txt"
@@ -215,6 +241,14 @@ class TestCensus:
     def test_threads_below_one_rejected(self, tmp_path, threads):
         assert run("census", "--group", "tetra", "--trials", "10",
                    "--threads", threads, "--out", tmp_path / "c.csv") == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["census", "--group", "tetra", "--trials", "10", "--out", "c.csv"],
+    ["gsdist", "--dims", "dims.csv", "--trials", "10", "--out", "d.csv"],
+])
+def test_threads_default_to_one(argv):
+    assert _build_parser().parse_args(argv).threads == 1
 
 
 class TestSu2Widths:

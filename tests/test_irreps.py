@@ -26,7 +26,13 @@ from irreplab import (
     substream,
 )
 from irreplab.cli import main
-from irreplab.irreps import IrrepBlockSpec, _census_from_specs, _cos_angle, _zeta
+from irreplab.irreps import (
+    IrrepBlockSpec,
+    _census_from_specs,
+    _census_minima,
+    _cos_angle,
+    _zeta,
+)
 
 from test_groups import ALL_GROUPS, perm_from_stream
 
@@ -374,6 +380,36 @@ class TestCensus:
                             "gs_fraction,dimensional_fraction")
         assert lines[1].startswith("1dim,1,1,10,")
         assert lines[2].startswith("3dim,3,1,2,")
+
+
+class TestCensusKernel:
+    @pytest.mark.parametrize("kind, n", ALL_GROUPS + [("cyclic", 60)])
+    def test_minima_match_full_blocks_bitwise(self, kind, n):
+        # the packed kernel against eigvalsh of each full combination block
+        group = build_group(kind, n)
+        orbits = pair_orbits(group).count
+        specs = decompose(group)
+        trials = np.array([0, 1, 7])
+        for m in (1, 2, 4, 8, 17, 64):
+            for seed in (11, 29):
+                for sigma0 in (1.0, 0.37):
+                    cfg = EnsembleConfig(seed, 1, sigma0, m=m)
+                    minima = _census_minima(specs, orbits, cfg, trials)
+                    expected = []
+                    for trial in trials:
+                        blocks = draw_label_blocks(orbits, m, seed, int(trial), sigma0)
+                        expected.append([np.linalg.eigvalsh(spec.combination(blocks))[0]
+                                         for spec in specs])
+                    assert np.array_equal(minima.view(np.uint64),
+                                          np.array(expected).view(np.uint64))
+
+    @pytest.mark.parametrize("seed, counts", [(11, [44, 36, 0, 0]), (29, [38, 42, 0, 0])])
+    def test_cube_m64_counts_pinned(self, seed, counts):
+        # recorded with the full-block kernel
+        res = ground_state_irrep_census(EnsembleConfig(seed, 80, group="cube", m=64))
+        assert [r.label for r in res.rows] == ["1dim+", "1dim-", "3dim+", "3dim-"]
+        assert [r.gs_count for r in res.rows] == counts
+        assert res.tie_count == 0
 
 
 def exact_scalar_census(group):

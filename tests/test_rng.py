@@ -14,7 +14,7 @@ from irreplab import (
 )
 from irreplab import rng
 from irreplab.errors import NumericFailureError
-from irreplab.rng import _label_block_rows, _normals_rows, _tally
+from irreplab.rng import _normals_rows, _sym_blocks, _tally
 
 # Frozen at first build: the very first outputs of substream(1, 0, 0).
 FIRST_UINT64 = 10188629700888939329
@@ -206,11 +206,11 @@ class TestBatchedRows:
     @pytest.mark.parametrize("m", [1, 2, 5])
     def test_stacked_label_blocks_match_per_trial_draws(self, m):
         trials = np.arange(3, 9)
-        stacked = _label_block_rows(3, m, 23, trials, 1.5)
-        for row, trial in enumerate(trials):
-            for orbit in range(3):
+        for orbit in range(3):
+            stacked = _sym_blocks(_normals_rows(23, trials, orbit, m * (m + 1) // 2), m, 1.5)
+            for row, trial in enumerate(trials):
                 single = random_sym_block(substream(23, int(trial), orbit), m, 1.5)
-                assert np.array_equal(stacked[orbit][row], single)
+                assert np.array_equal(stacked[row], single)
 
 
 class TestTally:
