@@ -11,22 +11,20 @@ from irreplab import (
     block_spectra,
     build_group,
     build_invariant,
-    decompose_cyclic,
+    decompose,
     eigensolve,
     multiset_deviation,
-    pair_orbits,
     random_sym_block,
     substream,
 )
 
 n, m = 6, 2
 group = build_group("cyclic", n)
-structure = pair_orbits(group)
 
-print(f"C_{n} acting on {n} sites; {structure.count} pair orbits, numbered by cyclic distance")
+print(f"C_{n} acting on {n} sites; {group.orbit_count} pair orbits, numbered by cyclic distance")
 print("distance pattern of the invariant matrix (orbit of each site pair):")
 for i in range(n):
-    print("   ", " ".join(str(k) for k in structure.label_index[i]))
+    print("   ", " ".join(str(k) for k in group.orbit_index[i]))
 
 # one random symmetric block per distance, then the big invariant matrix
 fs = [random_sym_block(substream(2024, 0, j), m) for j in range(n // 2 + 1)]
@@ -42,7 +40,7 @@ print(f"union of the Fourier-block spectra vs dense spectrum: "
       f"max deviation {multiset_deviation(dense, union):.2e}")
 
 print("\npredicted element variance of each block (units of sigma0^2):")
-for spec in decompose_cyclic(n):
+for spec in decompose(group):
     print(f"   {spec.label}: factor {spec.variance_factor:5.2f}   "
           f"(x{spec.copies} in the spectrum)")
 print("\nk=0 is always the widest block; for even n the alternating-sign")

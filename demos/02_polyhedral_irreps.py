@@ -21,14 +21,12 @@ from irreplab import (
     draw_label_blocks,
     eigensolve,
     multiset_deviation,
-    pair_orbits,
 )
 
 for kind in ("tetra", "octa", "cube"):
     group = build_group(kind)
-    structure = pair_orbits(group)
     print(f"== {group.name}: order {group.order}, {group.sites} vertices")
-    print(f"   pair-orbit sizes, by orbit number: {structure.orbit_sizes()}")
+    print(f"   pair-orbit sizes, by orbit number: {group.orbit_sizes()}")
 
     print("   irrep blocks (combination of orbit blocks F_k, multiplicity, variance factor):")
     for spec in decompose(group):
@@ -38,7 +36,7 @@ for kind in ("tetra", "octa", "cube"):
               f"{spec.variance_factor:g} sigma0^2")
 
     # verify on a random draw: block union reproduces the dense spectrum
-    blocks = draw_label_blocks(structure.count, 3, 99, 0)
+    blocks = draw_label_blocks(group.orbit_count, 3, 99, 0)
     h = build_invariant(group, blocks)
     dev = multiset_deviation(eigensolve(h).eigenvalues,
                              block_spectra(group, blocks).eigenvalues)

@@ -9,12 +9,10 @@ momentum captures the ground state.
 
 from .errors import InvalidInputError, NumericFailureError
 from .groups import (
-    PairOrbitStructure,
     PointGroup,
     build_group,
     build_invariant,
     check_invariance,
-    pair_orbits,
     relabel,
 )
 from .irreps import (
@@ -23,7 +21,6 @@ from .irreps import (
     IrrepBlockSpec,
     block_spectra,
     decompose,
-    decompose_cyclic,
     ground_state_irrep_census,
     sample_invariant,
 )
@@ -73,15 +70,12 @@ __all__ = [
     "draw_label_blocks",
     "run_trials",
     "PointGroup",
-    "PairOrbitStructure",
     "build_group",
     "relabel",
-    "pair_orbits",
     "build_invariant",
     "check_invariance",
     "IrrepBlockSpec",
     "decompose",
-    "decompose_cyclic",
     "block_spectra",
     "sample_invariant",
     "CensusRow",

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import __version__
 from .errors import InvalidInputError, NumericFailureError
-from .groups import build_group, check_invariance, pair_orbits
+from .groups import build_group, check_invariance
 from .irreps import _block_eigenvalues, ground_state_irrep_census, sample_invariant
 from .linalg import SymMatrix, eigensolve, multiset_deviation, read_matrix_text, write_matrix_text
 from .rng import EnsembleConfig
@@ -108,11 +108,10 @@ def _cmd_spectrum(args) -> int:
         raise InvalidInputError(
             f"{args.group} acts on {group.sites} sites but file has {sites}"
         )
-    structure = pair_orbits(group)
     m = args.m
     blocks = []
-    for orbit in range(structure.count):
-        i, j = structure.pairs_of(orbit)[0]
+    for orbit in range(group.orbit_count):
+        i, j = group.pairs_of(orbit)[0]
         sub = h.values[i * m:(i + 1) * m, j * m:(j + 1) * m]
         blocks.append(SymMatrix.symmetrized(sub).values)
 
@@ -240,7 +239,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_su2_widths)
 
     p = sub.add_parser("gsdist", help="ground-state J distribution from a dimension table")
-    p.add_argument("--dims", required=True, help="CSV with twoJ,dim rows")
+    p.add_argument("--dims", required=True,
+                   help="CSV with twoJ,dim rows, even twoJ only (a half-integer J "
+                        "needs a width factor, which no flag passes)")
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--sigma0", type=float, default=1.0)

@@ -4,7 +4,9 @@ Supported groups: the cyclic family C_n acting on n sites around a
 circle, and the proper rotation groups of the tetrahedron (4 vertices,
 order 12), octahedron (6 vertices, order 24) and cube (8 vertices,
 order 24).  Permutations are stored as image tuples: ``p[i]`` is where
-site ``i`` goes.
+site ``i`` goes.  A group carries the numbering of its site-pair
+orbits, worked out once when it is built: the diagonal orbit is 0, the
+others follow ascending by each orbit's smallest pair.
 
 Vertex numbering conventions (any consistent relabeling gives the same
 physics; see `relabel` and the relabeling tests):
@@ -19,7 +21,7 @@ physics; see `relabel` and the relabeling tests):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -31,8 +33,6 @@ __all__ = [
     "PointGroup",
     "build_group",
     "relabel",
-    "PairOrbitStructure",
-    "pair_orbits",
     "build_invariant",
     "check_invariance",
 ]
@@ -51,6 +51,11 @@ def _compose(outer: Perm, inner: Perm) -> Perm:
     return tuple(outer[inner[i]] for i in range(len(inner)))
 
 
+# the largest group order built; a cyclic ring larger than this is
+# rejected before any permutation is stored
+_MAX_ORDER = 10000
+
+
 def _closure(generators, sites: int) -> tuple[Perm, ...]:
     identity = tuple(range(sites))
     elements = {identity}
@@ -64,19 +69,64 @@ def _closure(generators, sites: int) -> tuple[Perm, ...]:
                     elements.add(p)
                     new.append(p)
         frontier = new
-        if len(elements) > 10000:
+        if len(elements) > _MAX_ORDER:
             raise InvalidInputError("group closure exceeds supported size")
     return tuple(sorted(elements))
 
 
+def _pair_orbit_index(n: int, generators) -> np.ndarray:
+    """Read-only n x n array of the orbit number of each site pair."""
+    index = -np.ones((n, n), dtype=np.int64)
+    orbits = []
+    for i in range(n):
+        for j in range(i, n):
+            if index[i, j] >= 0:
+                continue
+            orbit = set()
+            stack = [(i, j)]
+            while stack:
+                a, b = stack.pop()
+                key = (min(a, b), max(a, b))
+                if key in orbit:
+                    continue
+                orbit.add(key)
+                for g in generators:
+                    stack.append((g[a], g[b]))
+            k = len(orbits)
+            for a, b in orbit:
+                index[a, b] = k
+                index[b, a] = k
+            orbits.append(min(orbit))
+    diagonal_orbits = {index[i, i] for i in range(n)}
+    if len(diagonal_orbits) != 1:
+        raise InvalidInputError(
+            "site action is not transitive: diagonal pairs split into "
+            f"{len(diagonal_orbits)} orbits"
+        )
+    order = sorted(range(len(orbits)), key=lambda k: (orbits[k][0] != orbits[k][1], orbits[k]))
+    remap = np.empty(len(orbits), dtype=np.int64)
+    remap[order] = np.arange(len(orbits))
+    index = remap[index]
+    index.flags.writeable = False
+    return index
+
+
 @dataclass(frozen=True)
 class PointGroup:
-    """A finite permutation group acting on ``sites`` points."""
+    """A finite permutation group acting on ``sites`` points.
+
+    ``orbit_index[i, j]`` is the number of the orbit of the unordered
+    site pair (i, j): the diagonal orbit is 0, the others follow
+    ascending by each orbit's lexicographically smallest pair.  The
+    generators fix it, so it is read-only and left out of equality and
+    hashing.
+    """
 
     kind: str
     sites: int
     generators: tuple[Perm, ...]
     elements: tuple[Perm, ...]
+    orbit_index: np.ndarray = field(compare=False, repr=False)
 
     @property
     def name(self) -> str:
@@ -86,13 +136,27 @@ class PointGroup:
     def order(self) -> int:
         return len(self.elements)
 
+    @property
+    def orbit_count(self) -> int:
+        return int(self.orbit_index.max()) + 1
+
+    def pairs_of(self, orbit: int) -> list[tuple[int, int]]:
+        ii, jj = np.nonzero(np.triu(self.orbit_index == orbit))
+        return [(int(i), int(j)) for i, j in zip(ii, jj)]
+
+    def orbit_sizes(self) -> list[int]:
+        """Number of pairs in each orbit, indexed by orbit."""
+        upper = self.orbit_index[np.triu_indices(self.sites)]
+        return np.bincount(upper, minlength=self.orbit_count).tolist()
+
     @classmethod
     def from_generators(cls, kind: str, sites: int, generators) -> "PointGroup":
+        """Close the generators; rejects a site action that is not transitive."""
         gens = tuple(tuple(g) for g in generators)
         for g in gens:
             if sorted(g) != list(range(sites)):
                 raise InvalidInputError(f"{g} is not a permutation of {sites} sites")
-        return cls(kind, sites, gens, _closure(gens, sites))
+        return cls(kind, sites, gens, _closure(gens, sites), _pair_orbit_index(sites, gens))
 
 
 def build_group(kind: str, n: int | None = None) -> PointGroup:
@@ -105,6 +169,8 @@ def build_group(kind: str, n: int | None = None) -> PointGroup:
     if kind == "cyclic":
         if n is None or n < 2:
             raise InvalidInputError("cyclic group needs n >= 2")
+        if n > _MAX_ORDER:
+            raise InvalidInputError(f"cyclic group order {n} exceeds the supported {_MAX_ORDER}")
         gen = tuple((i + 1) % n for i in range(n))
         group = PointGroup.from_generators("cyclic", n, (gen,))
         expected = n
@@ -139,71 +205,6 @@ def relabel(group: PointGroup, perm) -> PointGroup:
     return PointGroup.from_generators(group.kind, group.sites, gens)
 
 
-@dataclass(frozen=True)
-class PairOrbitStructure:
-    """Orbits of unordered site pairs under the group action.
-
-    The ``count`` orbits are numbered in canonical order: the diagonal
-    orbit is 0, the others follow ascending by each orbit's
-    lexicographically smallest pair.  ``label_index[i, j]`` is the
-    number of the orbit of pair (i, j).
-    """
-
-    label_index: np.ndarray
-    count: int
-
-    @property
-    def sites(self) -> int:
-        return self.label_index.shape[0]
-
-    def pairs_of(self, orbit: int) -> list[tuple[int, int]]:
-        ii, jj = np.nonzero(np.triu(self.label_index == orbit))
-        return [(int(i), int(j)) for i, j in zip(ii, jj)]
-
-    def orbit_sizes(self) -> list[int]:
-        """Number of pairs in each orbit, indexed by orbit."""
-        upper = self.label_index[np.triu_indices(self.sites)]
-        return np.bincount(upper, minlength=self.count).tolist()
-
-
-def pair_orbits(group: PointGroup) -> PairOrbitStructure:
-    """Number the pair orbits of a group's site action."""
-    n = group.sites
-    index = -np.ones((n, n), dtype=np.int64)
-    orbits = []
-    for i in range(n):
-        for j in range(i, n):
-            if index[i, j] >= 0:
-                continue
-            orbit = set()
-            stack = [(i, j)]
-            while stack:
-                a, b = stack.pop()
-                key = (min(a, b), max(a, b))
-                if key in orbit:
-                    continue
-                orbit.add(key)
-                for g in group.generators:
-                    stack.append((g[a], g[b]))
-            k = len(orbits)
-            for a, b in orbit:
-                index[a, b] = k
-                index[b, a] = k
-            orbits.append(min(orbit))
-    diagonal_orbits = {index[i, i] for i in range(n)}
-    if len(diagonal_orbits) != 1:
-        raise InvalidInputError(
-            "site action is not transitive: diagonal pairs split into "
-            f"{len(diagonal_orbits)} orbits"
-        )
-    order = sorted(range(len(orbits)), key=lambda k: (orbits[k][0] != orbits[k][1], orbits[k]))
-    remap = np.empty(len(orbits), dtype=np.int64)
-    remap[order] = np.arange(len(orbits))
-    index = remap[index]
-    index.flags.writeable = False
-    return PairOrbitStructure(index, len(orbits))
-
-
 def _coerce_block(value, m: int | None):
     block = np.asarray(value, dtype=np.float64)
     if block.ndim == 0:
@@ -219,11 +220,11 @@ def _coerce_block(value, m: int | None):
     return block
 
 
-def _coerce_blocks(structure: PairOrbitStructure, blocks) -> list[np.ndarray]:
+def _coerce_blocks(group: PointGroup, blocks) -> list[np.ndarray]:
     """One exactly symmetric m x m float block per orbit, or InvalidInputError."""
-    if len(blocks) != structure.count:
+    if len(blocks) != group.orbit_count:
         raise InvalidInputError(
-            f"got {len(blocks)} blocks for {structure.count} pair orbits"
+            f"got {len(blocks)} blocks for {group.orbit_count} pair orbits"
         )
     coerced = []
     m = None
@@ -241,14 +242,13 @@ def build_invariant(group: PointGroup, blocks: Sequence) -> SymMatrix:
     block of the orbit of (i, j), so the matrix commutes with every
     group element lifted as permutation (x) identity.
     """
-    structure = pair_orbits(group)
-    coerced = _coerce_blocks(structure, blocks)
+    coerced = _coerce_blocks(group, blocks)
     m = coerced[0].shape[0]
     n = group.sites
     h = np.empty((n * m, n * m), dtype=np.float64)
     for i in range(n):
         for j in range(n):
-            h[i * m:(i + 1) * m, j * m:(j + 1) * m] = coerced[structure.label_index[i, j]]
+            h[i * m:(i + 1) * m, j * m:(j + 1) * m] = coerced[group.orbit_index[i, j]]
     return SymMatrix(h)
 
 

@@ -32,13 +32,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InvalidInputError, NumericFailureError
-from .groups import (
-    PointGroup,
-    _coerce_blocks,
-    build_group,
-    build_invariant,
-    pair_orbits,
-)
+from .groups import PointGroup, _coerce_blocks, build_group, build_invariant
 from .linalg import Spectrum, SymMatrix, eigensolve
 from .rng import (
     EnsembleConfig,
@@ -50,7 +44,6 @@ from .rng import (
 
 __all__ = [
     "IrrepBlockSpec",
-    "decompose_cyclic",
     "decompose",
     "block_spectra",
     "sample_invariant",
@@ -96,8 +89,7 @@ def _decompose_by_orbit_algebra(group: PointGroup) -> list[IrrepBlockSpec]:
     fixed combination of the A_k has the integer coefficients
     ``v^T A_k v``; identical rows make up one irrep, one copy per row.
     """
-    structure = pair_orbits(group)
-    adj = np.array([structure.label_index == k for k in range(structure.count)], dtype=np.int64)
+    adj = np.array([group.orbit_index == k for k in range(group.orbit_count)], dtype=np.int64)
     products = adj[:, None] @ adj[None, :]
     if not np.array_equal(products, products.transpose(1, 0, 2, 3)):
         raise InvalidInputError(f"{group.name}: pair-orbit matrices do not commute")
@@ -107,7 +99,7 @@ def _decompose_by_orbit_algebra(group: PointGroup) -> list[IrrepBlockSpec]:
     if np.linalg.norm(adj @ vectors - vectors[None] * coeffs.T[:, None]) > 1e-8:
         raise InvalidInputError(f"{group.name}: pair-orbit coefficients are not integers")
     copies = Counter(map(tuple, coeffs.tolist()))
-    sizes = structure.orbit_sizes()
+    sizes = group.orbit_sizes()
     weight = {row: sum(s * c for s, c in zip(sizes, row)) for row in copies}
     rows = sorted(copies, key=lambda row: (copies[row], -weight[row]))
     specs = []
@@ -143,12 +135,11 @@ def _cos_angle(k: int, j: int, n: int) -> float:
     return math.cos(2.0 * math.pi * r / n)
 
 
-def decompose_cyclic(n: int) -> list[IrrepBlockSpec]:
+def _fourier_blocks(group: PointGroup) -> list[IrrepBlockSpec]:
     """Fourier block structure of a C_n invariant matrix.
 
-    Block k (k = 0..floor(n/2)) combines the distance blocks F_0..F_d
-    (keyed by the distance j, which is also the orbit number in the
-    canonical site numbering) with weights
+    Block k (k = 0..floor(n/2)) combines the distance blocks F_0..F_d,
+    each keyed by the orbit that holds distance j, with weights
     ``zeta_{j,n} cos(2 pi k j / n)``; blocks with 0 < k < n/2 occur
     twice (the k and n-k Fourier modes coincide bitwise).
 
@@ -157,14 +148,22 @@ def decompose_cyclic(n: int) -> list[IrrepBlockSpec]:
     (every cosine is +-1 there), which is why the deepest ground states
     of an even cycle live in one of those two blocks.
     """
-    if n < 2:
-        raise InvalidInputError("cyclic group needs n >= 2")
+    n = group.sites
     half = n // 2
+    # walk the generator to find which orbit holds each cyclic distance
+    # (the distance itself for the canonical numbering, but correct for
+    # any relabeling)
+    gen = group.generators[0]
+    site = 0
+    orbit_of = []
+    for _ in range(half + 1):
+        orbit_of.append(int(group.orbit_index[0, site]))
+        site = gen[site]
     specs = []
     for k in range(half + 1):
-        coeff = {0: 1.0}
+        coeff = {orbit_of[0]: 1.0}
         for j in range(1, half + 1):
-            coeff[j] = _zeta(j, n) * _cos_angle(k, j, n)
+            coeff[orbit_of[j]] = _zeta(j, n) * _cos_angle(k, j, n)
         copies = 1 if k == 0 or (n % 2 == 0 and k == half) else 2
         specs.append(IrrepBlockSpec(f"k={k}", copies, coeff))
     return specs
@@ -177,21 +176,7 @@ def decompose(group: PointGroup) -> list[IrrepBlockSpec]:
     matrices do not commute or have non-integer eigenvalues.
     """
     if group.kind == "cyclic":
-        structure = pair_orbits(group)
-        # walk the generator to find which orbit holds each cyclic
-        # distance (the identity for the canonical numbering, but correct
-        # for any relabeling)
-        gen = group.generators[0]
-        site = 0
-        orbit_of = []
-        for _ in range(group.sites // 2 + 1):
-            orbit_of.append(int(structure.label_index[0, site]))
-            site = gen[site]
-        return [
-            IrrepBlockSpec(s.label, s.copies,
-                           {orbit_of[j]: c for j, c in s.coefficients.items()})
-            for s in decompose_cyclic(group.sites)
-        ]
+        return _fourier_blocks(group)
     return _decompose_by_orbit_algebra(group)
 
 
@@ -218,7 +203,7 @@ def block_spectra(group: PointGroup, blocks: Sequence[np.ndarray]) -> Spectrum:
     the dense spectrum of ``build_invariant(group, blocks)``.  Blocks
     are checked as `build_invariant` checks them.
     """
-    blocks = _coerce_blocks(pair_orbits(group), blocks)
+    blocks = _coerce_blocks(group, blocks)
     values = [ev for spec, ev in _block_eigenvalues(group, blocks) for _ in range(spec.copies)]
     return Spectrum(np.sort(np.concatenate(values)))
 
@@ -230,7 +215,7 @@ def sample_invariant(group: PointGroup, cfg: EnsembleConfig, trial_index: int = 
     ``NumericFailureError``.
     """
     with np.errstate(over="ignore"):
-        blocks = draw_label_blocks(pair_orbits(group).count, cfg.m, cfg.master_seed,
+        blocks = draw_label_blocks(group.orbit_count, cfg.m, cfg.master_seed,
                                    trial_index, cfg.sigma0)
     if not np.isfinite(blocks).all():
         raise NumericFailureError("non-finite entry in the sampled matrix")
@@ -340,7 +325,5 @@ def ground_state_irrep_census(cfg: EnsembleConfig, threads: int = 1) -> CensusRe
     if cfg.group is None:
         raise InvalidInputError("EnsembleConfig.group must be set for a census")
     group = build_group(cfg.group, cfg.n)
-    structure = pair_orbits(group)
-    specs = decompose(group)
-    return _census_from_specs(specs, structure.count, group.sites, cfg, threads)
+    return _census_from_specs(decompose(group), group.orbit_count, group.sites, cfg, threads)
 

@@ -17,7 +17,6 @@ from irreplab import (
     build_invariant,
     check_invariance,
     decompose,
-    decompose_cyclic,
     draw_label_blocks,
     eigensolve,
     example_dimension_table,
@@ -25,7 +24,6 @@ from irreplab import (
     gs_distribution,
     ground_state_irrep_census,
     multiset_deviation,
-    pair_orbits,
     sigma_j_sq,
 )
 from irreplab.cli import main
@@ -65,7 +63,7 @@ def test_criterion_2_polyhedral_variance_factors():
         group = build_group(kind)
         specs = decompose(group)
         ok = ok and [s.variance_factor for s in specs] == want
-        orbits = pair_orbits(group).count
+        orbits = group.orbit_count
         trials = 10000
         samples = np.empty((len(specs), trials))
         for t in range(trials):
@@ -84,7 +82,7 @@ def test_criterion_3_spectrum_union_oracle():
     worst = 0.0
     for kind, n in ALL_GROUPS:
         group = build_group(kind, n)
-        orbits = pair_orbits(group).count
+        orbits = group.orbit_count
         for m in (1, 2, 5):
             for seed in range(20):
                 blocks = draw_label_blocks(orbits, m, 1000 + seed, seed)
@@ -99,7 +97,7 @@ def test_criterion_4_invariance():
     worst = 0.0
     for kind, n in ALL_GROUPS:
         group = build_group(kind, n)
-        orbits = pair_orbits(group).count
+        orbits = group.orbit_count
         for m in (1, 3):
             h = build_invariant(group, draw_label_blocks(orbits, m, 7, 0))
             worst = max(worst, check_invariance(h, group, m))
@@ -137,7 +135,7 @@ def test_criterion_6_low_dim_irrep_dominance():
 def test_criterion_7_cn_width_ordering():
     ok = True
     for n in range(3, 13):
-        f = [s.variance_factor for s in decompose_cyclic(n)]
+        f = [s.variance_factor for s in decompose(build_group("cyclic", n))]
         ok = ok and f[0] == max(f)
         for k in range(1, n // 2 + 1):
             if n % 2 == 0 and k == n // 2:

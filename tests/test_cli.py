@@ -237,6 +237,12 @@ class TestCensus:
             assert run("census", "--group", "tetra", "--m", m, "--trials", "10",
                        "--sigma0", "inf", "--out", tmp_path / "c.csv") == 3
 
+    def test_oversized_ring_exits_2(self, tmp_path, capsys):
+        assert run("census", "--group", "cyclic", "--n", "1000000", "--trials", "1",
+                   "--out", tmp_path / "c.csv") == 2
+        assert "cyclic group order 1000000 exceeds" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("threads", ["0", "-3"])
     def test_threads_below_one_rejected(self, tmp_path, threads):
         assert run("census", "--group", "tetra", "--trials", "10",
@@ -283,6 +289,15 @@ class TestGsDist:
         assert run("gsdist", "--dims", dims, "--trials", "10", "--sigma0", "1e308",
                    "--out", tmp_path / "d.csv") == 3
         assert "numeric failure" in capsys.readouterr().err
+
+    def test_odd_two_j_table_exits_2(self, tmp_path, capsys):
+        # a half-integer J needs a width factor, which no flag can pass
+        dims = tmp_path / "dims.csv"
+        dims.write_text("twoJ,dim\n0,3\n3,4\n")
+        assert run("gsdist", "--dims", dims, "--trials", "10",
+                   "--out", tmp_path / "d.csv") == 2
+        assert "two_j=3 is half-integer" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [dims]
 
     def test_non_ascii_byte_exits_2(self, tmp_path, capsys):
         dims = tmp_path / "dims.csv"

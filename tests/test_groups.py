@@ -9,11 +9,12 @@ from irreplab import (
     check_invariance,
     draw_label_blocks,
     eigensolve,
-    pair_orbits,
     random_sym_block,
     relabel,
     substream,
 )
+from irreplab import groups
+from irreplab.cli import main
 
 ALL_GROUPS = [("cyclic", n) for n in range(2, 13)] + [
     ("tetra", None),
@@ -78,64 +79,108 @@ class TestBuildGroup:
         with pytest.raises(InvalidInputError):
             build_group("tetra", 5)
 
+    def test_oversized_ring_rejected_before_allocating(self, monkeypatch):
+        def no_closure(*args):
+            raise AssertionError("closure attempted")
+
+        monkeypatch.setattr(groups, "_closure", no_closure)
+        for n in (10**6, groups._MAX_ORDER + 1):
+            with pytest.raises(InvalidInputError, match=f"cyclic group order {n} exceeds"):
+                build_group("cyclic", n)
+
+    def test_non_transitive_action_rejected(self):
+        with pytest.raises(InvalidInputError, match="site action is not transitive"):
+            PointGroup.from_generators("pairs", 4, [(1, 0, 3, 2)])
+
 
 class TestPairOrbits:
     def test_tetra_two_labels(self):
-        st = pair_orbits(build_group("tetra"))
-        assert st.count == 2
-        assert all(st.label_index[i, i] == 0 for i in range(4))
-        assert all(st.label_index[i, j] == 1 for i in range(4) for j in range(4) if i != j)
+        g = build_group("tetra")
+        assert g.orbit_count == 2
+        assert all(g.orbit_index[i, i] == 0 for i in range(4))
+        assert all(g.orbit_index[i, j] == 1 for i in range(4) for j in range(4) if i != j)
 
     def test_octa_antipodal_class(self):
-        st = pair_orbits(build_group("octa"))
-        assert st.count == 3
+        g = build_group("octa")
+        assert g.orbit_count == 3
         for pair in [(0, 2), (1, 3), (4, 5)]:
-            assert st.label_index[pair] == 2
-        assert st.label_index[0, 1] == 1
-        assert st.orbit_sizes() == [6, 12, 3]
+            assert g.orbit_index[pair] == 2
+        assert g.orbit_index[0, 1] == 1
+        assert g.orbit_sizes() == [6, 12, 3]
 
     def test_cube_four_classes(self):
-        st = pair_orbits(build_group("cube"))
-        assert st.count == 4
+        g = build_group("cube")
+        assert g.orbit_count == 4
         for pair in [(0, 6), (1, 7), (2, 4), (3, 5)]:
-            assert st.label_index[pair] == 3
-        assert st.orbit_sizes() == [8, 12, 12, 4]
+            assert g.orbit_index[pair] == 3
+        assert g.orbit_sizes() == [8, 12, 12, 4]
 
     @pytest.mark.parametrize("n", range(2, 13))
     def test_cyclic_distance_labels(self, n):
-        st = pair_orbits(build_group("cyclic", n))
-        assert st.count == 1 + n // 2
+        g = build_group("cyclic", n)
+        assert g.orbit_count == 1 + n // 2
         # circulant pattern: the orbit is the cyclic distance
         for i in range(n):
             for j in range(n):
                 d = min((i - j) % n, (j - i) % n)
-                assert st.label_index[i, j] == d
+                assert g.orbit_index[i, j] == d
 
     def test_labels_past_z(self):
-        st = pair_orbits(build_group("cyclic", 60))
-        assert st.count == 31
-        assert st.label_index[0, 30] == 30 and st.label_index[0, 59] == 1
+        g = build_group("cyclic", 60)
+        assert g.orbit_count == 31
+        assert g.orbit_index[0, 30] == 30 and g.orbit_index[0, 59] == 1
 
     def test_orbit_sizes_cover_all_pairs(self):
         for kind, n in ALL_GROUPS:
             g = build_group(kind, n)
-            st = pair_orbits(g)
-            assert len(st.orbit_sizes()) == st.count
-            assert sum(st.orbit_sizes()) == g.sites * (g.sites + 1) // 2
+            assert len(g.orbit_sizes()) == g.orbit_count
+            assert sum(g.orbit_sizes()) == g.sites * (g.sites + 1) // 2
 
     def test_pairs_of_lists_each_orbit(self):
-        st = pair_orbits(build_group("octa"))
-        assert st.pairs_of(2) == [(0, 2), (1, 3), (4, 5)]
-        assert [len(st.pairs_of(k)) for k in range(st.count)] == st.orbit_sizes()
+        g = build_group("octa")
+        assert g.pairs_of(2) == [(0, 2), (1, 3), (4, 5)]
+        assert [len(g.pairs_of(k)) for k in range(g.orbit_count)] == g.orbit_sizes()
 
     def test_assignment_invariant_under_full_group(self):
         for kind in ("tetra", "octa", "cube"):
             g = build_group(kind)
-            st = pair_orbits(g)
             for e in g.elements:
                 for i in range(g.sites):
                     for j in range(g.sites):
-                        assert st.label_index[e[i], e[j]] == st.label_index[i, j]
+                        assert g.orbit_index[e[i], e[j]] == g.orbit_index[i, j]
+
+
+class TestGroupContract:
+    def test_equal_groups_hash_equal(self):
+        a, b = build_group("cube"), build_group("cube")
+        assert a == b and hash(a) == hash(b)
+        same = relabel(a, range(a.sites))
+        assert same == a and hash(same) == hash(a)
+        assert a != build_group("octa")
+
+    def test_orbit_index_read_only(self):
+        g = build_group("cube")
+        with pytest.raises(ValueError):
+            g.orbit_index[0, 1] = 0
+
+    @pytest.mark.parametrize("flags", [["--group", "cube"], ["--group", "cyclic", "--n", "6"]])
+    def test_each_command_searches_orbits_once(self, tmp_path, monkeypatch, flags):
+        calls = []
+        search = groups._pair_orbit_index
+
+        def counted(*args):
+            calls.append(args)
+            return search(*args)
+
+        monkeypatch.setattr(groups, "_pair_orbit_index", counted)
+        flags = flags + ["--m", "2"]
+        matrix = str(tmp_path / "h.txt")
+        assert main(["build", *flags, "--out", matrix]) == 0
+        assert len(calls) == 1
+        assert main(["spectrum", "--in", matrix, *flags, "--out", str(tmp_path / "s.csv")]) == 0
+        assert len(calls) == 2
+        assert main(["census", *flags, "--trials", "5", "--out", str(tmp_path / "c.csv")]) == 0
+        assert len(calls) == 3
 
 
 class TestBuildInvariant:
@@ -155,8 +200,7 @@ class TestBuildInvariant:
     @pytest.mark.parametrize("m", [1, 3])
     def test_random_blocks_commute_with_generators(self, kind, n, m):
         g = build_group(kind, n)
-        st = pair_orbits(g)
-        blocks = draw_label_blocks(st.count, m, 77, 0)
+        blocks = draw_label_blocks(g.orbit_count, m, 77, 0)
         h = build_invariant(g, blocks)
         assert check_invariance(h, g, m) == 0.0
         assert check_invariance(h, every_element(g), m) == 0.0
@@ -180,7 +224,7 @@ class TestBuildInvariant:
 class TestCheckInvariance:
     def test_perturbation_detected_exactly(self):
         g = build_group("cube")
-        h = build_invariant(g, draw_label_blocks(pair_orbits(g).count, 2, 5, 0))
+        h = build_invariant(g, draw_label_blocks(g.orbit_count, 2, 5, 0))
         bumped = h.values.copy()
         bumped[0, 3] += 1e-3
         bumped[3, 0] += 1e-3
@@ -229,13 +273,12 @@ class TestRelabeling:
         perm = perm_from_stream(g.sites, seed)
         g2 = relabel(g, perm)
         assert g2.order == g.order
-        st, st2 = pair_orbits(g), pair_orbits(g2)
-        assert sorted(st.orbit_sizes()) == sorted(st2.orbit_sizes())
+        assert sorted(g.orbit_sizes()) == sorted(g2.orbit_sizes())
         # push blocks through the orbit correspondence induced by perm
-        mapping = {st.label_index[i, j]: st2.label_index[perm[i], perm[j]]
+        mapping = {g.orbit_index[i, j]: g2.orbit_index[perm[i], perm[j]]
                    for i in range(g.sites) for j in range(g.sites)}
-        blocks = draw_label_blocks(st.count, 2, 99 + seed, 0)
-        blocks2 = [None] * st2.count
+        blocks = draw_label_blocks(g.orbit_count, 2, 99 + seed, 0)
+        blocks2 = [None] * g2.orbit_count
         for k, blk in enumerate(blocks):
             blocks2[mapping[k]] = blk
         h = build_invariant(g, blocks)
@@ -247,7 +290,7 @@ class TestRelabeling:
 
     def test_group_element_relabeling_is_symmetry(self):
         g = build_group("octa")
-        blocks = draw_label_blocks(pair_orbits(g).count, 2, 31, 0)
+        blocks = draw_label_blocks(g.orbit_count, 2, 31, 0)
         h = build_invariant(g, blocks)
         for e in g.elements:
             g2 = relabel(g, e)

@@ -14,12 +14,10 @@ from irreplab import (
     build_group,
     build_invariant,
     decompose,
-    decompose_cyclic,
     draw_label_blocks,
     eigensolve,
     ground_state_irrep_census,
     multiset_deviation,
-    pair_orbits,
     random_sym_block,
     relabel,
     sample_invariant,
@@ -110,9 +108,8 @@ class TestPolyhedralDecomposition:
         g = build_group(kind)
         perm = data.draw(st.permutations(range(g.sites)), label="perm")
         h = relabel(g, perm)
-        old, new = pair_orbits(g), pair_orbits(h)
-        moved = {k: int(new.label_index[perm[i], perm[j]])
-                 for k in range(old.count) for i, j in old.pairs_of(k)}
+        moved = {k: int(h.orbit_index[perm[i], perm[j]])
+                 for k in range(g.orbit_count) for i, j in g.pairs_of(k)}
         for a, b in zip(decompose(g), decompose(h)):
             assert (b.label, b.copies, b.variance_factor) == (a.label, a.copies, a.variance_factor)
             assert b.coefficients == {moved[k]: c for k, c in a.coefficients.items()}
@@ -120,7 +117,7 @@ class TestPolyhedralDecomposition:
 
     def test_relabeled_cyclic_group_decomposes(self):
         g = relabel(build_group("cyclic", 6), perm_from_stream(6, 14))
-        blocks = draw_label_blocks(pair_orbits(g).count, 2, 44, 0)
+        blocks = draw_label_blocks(g.orbit_count, 2, 44, 0)
         dense = eigensolve(build_invariant(g, blocks)).eigenvalues
         assert multiset_deviation(dense, block_spectra(g, blocks).eigenvalues) < 1e-10
 
@@ -132,7 +129,7 @@ class TestPolyhedralDecomposition:
         expected = {"tetra": [2.0, 10.0], "octa": [2.0, 6.0, 18.0],
                     "cube": [4.0, 4.0, 20.0, 20.0]}[kind]
         assert factors == expected
-        blocks = draw_label_blocks(pair_orbits(g).count, 2, 55, 0)
+        blocks = draw_label_blocks(g.orbit_count, 2, 55, 0)
         dense = eigensolve(build_invariant(g, blocks)).eigenvalues
         assert multiset_deviation(dense, block_spectra(g, blocks).eigenvalues) < 1e-10
 
@@ -151,7 +148,7 @@ class TestBlockSpectra:
 
     def test_octa_random_blocks_match_dense(self):
         g = build_group("octa")
-        blocks = draw_label_blocks(pair_orbits(g).count, 3, 4, 0)
+        blocks = draw_label_blocks(g.orbit_count, 3, 4, 0)
         dense = eigensolve(build_invariant(g, blocks)).eigenvalues
         assert multiset_deviation(dense, block_spectra(g, blocks).eigenvalues) < 1e-8
 
@@ -179,14 +176,14 @@ class TestBlockSpectra:
     def test_union_equals_dense_under_relabeling(self, data, group, m, seed, trial):
         g = build_group(*group)
         g = relabel(g, data.draw(st.permutations(range(g.sites)), label="perm"))
-        blocks = draw_label_blocks(pair_orbits(g).count, m, seed, trial)
+        blocks = draw_label_blocks(g.orbit_count, m, seed, trial)
         dense = eigensolve(build_invariant(g, blocks)).eigenvalues
         assert multiset_deviation(dense, block_spectra(g, blocks).eigenvalues) < 1e-8
 
     @pytest.mark.parametrize("kind,n", ALL_GROUPS)
     def test_union_equals_dense_all_groups(self, kind, n):
         g = build_group(kind, n)
-        orbits = pair_orbits(g).count
+        orbits = g.orbit_count
         for m, seed in [(1, 0), (2, 1), (5, 2)]:
             blocks = draw_label_blocks(orbits, m, 37 + seed, seed)
             dense = eigensolve(build_invariant(g, blocks)).eigenvalues
@@ -194,11 +191,15 @@ class TestBlockSpectra:
             assert multiset_deviation(dense, union) < 1e-8
 
 
+def cyclic_specs(n):
+    return decompose(build_group("cyclic", n))
+
+
 def cyclic_blocks(n, fs):
     """Fourier blocks of C_n from distance blocks F_0..F_{n//2} (scalars
-    allowed): each spec of ``decompose_cyclic(n)`` with its combination."""
+    allowed): each spec of ``cyclic_specs(n)`` with its combination."""
     blocks = [np.atleast_2d(f) for f in fs]
-    return [(spec, spec.combination(blocks)) for spec in decompose_cyclic(n)]
+    return [(spec, spec.combination(blocks)) for spec in cyclic_specs(n)]
 
 
 class TestCyclicBlocks:
@@ -232,7 +233,7 @@ class TestCyclicBlocks:
     def test_mirror_blocks_bitwise_equal(self, n):
         # mode k > n/2 has the bitwise weights of mode n-k, so its block
         # is the second copy of spec n-k
-        specs = decompose_cyclic(n)
+        specs = cyclic_specs(n)
         for k in range(n // 2 + 1, n):
             spec = specs[n - k]
             weights = [1.0] + [_zeta(j, n) * _cos_angle(k, j, n) for j in range(1, n // 2 + 1)]
@@ -263,36 +264,34 @@ class TestCyclicBlocks:
 
     def test_coefficient_keys_are_orbit_numbers_past_z(self):
         g = build_group("cyclic", 60)
-        assert pair_orbits(g).count == 31
-        for spec in decompose_cyclic(60):
+        assert g.orbit_count == 31
+        for spec in decompose(g):
             assert tuple(spec.coefficients) == tuple(range(31))
-        assert [s.coefficients for s in decompose(g)] == [
-            s.coefficients for s in decompose_cyclic(60)]
 
 
 class TestCyclicVarianceFactors:
     def test_spot_values(self):
         def rows(n):
-            return [(s.copies, s.variance_factor) for s in decompose_cyclic(n)]
+            return [(s.copies, s.variance_factor) for s in cyclic_specs(n)]
 
         assert rows(4) == [(1, 6.0), (2, 2.0), (1, 6.0)]
-        assert decompose_cyclic(6)[0].variance_factor == 10.0
-        assert decompose_cyclic(7)[0].variance_factor == 13.0
-        assert decompose_cyclic(7)[1].variance_factor == pytest.approx(6.0, rel=1e-14)
+        assert cyclic_specs(6)[0].variance_factor == 10.0
+        assert cyclic_specs(7)[0].variance_factor == 13.0
+        assert cyclic_specs(7)[1].variance_factor == pytest.approx(6.0, rel=1e-14)
         assert rows(2) == [(1, 2.0), (1, 2.0)]
 
     @pytest.mark.parametrize("n", range(2, 13))
     def test_mirror_symmetry(self, n):
         # the factor of mode n-k is that of mode k, carried as a second
         # copy; k = 0 and (even n) k = n/2 are their own mirrors
-        specs = decompose_cyclic(n)
+        specs = cyclic_specs(n)
         assert [s.copies for s in specs] == [
             1 if k == 0 or 2 * k == n else 2 for k in range(n // 2 + 1)]
         assert sum(s.copies for s in specs) == n
 
     @pytest.mark.parametrize("n", range(3, 13))
     def test_k0_attains_maximum(self, n):
-        f = [s.variance_factor for s in decompose_cyclic(n)]
+        f = [s.variance_factor for s in cyclic_specs(n)]
         assert f[0] == max(f)
         for k in range(1, n // 2 + 1):
             if n % 2 == 0 and k == n // 2:
@@ -307,7 +306,7 @@ class TestCyclicVarianceFactors:
         # gives 2n-1 at k=0 and n-1 elsewhere; even n gives 2n-2 at k=0
         # and k=n/2, and n-2 elsewhere
         for n in (5, 8):
-            for k, spec in enumerate(decompose_cyclic(n)):
+            for k, spec in enumerate(cyclic_specs(n)):
                 if n % 2:
                     exact = 2 * n - 1 if k == 0 else n - 1
                 else:
@@ -318,7 +317,7 @@ class TestCyclicVarianceFactors:
     def test_empirical_block_variance(self, n):
         trials = 10000
         samples = np.empty((n // 2 + 1, trials))
-        specs = decompose_cyclic(n)
+        specs = cyclic_specs(n)
         for t in range(trials):
             blocks = draw_label_blocks(n // 2 + 1, 1, 90 + n, t)
             for k, spec in enumerate(specs):
@@ -387,7 +386,7 @@ class TestCensusKernel:
     def test_minima_match_full_blocks_bitwise(self, kind, n):
         # the packed kernel against eigvalsh of each full combination block
         group = build_group(kind, n)
-        orbits = pair_orbits(group).count
+        orbits = group.orbit_count
         specs = decompose(group)
         trials = np.array([0, 1, 7])
         for m in (1, 2, 4, 8, 17, 64):
@@ -420,7 +419,7 @@ def exact_scalar_census(group):
     Gaussian orthant probability P(C_i z - C_j z < 0 for every j != i).
     """
     specs = decompose(group)
-    c = np.zeros((len(specs), pair_orbits(group).count))
+    c = np.zeros((len(specs), group.orbit_count))
     for i, spec in enumerate(specs):
         for orbit, coeff in spec.coefficients.items():
             c[i, orbit] = coeff
