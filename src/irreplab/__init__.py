@@ -37,7 +37,6 @@ from .rng import (
     SubStream,
     draw_label_blocks,
     random_sym_block,
-    run_trials,
     substream,
 )
 from .su2 import (
@@ -68,7 +67,6 @@ __all__ = [
     "substream",
     "random_sym_block",
     "draw_label_blocks",
-    "run_trials",
     "PointGroup",
     "build_group",
     "relabel",

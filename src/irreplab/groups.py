@@ -5,8 +5,8 @@ circle, and the proper rotation groups of the tetrahedron (4 vertices,
 order 12), octahedron (6 vertices, order 24) and cube (8 vertices,
 order 24).  Permutations are stored as image tuples: ``p[i]`` is where
 site ``i`` goes.  A group carries the numbering of its site-pair
-orbits, worked out once when it is built: the diagonal orbit is 0, the
-others follow ascending by each orbit's smallest pair.
+orbits, read off its elements once when it is built: the diagonal
+orbit is 0, the others follow ascending by each orbit's smallest pair.
 
 Vertex numbering conventions (any consistent relabeling gives the same
 physics; see `relabel` and the relabeling tests):
@@ -74,39 +74,26 @@ def _closure(generators, sites: int) -> tuple[Perm, ...]:
     return tuple(sorted(elements))
 
 
-def _pair_orbit_index(n: int, generators) -> np.ndarray:
-    """Read-only n x n array of the orbit number of each site pair."""
-    index = -np.ones((n, n), dtype=np.int64)
-    orbits = []
-    for i in range(n):
-        for j in range(i, n):
-            if index[i, j] >= 0:
-                continue
-            orbit = set()
-            stack = [(i, j)]
-            while stack:
-                a, b = stack.pop()
-                key = (min(a, b), max(a, b))
-                if key in orbit:
-                    continue
-                orbit.add(key)
-                for g in generators:
-                    stack.append((g[a], g[b]))
-            k = len(orbits)
-            for a, b in orbit:
-                index[a, b] = k
-                index[b, a] = k
-            orbits.append(min(orbit))
-    diagonal_orbits = {index[i, i] for i in range(n)}
-    if len(diagonal_orbits) != 1:
+def _pair_orbit_index(n: int, elements) -> np.ndarray:
+    """Read-only n x n array of the orbit number of each site pair.
+
+    Under a transitive action every orbit holds a pair (0, j), and
+    scanning j upward meets each orbit first at its smallest pair: one
+    pass numbers the diagonal 0 and the others ascending by that pair.
+    """
+    e = np.array(elements)
+    index = np.full((n, n), -1, dtype=np.int64)
+    count = 0
+    for j in range(n):
+        if index[0, j] < 0:
+            index[e[:, 0], e[:, j]] = count
+            index[e[:, j], e[:, 0]] = count
+            count += 1
+    if index.min() < 0:
         raise InvalidInputError(
-            "site action is not transitive: diagonal pairs split into "
-            f"{len(diagonal_orbits)} orbits"
+            "site action is not transitive: site 0 reaches "
+            f"{np.unique(e[:, 0]).size} of {n} sites"
         )
-    order = sorted(range(len(orbits)), key=lambda k: (orbits[k][0] != orbits[k][1], orbits[k]))
-    remap = np.empty(len(orbits), dtype=np.int64)
-    remap[order] = np.arange(len(orbits))
-    index = remap[index]
     index.flags.writeable = False
     return index
 
@@ -117,9 +104,9 @@ class PointGroup:
 
     ``orbit_index[i, j]`` is the number of the orbit of the unordered
     site pair (i, j): the diagonal orbit is 0, the others follow
-    ascending by each orbit's lexicographically smallest pair.  The
-    generators fix it, so it is read-only and left out of equality and
-    hashing.
+    ascending by each orbit's lexicographically smallest pair.  It is
+    read off the elements, so it is read-only and left out of equality
+    and hashing.
     """
 
     kind: str
@@ -156,7 +143,8 @@ class PointGroup:
         for g in gens:
             if sorted(g) != list(range(sites)):
                 raise InvalidInputError(f"{g} is not a permutation of {sites} sites")
-        return cls(kind, sites, gens, _closure(gens, sites), _pair_orbit_index(sites, gens))
+        elements = _closure(gens, sites)
+        return cls(kind, sites, gens, elements, _pair_orbit_index(sites, elements))
 
 
 def build_group(kind: str, n: int | None = None) -> PointGroup:

@@ -50,7 +50,6 @@ __all__ = [
     "substream",
     "random_sym_block",
     "draw_label_blocks",
-    "run_trials",
 ]
 
 _MASK = (1 << 64) - 1
@@ -230,11 +229,16 @@ def _sym_blocks(z: np.ndarray, m: int, sigma0: float) -> np.ndarray:
     return blocks
 
 
+def _check_scale(name: str, value: float) -> None:
+    """The one rule for a width scale: positive and finite."""
+    if not 0.0 < value < math.inf:
+        raise InvalidInputError(f"{name} must be positive and finite, got {value}")
+
+
 def _check_block_args(m: int, sigma0: float) -> None:
     if m < 1:
         raise InvalidInputError("block size m must be >= 1")
-    if not sigma0 > 0.0:
-        raise InvalidInputError("sigma0 must be positive")
+    _check_scale("sigma0", sigma0)
 
 
 def random_sym_block(stream: SubStream, m: int, sigma0: float = 1.0) -> np.ndarray:
@@ -269,10 +273,7 @@ class EnsembleConfig:
             raise InvalidInputError("master_seed must fit in 64 bits")
         if self.trials < 1:
             raise InvalidInputError("trials must be >= 1")
-        if not self.sigma0 > 0.0:
-            raise InvalidInputError("sigma0 must be positive")
-        if self.m < 1:
-            raise InvalidInputError("block size m must be >= 1")
+        _check_block_args(self.m, self.sigma0)
 
 
 def draw_label_blocks(
@@ -292,20 +293,6 @@ def draw_label_blocks(
     # reduced mod 2**64, as substream() reduces it
     z = _normals_rows(master_seed, [trial_index & _MASK], np.arange(orbits), m * (m + 1) // 2)
     return list(_sym_blocks(z, m, sigma0))
-
-
-def run_trials(worker, trials: int, threads: int = 1) -> list:
-    """Evaluate ``worker(t)`` for t = 0..trials-1, optionally on a thread pool.
-
-    Results come back indexed by trial, so any commutative aggregation
-    over them is independent of execution order and thread count.
-    """
-    if trials < 0:
-        raise InvalidInputError("trials must be >= 0")
-    if threads <= 1 or trials <= 1:
-        return [worker(t) for t in range(trials)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(worker, range(trials)))
 
 
 def _tally(minima: np.ndarray) -> tuple[np.ndarray, int]:
@@ -337,5 +324,10 @@ def _chunked_tally(chunk_minima, trials: int, row_elements: int,
             minima = chunk_minima(np.arange(start, min(trials, start + size)))
         return _tally(minima)
 
-    outcomes = run_trials(worker, -(-trials // size), threads)
+    chunks = range(-(-trials // size))
+    if threads <= 1 or len(chunks) <= 1:
+        outcomes = [worker(chunk) for chunk in chunks]
+    else:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            outcomes = list(pool.map(worker, chunks))
     return sum(c for c, _ in outcomes), sum(t for _, t in outcomes)

@@ -31,7 +31,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .errors import InvalidInputError
-from .rng import EnsembleConfig, _chunked_tally, _normals_rows, _row_uniforms
+from .rng import EnsembleConfig, _check_scale, _chunked_tally, _normals_rows, _row_uniforms
 from .rng import substream  # noqa: F401  (kept importable here; perfbench's tracer test looks it up)
 
 __all__ = [
@@ -116,8 +116,7 @@ def effective_width(
     """
     if n_j < 1:
         raise InvalidInputError("subspace dimension must be >= 1")
-    if not sigma_scale > 0.0:
-        raise InvalidInputError("sigma_scale must be positive")
+    _check_scale("sigma_scale", sigma_scale)
     if width_factor is None:
         if two_j % 2 != 0:
             raise InvalidInputError(

@@ -42,12 +42,17 @@ class TestBuild:
     def test_cyclic_needs_n(self, tmp_path):
         assert run("build", "--group", "cyclic", "--out", tmp_path / "x") == 2
 
-    @pytest.mark.parametrize("sigma0", ["inf", "1.7e308"])
-    def test_nonfinite_matrix_is_numeric_failure(self, tmp_path, capsys, sigma0):
+    # an infinite sigma0 is bad input; a finite one that overflows the
+    # matrix is a numeric failure
+    @pytest.mark.parametrize("sigma0,code,message", [
+        ("inf", 2, "sigma0 must be positive and finite"),
+        ("1.7e308", 3, "non-finite entry"),
+    ], ids=["inf", "1.7e308"])
+    def test_nonfinite_matrix_is_numeric_failure(self, tmp_path, capsys, sigma0, code, message):
         out = tmp_path / "h.txt"
         assert run("build", "--group", "cube", "--m", "2", "--sigma0", sigma0,
-                   "--out", out) == 3
-        assert "non-finite entry" in capsys.readouterr().err
+                   "--out", out) == code
+        assert message in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
     def test_unknown_group_usage_error(self, tmp_path):
@@ -232,10 +237,17 @@ class TestCensus:
         assert [row["irrep_label"] for row in data] == [f"k={k}" for k in range(31)]
         assert sum(round(row["gs_fraction"] * 200) for row in data) == 200
 
-    def test_infinite_sigma0_is_numeric_failure(self, tmp_path):
+    def test_infinite_sigma0_is_numeric_failure(self, tmp_path, capsys):
+        # an infinite sigma0 is rejected as bad input before any draw
         for m in ("1", "2"):
             assert run("census", "--group", "tetra", "--m", m, "--trials", "10",
-                       "--sigma0", "inf", "--out", tmp_path / "c.csv") == 3
+                       "--sigma0", "inf", "--out", tmp_path / "c.csv") == 2
+        dims = tmp_path / "dims.csv"
+        dims.write_text("twoJ,dim\n0,40\n2,106\n")
+        assert run("gsdist", "--dims", dims, "--trials", "10", "--sigma0", "inf",
+                   "--out", tmp_path / "d.csv") == 2
+        assert capsys.readouterr().err.count("sigma0 must be positive and finite") == 3
+        assert list(tmp_path.iterdir()) == [dims]
 
     def test_oversized_ring_exits_2(self, tmp_path, capsys):
         assert run("census", "--group", "cyclic", "--n", "1000000", "--trials", "1",

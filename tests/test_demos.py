@@ -1,4 +1,9 @@
-"""Every demo script runs to completion and prints its report."""
+"""Every demo script runs to completion and prints its pinned report.
+
+Each demo's stdout is pinned byte for byte in
+``tests/data/golden/demos/<demo>.stdout``.  A change that alters a demo's
+report on purpose re-records that one file.
+"""
 
 import os
 import subprocess
@@ -9,6 +14,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+GOLDEN = ROOT / "tests" / "data" / "golden" / "demos"
 
 
 def test_demos_found():
@@ -19,6 +25,6 @@ def test_demos_found():
 def test_demo_runs(demo, tmp_path):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     out = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
-                         capture_output=True, text=True, timeout=300)
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.strip()
+                         capture_output=True, timeout=300)
+    assert out.returncode == 0, out.stderr.decode(errors="replace")
+    assert out.stdout == (GOLDEN / f"{demo.stem}.stdout").read_bytes()

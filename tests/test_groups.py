@@ -89,8 +89,10 @@ class TestBuildGroup:
                 build_group("cyclic", n)
 
     def test_non_transitive_action_rejected(self):
-        with pytest.raises(InvalidInputError, match="site action is not transitive"):
-            PointGroup.from_generators("pairs", 4, [(1, 0, 3, 2)])
+        # two swapped pairs; site 0 fixed; site 2 fixed
+        for sites, gen in [(4, (1, 0, 3, 2)), (3, (0, 2, 1)), (3, (1, 0, 2))]:
+            with pytest.raises(InvalidInputError, match="site action is not transitive"):
+                PointGroup.from_generators("split", sites, [gen])
 
 
 class TestPairOrbits:
@@ -140,6 +142,27 @@ class TestPairOrbits:
         g = build_group("octa")
         assert g.pairs_of(2) == [(0, 2), (1, 3), (4, 5)]
         assert [len(g.pairs_of(k)) for k in range(g.orbit_count)] == g.orbit_sizes()
+
+    @pytest.mark.parametrize("kind,n", ALL_GROUPS + [("cyclic", 60)])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_numbering_matches_brute_force_orbits(self, kind, n, seed):
+        base = build_group(kind, n)
+        g = relabel(base, perm_from_stream(base.sites, seed))
+        assert np.array_equal(g.orbit_index, g.orbit_index.T)
+        # the orbit of each unordered pair: its images under every element
+        orbits = {}
+        for i in range(g.sites):
+            for j in range(i, g.sites):
+                if not any((i, j) in orbit for orbit in orbits.values()):
+                    orbits[i, j] = {tuple(sorted((e[i], e[j]))) for e in g.elements}
+        # one number per orbit, a different one for each orbit
+        numbers = [{int(g.orbit_index[pair]) for pair in orbit} for orbit in orbits.values()]
+        assert all(len(found) == 1 for found in numbers)
+        assert len(set.union(*numbers)) == len(orbits) == g.orbit_count
+        # numbered ascending by smallest pair, which puts the diagonal at 0
+        smallest = sorted(min(orbit) for orbit in orbits.values())
+        assert smallest[0] == (0, 0)
+        assert [g.orbit_index[pair] for pair in smallest] == list(range(len(smallest)))
 
     def test_assignment_invariant_under_full_group(self):
         for kind in ("tetra", "octa", "cube"):

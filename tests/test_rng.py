@@ -9,7 +9,6 @@ from irreplab import (
     InvalidInputError,
     draw_label_blocks,
     random_sym_block,
-    run_trials,
     substream,
 )
 from irreplab import rng
@@ -129,7 +128,7 @@ class TestLabelBlocks:
         for tag in range(3):
             assert np.array_equal(blocks[tag], random_sym_block(substream(17, 4, tag), 2))
 
-    @pytest.mark.parametrize("m, sigma0", [(0, 1.0), (2, 0.0), (2, float("nan"))])
+    @pytest.mark.parametrize("m, sigma0", [(0, 1.0), (2, 0.0), (2, float("nan")), (2, float("inf"))])
     def test_bad_shape_or_width_rejected(self, m, sigma0):
         with pytest.raises(InvalidInputError):
             draw_label_blocks(2, m, 1, 0, sigma0)
@@ -149,6 +148,8 @@ class TestEnsembleConfig:
             EnsembleConfig(1, 0)
         with pytest.raises(InvalidInputError):
             EnsembleConfig(1, 10, sigma0=0.0)
+        with pytest.raises(InvalidInputError, match="sigma0 must be positive and finite"):
+            EnsembleConfig(1, 10, sigma0=float("inf"))
         with pytest.raises(InvalidInputError):
             EnsembleConfig(1, 10, m=0)
         with pytest.raises(InvalidInputError):
@@ -157,19 +158,6 @@ class TestEnsembleConfig:
     def test_defaults(self):
         cfg = EnsembleConfig(5, 100)
         assert cfg.sigma0 == 1.0 and cfg.m == 1 and cfg.group is None
-
-
-class TestRunTrials:
-    def test_results_indexed_by_trial(self):
-        assert run_trials(lambda t: t * t, 6) == [0, 1, 4, 9, 16, 25]
-
-    def test_thread_count_does_not_change_results(self):
-        def worker(t):
-            return float(np.min(substream(2, t, 0).normals(50)))
-
-        serial = run_trials(worker, 40, threads=1)
-        pooled = run_trials(worker, 40, threads=4)
-        assert serial == pooled
 
 
 class TestBatchedRows:

@@ -151,7 +151,7 @@ class TestEffectiveWidth:
         with pytest.raises(InvalidInputError, match="positive and finite"):
             effective_width(4, 3, width_factor=factor)
 
-    @pytest.mark.parametrize("scale", [0.0, -2.0, math.nan])
+    @pytest.mark.parametrize("scale", [0.0, -2.0, math.nan, math.inf])
     def test_scale_must_be_positive(self, scale):
         with pytest.raises(InvalidInputError, match="sigma_scale"):
             effective_width(4, 3, scale)
