@@ -19,8 +19,8 @@ import numpy as np
 
 from . import __version__
 from .errors import InvalidInputError, NumericFailureError
-from .groups import build_group, check_invariance
-from .irreps import _block_eigenvalues, ground_state_irrep_census, sample_invariant
+from .groups import build_group, build_invariant, check_invariance
+from .irreps import _spectrum_eigenvalues, ground_state_irrep_census, sample_invariant
 from .linalg import SymMatrix, eigensolve, multiset_deviation, read_matrix_text, write_matrix_text
 from .rng import EnsembleConfig
 from .su2 import DEFAULT_QUAD_POINTS, DimensionTable, f_space, gs_distribution, width_table
@@ -109,13 +109,17 @@ def _cmd_spectrum(args) -> int:
             f"{args.group} acts on {group.sites} sites but file has {sites}"
         )
     m = args.m
-    blocks = []
-    for orbit in range(group.orbit_count):
-        i, j = group.pairs_of(orbit)[0]
-        sub = h.values[i * m:(i + 1) * m, j * m:(j + 1) * m]
-        blocks.append(SymMatrix.symmetrized(sub).values)
+    # each orbit's smallest pair is (0, j), met first along row 0
+    cols = np.unique(group.orbit_index[0], return_index=True)[1]
+    blocks = [SymMatrix.symmetrized(h.values[:m, j * m:(j + 1) * m]).values for j in cols]
+    with np.errstate(over="ignore"):
+        gap = np.max(np.abs(h.values - build_invariant(group, blocks).values))
+    if not gap <= 1e-10 * h.max_abs():
+        raise InvalidInputError(f"matrix is not {group.name}-invariant with symmetric "
+                                f"orbit blocks: off by {_fmt(gap)}")
 
-    rows = [(spec.label, float(v)) for spec, ev in _block_eigenvalues(group, blocks)
+    specs, values = _spectrum_eigenvalues(group, blocks)
+    rows = [(spec.label, float(v)) for spec, ev in zip(specs, values)
             for _ in range(spec.copies) for v in ev]
     dense = eigensolve(h).eigenvalues
     deviation = multiset_deviation(np.sort([v for _, v in rows]), dense)

@@ -223,20 +223,20 @@ def _coerce_blocks(group: PointGroup, blocks) -> list[np.ndarray]:
 
 
 def build_invariant(group: PointGroup, blocks: Sequence) -> SymMatrix:
-    """Assemble the general group-invariant matrix from per-orbit blocks.
+    """Assemble the group-invariant matrix of symmetric per-orbit blocks.
 
     ``blocks[k]`` is the symmetric m x m block (or a scalar, taken as
     1 x 1) of orbit k, one per orbit.  Block (i, j) of the result is the
-    block of the orbit of (i, j), so the matrix commutes with every
-    group element lifted as permutation (x) identity.
+    block of the orbit of (i, j), gathered through ``orbit_index`` in
+    one step, so the matrix commutes with every group element lifted
+    as permutation (x) identity.  For a ring with m > 1 this is the
+    dihedral ensemble: the general C_n-invariant matrix also has blocks
+    F(d) that are not symmetric, with F(-d) = F(d)^T.
     """
     coerced = _coerce_blocks(group, blocks)
-    m = coerced[0].shape[0]
-    n = group.sites
-    h = np.empty((n * m, n * m), dtype=np.float64)
-    for i in range(n):
-        for j in range(n):
-            h[i * m:(i + 1) * m, j * m:(j + 1) * m] = coerced[group.orbit_index[i, j]]
+    n, m = group.sites, coerced[0].shape[0]
+    # one expression, so the gathered (n, n, m, m) array is freed by the reshape
+    h = np.stack(coerced)[group.orbit_index].transpose(0, 2, 1, 3).reshape(n * m, n * m)
     return SymMatrix(h)
 
 

@@ -17,6 +17,9 @@ the larger sum over orbits of (orbit size x coefficient), a quantity
 that does not depend on how the sites are numbered, is ``<d>dim+`` and
 the other ``<d>dim-``.
 
+One kernel, ``_block_eigenvalues``, gives the combination blocks'
+eigenvalues from packed orbit triangles, for the census and the spectra.
+
 The master consistency check, used throughout the tests: the sorted
 eigenvalues of the dense invariant matrix equal the multiset union of
 the combination-block eigenvalues, each repeated by its multiplicity.
@@ -33,12 +36,13 @@ import numpy as np
 
 from .errors import InvalidInputError, NumericFailureError
 from .groups import PointGroup, _coerce_blocks, build_group, build_invariant
-from .linalg import Spectrum, SymMatrix, eigensolve
+from .linalg import Spectrum, eigensolve
 from .rng import (
     EnsembleConfig,
     _chunked_tally,
-    _normals_rows,
+    _orbit_triangles,
     _row_uniforms,
+    _sym_blocks,
     draw_label_blocks,
 )
 
@@ -62,6 +66,7 @@ class IrrepBlockSpec:
     in the block-diagonal form.  The predicted per-element variance of
     the block, in units of the input element variance, is the sum of
     squared coefficients (independent inputs of equal variance).
+    Keys ascend; ``combination`` is the kernel's bit-for-bit reference.
     """
 
     label: str
@@ -165,7 +170,7 @@ def _fourier_blocks(group: PointGroup) -> list[IrrepBlockSpec]:
         for j in range(1, half + 1):
             coeff[orbit_of[j]] = _zeta(j, n) * _cos_angle(k, j, n)
         copies = 1 if k == 0 or (n % 2 == 0 and k == half) else 2
-        specs.append(IrrepBlockSpec(f"k={k}", copies, coeff))
+        specs.append(IrrepBlockSpec(f"k={k}", copies, dict(sorted(coeff.items()))))
     return specs
 
 
@@ -180,18 +185,39 @@ def decompose(group: PointGroup) -> list[IrrepBlockSpec]:
     return _decompose_by_orbit_algebra(group)
 
 
-def _block_eigenvalues(group: PointGroup, blocks: Sequence[np.ndarray]):
-    """(spec, eigenvalues of its combination block) for every block of
-    ``group``, in canonical order.  A combination block that overflows
-    raises ``NumericFailureError``."""
-    out = []
-    for spec in decompose(group):
-        with np.errstate(over="ignore"):
-            combo = spec.combination(blocks)
-        if not np.isfinite(combo).all():
-            raise NumericFailureError(f"{spec.label} block overflows the float range")
-        out.append((spec, eigensolve(SymMatrix.symmetrized(combo)).eigenvalues))
-    return out
+def _block_eigenvalues(specs: Sequence[IrrepBlockSpec], triangles: np.ndarray,
+                       m: int) -> np.ndarray:
+    """(specs, rows, m) ascending eigenvalues of the combination blocks of
+    the (orbits, rows, m(m+1)/2) packed orbit ``triangles``.  Ascending
+    orbits, one multiply-add each into every spec that names the orbit:
+    the bits of `IrrepBlockSpec.combination` with ascending keys.  A
+    combination that is not finite raises ``NumericFailureError``."""
+    coeffs = np.full((len(specs), len(triangles)), np.nan)  # NaN: orbit not named
+    for i, spec in enumerate(specs):
+        coeffs[i, list(spec.coefficients)] = list(spec.coefficients.values())
+    # -0.0 is the exact additive identity: the first term keeps its bits
+    combos = np.full((len(specs),) + triangles.shape[1:], -0.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for c, tri in zip(coeffs.T[:, :, None, None], triangles):
+            np.add(combos, c * tri, out=combos, where=~np.isnan(c))
+    bad = ~np.isfinite(combos).all(axis=(1, 2))
+    if bad.any():
+        raise NumericFailureError(f"{specs[bad.argmax()].label} block overflows the float range")
+    if m == 1:
+        return combos
+    try:
+        return np.linalg.eigvalsh(_sym_blocks(combos, m))
+    except np.linalg.LinAlgError as exc:
+        raise NumericFailureError(f"eigensolve failed: {exc}") from exc
+
+
+def _spectrum_eigenvalues(group: PointGroup, blocks: Sequence[np.ndarray]):
+    """``decompose(group)`` and the (specs, m) eigenvalues of its
+    combination blocks, for exactly symmetric per-orbit ``blocks``."""
+    m = blocks[0].shape[0]
+    rows, cols = np.triu_indices(m)
+    specs = decompose(group)
+    return specs, _block_eigenvalues(specs, np.stack(blocks)[:, None, rows, cols], m)[:, 0]
 
 
 def block_spectra(group: PointGroup, blocks: Sequence[np.ndarray]) -> Spectrum:
@@ -203,9 +229,8 @@ def block_spectra(group: PointGroup, blocks: Sequence[np.ndarray]) -> Spectrum:
     the dense spectrum of ``build_invariant(group, blocks)``.  Blocks
     are checked as `build_invariant` checks them.
     """
-    blocks = _coerce_blocks(group, blocks)
-    values = [ev for spec, ev in _block_eigenvalues(group, blocks) for _ in range(spec.copies)]
-    return Spectrum(np.sort(np.concatenate(values)))
+    specs, values = _spectrum_eigenvalues(group, _coerce_blocks(group, blocks))
+    return Spectrum(np.sort(np.repeat(values, [s.copies for s in specs], axis=0), axis=None))
 
 
 def sample_invariant(group: PointGroup, cfg: EnsembleConfig, trial_index: int = 0):
@@ -260,54 +285,21 @@ class CensusResult:
 def _census_minima(specs: Sequence[IrrepBlockSpec], orbits: int, cfg: EnsembleConfig,
                    trials: np.ndarray) -> np.ndarray:
     """(len(trials), len(specs)) lowest eigenvalues of every combination
-    block of the given trials.
+    block of the given trials, computed on packed orbit triangles."""
+    triangles = _orbit_triangles(cfg.master_seed, trials, orbits, cfg.m, cfg.sigma0)
+    return _block_eigenvalues(specs, triangles, cfg.m)[:, :, 0].T
 
-    Works on packed upper triangles: each orbit's sigma-scaled triangle
-    (the values ``_sym_blocks`` places) is drawn once and combined per
-    spec, and only the combined triangle is unpacked, into one m x m
-    buffer per trial that every spec reuses.  The combination is
-    elementwise, so each block holds the same bits as the combination
-    of the full ``draw_label_blocks`` blocks.
-    """
+
+def _census_from_specs(specs: Sequence[IrrepBlockSpec], orbits: int, sites: int,
+                       cfg: EnsembleConfig, threads: int = 1) -> CensusResult:
     m = cfg.m
-    packed = [cfg.sigma0 * _normals_rows(cfg.master_seed, trials, tag, m * (m + 1) // 2) + 0.0
-              for tag in range(orbits)]
-    minima = np.empty((trials.size, len(specs)))
-    rows, cols = np.triu_indices(m)
-    blocks = np.empty((trials.size, m, m))
-    for i, spec in enumerate(specs):
-        combo = spec.combination(packed)
-        if m == 1:
-            minima[:, i] = combo[:, 0]
-            continue
-        blocks[:, rows, cols] = combo
-        blocks[:, cols, rows] = combo
-        try:
-            minima[:, i] = np.linalg.eigvalsh(blocks)[:, 0]
-        except np.linalg.LinAlgError as exc:
-            raise NumericFailureError(f"eigensolve failed: {exc}") from exc
-    return minima
-
-
-def _census_from_specs(
-    specs: Sequence[IrrepBlockSpec],
-    orbits: int,
-    sites: int,
-    cfg: EnsembleConfig,
-    threads: int = 1,
-) -> CensusResult:
-    m = cfg.m
-    # the bound of one full m x m block per orbit, kept so that chunks
-    # group the same trials; the packed kernel holds one triangle per
-    # orbit and one m x m buffer in their place
+    # one full m x m block per orbit: no group has more specs than
+    # orbits, so the kernel's full blocks of every spec fit this bound
     row_elements = max(_row_uniforms(m * (m + 1) // 2), orbits * m * m)
     counts, ties = _chunked_tally(lambda trials: _census_minima(specs, orbits, cfg, trials),
                                   cfg.trials, row_elements, threads)
-    rows = tuple(
-        CensusRow(spec.label, spec.copies, m, spec.variance_factor,
-                  int(counts[i]), cfg.trials, sites)
-        for i, spec in enumerate(specs)
-    )
+    rows = tuple(CensusRow(spec.label, spec.copies, m, spec.variance_factor, int(count),
+                           cfg.trials, sites) for spec, count in zip(specs, counts))
     return CensusResult(rows, cfg.trials, ties, cfg)
 
 

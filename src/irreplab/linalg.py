@@ -182,7 +182,7 @@ def multiset_deviation(a, b) -> float:
         )
     if a.size == 0:
         return 0.0
-    with np.errstate(over="ignore"):  # a gap beyond the float range reads inf
+    with np.errstate(over="ignore", invalid="ignore"):  # inf, or NaN for inf - inf
         return float(np.max(np.abs(a - b)))
 
 

@@ -27,11 +27,11 @@ Every batched draw goes through one vectorised kernel, ``_polar_pairs``,
 which scans the polar acceptance of any array of stream states at once
 and returns each stream's next accepted pairs and its state after them:
 ``SubStream.normals`` runs it on its own state, ``draw_label_blocks`` on
-the orbit tags of one trial, and the census and the J distribution on
-the trials of a chunk.  Each row keeps the same accepted pairs, in the
-same order, that repeated ``normal()`` calls would, so every path gives
-the same draws bit for bit, and splitting the trials into chunks (or
-over threads) changes nothing.
+the orbit tags of one trial, and the census (``_orbit_triangles``) and
+the J distribution on the trials of a chunk.  Each row keeps the same
+accepted pairs, in the same order, that repeated ``normal()`` calls
+would, so every path gives the same draws bit for bit, and splitting
+the trials into chunks (or over threads) changes nothing.
 """
 
 from __future__ import annotations
@@ -217,15 +217,26 @@ def _normals_rows(master_seed: int, trials, tags, count: int) -> np.ndarray:
     return _polar_pairs(states, (count + 1) // 2)[0][:, :count]
 
 
-def _sym_blocks(z: np.ndarray, m: int, sigma0: float) -> np.ndarray:
-    """(rows, m, m) symmetric blocks whose upper triangles, row-major, are
-    the rows of ``sigma0 * z``; the strict lower triangles mirror them
-    bitwise.  Adding 0.0 turns every -0.0 into +0.0."""
+def _scaled(z: np.ndarray, sigma0: float) -> np.ndarray:
+    """``sigma0 * z``, with every -0.0 turned into +0.0."""
+    return sigma0 * z + 0.0
+
+
+def _orbit_triangles(master_seed: int, trials, orbits: int, m: int, sigma0: float) -> np.ndarray:
+    """(orbits, rows, m(m+1)/2) upper triangles, row-major, of orbit k's
+    ``random_sym_block(substream(master_seed, trials[r], k), m, sigma0)``;
+    one tag at a time, so one orbit's polar grid is alive at once."""
+    return np.stack([_scaled(_normals_rows(master_seed, trials, tag, m * (m + 1) // 2), sigma0)
+                     for tag in range(orbits)])
+
+
+def _sym_blocks(packed: np.ndarray, m: int) -> np.ndarray:
+    """The one unpacking: symmetric m x m blocks, any leading shape, whose
+    upper triangles (row-major) are the last axis of ``packed``."""
     rows, cols = np.triu_indices(m)
-    z = sigma0 * z + 0.0
-    blocks = np.empty((z.shape[0], m, m))
-    blocks[:, rows, cols] = z
-    blocks[:, cols, rows] = z
+    blocks = np.empty(packed.shape[:-1] + (m, m))
+    blocks[..., rows, cols] = packed
+    blocks[..., cols, rows] = packed
     return blocks
 
 
@@ -249,7 +260,7 @@ def random_sym_block(stream: SubStream, m: int, sigma0: float = 1.0) -> np.ndarr
     lower triangle mirrors the upper bitwise.
     """
     _check_block_args(m, sigma0)
-    return _sym_blocks(stream.normals(m * (m + 1) // 2)[None], m, sigma0)[0]
+    return _sym_blocks(_scaled(stream.normals(m * (m + 1) // 2), sigma0), m)
 
 
 @dataclass(frozen=True)
@@ -292,7 +303,7 @@ def draw_label_blocks(
     _check_block_args(m, sigma0)
     # reduced mod 2**64, as substream() reduces it
     z = _normals_rows(master_seed, [trial_index & _MASK], np.arange(orbits), m * (m + 1) // 2)
-    return list(_sym_blocks(z, m, sigma0))
+    return list(_sym_blocks(_scaled(z, sigma0), m))
 
 
 def _tally(minima: np.ndarray) -> tuple[np.ndarray, int]:
@@ -313,8 +324,7 @@ def _chunked_tally(chunk_minima, trials: int, row_elements: int,
     0..trials-1.  ``row_elements`` bounds the array elements one trial
     of a chunk holds at once; a chunk holds about ``_CHUNK_ELEMENTS`` of
     them, and chunks are spread over ``threads`` workers.  The result
-    depends on neither.  The census passes the bound of one full m x m
-    block per orbit, above what its packed kernel holds."""
+    depends on neither."""
     size = max(1, _CHUNK_ELEMENTS // row_elements)
 
     def worker(chunk):

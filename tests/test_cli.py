@@ -139,19 +139,61 @@ class TestSpectrum:
         assert {v for _, v in rows} == {format(1.7976931348623157e308, ".12g")}
 
     def test_deviation_beyond_float_range_exits_3(self, tmp_path, capsys):
-        # blocks read +max twice, the dense spectrum is -max, +max: their
-        # gap overflows, which must not pass as an infinite deviation
+        # an invariant matrix with F_0 all +max and F_1 = 0: both blocks
+        # and the dense spectrum hold an infinite eigenvalue, and their
+        # inf - inf gap must not pass as a deviation (nor warn)
+        big = np.full((2, 2), 1.7976931348623157e308)
         hfile = tmp_path / "h.txt"
-        hfile.write_text("2\n1.7976931348623157e308 0\n0 -1.7976931348623157e308\n")
+        write_matrix_text(np.block([[big, np.zeros((2, 2))], [np.zeros((2, 2)), big]]), hfile)
         out = tmp_path / "o.csv"
-        assert run("spectrum", "--in", hfile, "--group", "cyclic", "--out", out) == 3
+        assert run("spectrum", "--in", hfile, "--group", "cyclic", "--m", "2",
+                   "--out", out) == 3
         assert "numeric failure" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == [hfile]
+
+    def test_non_invariant_matrix_at_the_float_range_exits_2(self, tmp_path, capsys):
+        # diag(max, -max) is not C_2-invariant, and its distance from the
+        # matrix its orbit blocks build overflows
+        hfile = tmp_path / "h.txt"
+        hfile.write_text("2\n1.7976931348623157e308 0\n0 -1.7976931348623157e308\n")
+        assert run("spectrum", "--in", hfile, "--group", "cyclic",
+                   "--out", tmp_path / "o.csv") == 2
+        assert "error: matrix is not cyclic(2)-invariant" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [hfile]
+
+    def test_non_symmetric_orbit_blocks_exit_2(self, tmp_path, capsys):
+        # an exactly C_5-invariant m = 3 matrix whose distance blocks F(d)
+        # are not symmetric (F(-d) = F(d)^T): the symmetric-block
+        # decomposition does not apply, so the run must not exit 0
+        rng = np.random.default_rng(5)
+        n, m = 5, 3
+        f = [rng.standard_normal((m, m)) for _ in range(n)]
+        f[0] = f[0] + f[0].T
+        for d in range(1, n // 2 + 1):
+            f[n - d] = f[d].T
+        h = np.block([[f[(j - i) % n] for j in range(n)] for i in range(n)])
+        assert check_invariance(h, build_group("cyclic", n), m) == 0.0
+        hfile = tmp_path / "h.txt"
+        write_matrix_text(h, hfile)
+        assert run("spectrum", "--in", hfile, "--group", "cyclic", "--m", m,
+                   "--out", tmp_path / "o.csv") == 2
+        err = capsys.readouterr().err
+        assert "error: matrix is not cyclic(5)-invariant with symmetric orbit blocks" in err
+        assert list(tmp_path.iterdir()) == [hfile]
+
+    def test_rounding_level_asymmetry_passes_the_gate(self, tmp_path):
+        # an invariant matrix off by a few ulps is within 1e-10 max|H|
+        h = np.ones((4, 4)) - np.eye(4)
+        h[0, 1] = h[1, 0] = 1.0 + 2.0 ** -50
+        hfile = tmp_path / "k4.txt"
+        write_matrix_text(h, hfile)
+        assert run("spectrum", "--in", hfile, "--group", "tetra",
+                   "--out", tmp_path / "o.csv") == 0
 
     def test_asymmetric_entries_near_the_float_range_symmetrized(self, tmp_path):
         # halving before the sum keeps the 1.7e308 diagonal finite
         hfile = tmp_path / "h.txt"
-        hfile.write_text("2\n1.7e308 1\n2 0\n")
+        hfile.write_text("2\n1.7e308 1\n2 1.7e308\n")
         out = tmp_path / "o.csv"
         assert run("spectrum", "--in", hfile, "--group", "cyclic", "--out", out) == 0
         config = json.loads((tmp_path / "o.csv.manifest.json").read_text())["config"]

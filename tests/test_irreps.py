@@ -23,12 +23,14 @@ from irreplab import (
     sample_invariant,
     substream,
 )
+from irreplab import irreps, rng
 from irreplab.cli import main
 from irreplab.irreps import (
     IrrepBlockSpec,
     _census_from_specs,
     _census_minima,
     _cos_angle,
+    _spectrum_eigenvalues,
     _zeta,
 )
 
@@ -114,6 +116,15 @@ class TestPolyhedralDecomposition:
             assert (b.label, b.copies, b.variance_factor) == (a.label, a.copies, a.variance_factor)
             assert b.coefficients == {moved[k]: c for k, c in a.coefficients.items()}
             assert list(b.coefficients) == sorted(b.coefficients)
+
+    @pytest.mark.parametrize("n", list(range(2, 13)) + [40, 60])
+    def test_relabeled_ring_keys_ascend(self, n):
+        # the kernel sums orbits in ascending order, so the Fourier specs
+        # key them that way on every numbering
+        for seed in range(5):
+            g = relabel(build_group("cyclic", n), perm_from_stream(n, seed))
+            for spec in decompose(g):
+                assert list(spec.coefficients) == sorted(spec.coefficients)
 
     def test_relabeled_cyclic_group_decomposes(self):
         g = relabel(build_group("cyclic", 6), perm_from_stream(6, 14))
@@ -381,26 +392,77 @@ class TestCensus:
         assert lines[2].startswith("3dim,3,1,2,")
 
 
+def canonical_and_relabeled(kind, n):
+    """The group as built and under two seeded relabelings."""
+    group = build_group(kind, n)
+    return [group] + [relabel(group, perm_from_stream(group.sites, s)) for s in (3, 4)]
+
+
+def bits(a):
+    return np.asarray(a, dtype=np.float64).view(np.uint64)
+
+
 class TestCensusKernel:
     @pytest.mark.parametrize("kind, n", ALL_GROUPS + [("cyclic", 60)])
     def test_minima_match_full_blocks_bitwise(self, kind, n):
         # the packed kernel against eigvalsh of each full combination block
-        group = build_group(kind, n)
-        orbits = group.orbit_count
-        specs = decompose(group)
-        trials = np.array([0, 1, 7])
-        for m in (1, 2, 4, 8, 17, 64):
-            for seed in (11, 29):
-                for sigma0 in (1.0, 0.37):
-                    cfg = EnsembleConfig(seed, 1, sigma0, m=m)
-                    minima = _census_minima(specs, orbits, cfg, trials)
-                    expected = []
-                    for trial in trials:
-                        blocks = draw_label_blocks(orbits, m, seed, int(trial), sigma0)
-                        expected.append([np.linalg.eigvalsh(spec.combination(blocks))[0]
-                                         for spec in specs])
-                    assert np.array_equal(minima.view(np.uint64),
-                                          np.array(expected).view(np.uint64))
+        for group in canonical_and_relabeled(kind, n):
+            orbits = group.orbit_count
+            specs = decompose(group)
+            trials = np.array([0, 1, 7])
+            for m in (1, 2, 4, 8, 17, 64):
+                for seed in (11, 29):
+                    for sigma0 in (1.0, 0.37):
+                        cfg = EnsembleConfig(seed, 1, sigma0, m=m)
+                        minima = _census_minima(specs, orbits, cfg, trials)
+                        expected = []
+                        for trial in trials:
+                            blocks = draw_label_blocks(orbits, m, seed, int(trial), sigma0)
+                            expected.append([np.linalg.eigvalsh(spec.combination(blocks))[0]
+                                             for spec in specs])
+                        assert np.array_equal(bits(minima), bits(expected))
+
+    @pytest.mark.parametrize("kind, n", ALL_GROUPS + [("cyclic", 60)])
+    def test_spectrum_path_matches_full_blocks_bitwise(self, kind, n):
+        # the one-row path of `spectrum` and `block_spectra` against
+        # eigvalsh of each full combination block, also on blocks with
+        # exact zeros of either sign
+        for group in canonical_and_relabeled(kind, n):
+            for m in (1, 3, 8):
+                drawn = draw_label_blocks(group.orbit_count, m, 5, 2)
+                ints = np.rint(np.stack(drawn))
+                signed_zeros = list(np.where(ints == 0, -0.0, ints))
+                for blocks in (drawn, signed_zeros):
+                    specs, values = _spectrum_eigenvalues(group, blocks)
+                    full = [np.linalg.eigvalsh(spec.combination(blocks)) for spec in specs]
+                    assert np.array_equal(bits(values), bits(full))
+                    union = np.sort(np.concatenate([np.repeat(ev, spec.copies)
+                                                    for spec, ev in zip(specs, full)]))
+                    assert np.array_equal(bits(block_spectra(group, blocks).eigenvalues),
+                                          bits(union))
+
+    def test_no_library_path_calls_combination(self, tmp_path, monkeypatch):
+        # the census and `spectrum` run through the one block kernel, and
+        # the census solves every block of a chunk in one eigvalsh call
+        def refuse(self, blocks):
+            raise AssertionError("IrrepBlockSpec.combination called")
+
+        chunks, solves = [], []
+        census_minima, eigvalsh = irreps._census_minima, np.linalg.eigvalsh
+        monkeypatch.setattr(IrrepBlockSpec, "combination", refuse)
+        monkeypatch.setattr(irreps, "_census_minima",
+                            lambda *a: chunks.append(a) or census_minima(*a))
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: solves.append(a) or eigvalsh(a))
+        monkeypatch.setattr(rng, "_CHUNK_ELEMENTS", 64 * 3)
+        res = ground_state_irrep_census(EnsembleConfig(3, 10, group="cube", m=4))
+        assert sum(r.gs_count for r in res.rows) == 10
+        assert len(chunks) == len(solves) == 4
+        assert [a.shape for a in solves] == [(4, 3, 4, 4)] * 3 + [(4, 1, 4, 4)]
+        hfile, out = tmp_path / "h.txt", tmp_path / "s.csv"
+        assert main(["build", "--group", "cyclic", "--n", "6", "--m", "2",
+                     "--out", str(hfile)]) == 0
+        assert main(["spectrum", "--in", str(hfile), "--group", "cyclic", "--m", "2",
+                     "--out", str(out)]) == 0
 
     @pytest.mark.parametrize("seed, counts", [(11, [44, 36, 0, 0]), (29, [38, 42, 0, 0])])
     def test_cube_m64_counts_pinned(self, seed, counts):

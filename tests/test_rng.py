@@ -13,7 +13,7 @@ from irreplab import (
 )
 from irreplab import rng
 from irreplab.errors import NumericFailureError
-from irreplab.rng import _normals_rows, _sym_blocks, _tally
+from irreplab.rng import _normals_rows, _orbit_triangles, _sym_blocks, _tally
 
 # Frozen at first build: the very first outputs of substream(1, 0, 0).
 FIRST_UINT64 = 10188629700888939329
@@ -194,11 +194,11 @@ class TestBatchedRows:
     @pytest.mark.parametrize("m", [1, 2, 5])
     def test_stacked_label_blocks_match_per_trial_draws(self, m):
         trials = np.arange(3, 9)
+        stacked = _sym_blocks(_orbit_triangles(23, trials, 3, m, 1.5), m)
         for orbit in range(3):
-            stacked = _sym_blocks(_normals_rows(23, trials, orbit, m * (m + 1) // 2), m, 1.5)
             for row, trial in enumerate(trials):
                 single = random_sym_block(substream(23, int(trial), orbit), m, 1.5)
-                assert np.array_equal(stacked[row], single)
+                assert np.array_equal(stacked[orbit, row], single)
 
 
 class TestTally:
