@@ -65,14 +65,18 @@ def _check_threads(threads: int) -> None:
         raise InvalidInputError(f"--threads must be >= 1, got {threads}")
 
 
+def _check_n(args) -> None:
+    if args.group != "cyclic" and args.n is not None:
+        raise InvalidInputError(f"--n only applies to --group cyclic, not {args.group}")
+
+
 def _group_config(args) -> dict:
+    _check_n(args)
     cfg = {"group": args.group, "m": args.m, "seed": args.seed, "sigma0": args.sigma0}
     if args.group == "cyclic":
         if args.n is None:
             raise InvalidInputError("--group cyclic requires --n")
         cfg["n"] = args.n
-    elif args.n is not None:
-        raise InvalidInputError(f"--n only applies to --group cyclic, not {args.group}")
     return cfg
 
 
@@ -91,6 +95,7 @@ def _cmd_build(args) -> int:
 
 
 def _cmd_spectrum(args) -> int:
+    _check_n(args)
     if args.m < 1:
         raise InvalidInputError(f"--m must be >= 1, got {args.m}")
     h, asym = read_matrix_text(args.infile)

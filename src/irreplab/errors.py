@@ -6,15 +6,6 @@ class InvalidInputError(ValueError):
 
 
 class NumericFailureError(RuntimeError):
-    """Raised when an iterative numeric routine fails to converge.
-
-    Attributes
-    ----------
-    sweeps : int or None
-        Number of sweeps (or iterations) completed before giving up,
-        when the failing routine counts them.
-    """
-
-    def __init__(self, message, sweeps=None):
-        super().__init__(message)
-        self.sweeps = sweeps
+    """Raised when a computation leaves the float range or LAPACK fails:
+    an overflowed combination block, a non-finite minimum or energy, or
+    an eigensolver error."""

@@ -193,32 +193,19 @@ def relabel(group: PointGroup, perm) -> PointGroup:
     return PointGroup.from_generators(group.kind, group.sites, gens)
 
 
-def _coerce_block(value, m: int | None):
-    block = np.asarray(value, dtype=np.float64)
-    if block.ndim == 0:
-        block = block.reshape(1, 1)
-    if block.ndim != 2 or block.shape[0] != block.shape[1]:
-        raise InvalidInputError("blocks must be square matrices or scalars")
-    if m is not None and block.shape[0] != m:
-        raise InvalidInputError(
-            f"inconsistent block size {block.shape[0]}, expected {m}"
-        )
-    if not np.array_equal(block, block.T):
-        raise InvalidInputError("blocks must be exactly symmetric")
-    return block
-
-
 def _coerce_blocks(group: PointGroup, blocks) -> list[np.ndarray]:
-    """One exactly symmetric m x m float block per orbit, or InvalidInputError."""
+    """One exactly symmetric m x m float block per orbit (a scalar is
+    1 x 1), checked by `SymMatrix`, or InvalidInputError."""
     if len(blocks) != group.orbit_count:
         raise InvalidInputError(
             f"got {len(blocks)} blocks for {group.orbit_count} pair orbits"
         )
-    coerced = []
-    m = None
-    for value in blocks:
-        coerced.append(_coerce_block(value, m))
-        m = coerced[-1].shape[0]
+    coerced = [SymMatrix(value).values for value in blocks]
+    for block in coerced:
+        if block.shape != coerced[0].shape:
+            raise InvalidInputError(
+                f"inconsistent block size {block.shape[0]}, expected {coerced[0].shape[0]}"
+            )
     return coerced
 
 

@@ -120,58 +120,43 @@ def _decompose_by_orbit_algebra(group: PointGroup) -> list[IrrepBlockSpec]:
     return specs
 
 
-def _zeta(j: int, n: int) -> float:
-    """Double-counting weight of distance j in the C_n Fourier sum."""
-    return 1.0 if (n % 2 == 0 and j == n // 2) else 2.0
-
-
-def _cos_angle(k: int, j: int, n: int) -> float:
-    # canonical reduction of cos(2*pi*k*j/n) so that the k and n-k
-    # blocks come out bitwise identical; quarter-period multiples are
-    # snapped to their exact values
-    r = (k * j) % n
-    r = min(r, n - r)
-    if r == 0:
-        return 1.0
-    if 2 * r == n:
-        return -1.0
-    if 4 * r == n:
-        return 0.0
-    return math.cos(2.0 * math.pi * r / n)
-
-
 def _fourier_blocks(group: PointGroup) -> list[IrrepBlockSpec]:
     """Fourier block structure of a C_n invariant matrix.
 
     Block k (k = 0..floor(n/2)) combines the distance blocks F_0..F_d,
-    each keyed by the orbit that holds distance j, with weights
-    ``zeta_{j,n} cos(2 pi k j / n)``; blocks with 0 < k < n/2 occur
-    twice (the k and n-k Fourier modes coincide bitwise).
+    each keyed by the orbit that holds distance j, with weight 1 for
+    j = 0 and ``zeta_j cos(2 pi r / n)`` otherwise, where
+    r = min(kj mod n, n - kj mod n) is the reduced angle and zeta_j is
+    1 at 2j = n and 2 elsewhere.  One cosine is computed per r, with
+    r = 0, 2r = n and 4r = n snapped to 1, -1 and 0, so blocks with
+    0 < k < n/2 occur twice (the k and n-k modes coincide bitwise).
 
-    The variance factor ``1 + sum_j zeta_{j,n}^2 cos^2(2 pi k j / n)``
+    The variance factor ``1 + sum_j zeta_j^2 cos^2(2 pi k j / n)``
     is largest at k = 0; for even n the k = n/2 block ties it exactly
     (every cosine is +-1 there), which is why the deepest ground states
     of an even cycle live in one of those two blocks.
     """
     n = group.sites
     half = n // 2
-    # walk the generator to find which orbit holds each cyclic distance
-    # (the distance itself for the canonical numbering, but correct for
-    # any relabeling)
+    # walk the generator to find the cyclic distance each orbit holds
+    # (the orbit number itself for the canonical numbering, but correct
+    # for any relabeling); column c of the weights is orbit c, so keys
+    # ascend by orbit
     gen = group.generators[0]
     site = 0
-    orbit_of = []
-    for _ in range(half + 1):
-        orbit_of.append(int(group.orbit_index[0, site]))
+    dist = np.empty(half + 1, dtype=np.int64)
+    for j in range(half + 1):
+        dist[group.orbit_index[0, site]] = j
         site = gen[site]
-    specs = []
-    for k in range(half + 1):
-        coeff = {orbit_of[0]: 1.0}
-        for j in range(1, half + 1):
-            coeff[orbit_of[j]] = _zeta(j, n) * _cos_angle(k, j, n)
-        copies = 1 if k == 0 or (n % 2 == 0 and k == half) else 2
-        specs.append(IrrepBlockSpec(f"k={k}", copies, dict(sorted(coeff.items()))))
-    return specs
+    d = np.arange(half + 1)
+    cosines = np.select([d == 0, 2 * d == n, 4 * d == n], [1.0, -1.0, 0.0],
+                        [math.cos(2.0 * math.pi * r / n) for r in range(half + 1)])
+    kj = np.outer(d, dist) % n
+    weights = cosines[np.minimum(kj, n - kj)] * np.where(2 * dist == n, 1.0, 2.0)
+    weights[:, dist == 0] = 1.0
+    orbits = list(range(half + 1))  # one int object per key, shared by every spec
+    return [IrrepBlockSpec(f"k={k}", 1 if k == 0 or 2 * k == n else 2,
+                           dict(zip(orbits, row.tolist()))) for k, row in enumerate(weights)]
 
 
 def decompose(group: PointGroup) -> list[IrrepBlockSpec]:
@@ -293,8 +278,10 @@ def _census_minima(specs: Sequence[IrrepBlockSpec], orbits: int, cfg: EnsembleCo
 def _census_from_specs(specs: Sequence[IrrepBlockSpec], orbits: int, sites: int,
                        cfg: EnsembleConfig, threads: int = 1) -> CensusResult:
     m = cfg.m
-    # one full m x m block per orbit: no group has more specs than
-    # orbits, so the kernel's full blocks of every spec fit this bound
+    # counts one orbit's uniforms or one full m x m block per orbit,
+    # whichever is larger; per trial the kernel holds more: the packed
+    # triangles and the accumulator beside the specs' full blocks, up to
+    # about 2 L m^2 elements (cube m = 64: 33,024 against this 16,384)
     row_elements = max(_row_uniforms(m * (m + 1) // 2), orbits * m * m)
     counts, ties = _chunked_tally(lambda trials: _census_minima(specs, orbits, cfg, trials),
                                   cfg.trials, row_elements, threads)

@@ -90,6 +90,16 @@ class TestSpectrum:
         got = sorted((lab, float(v)) for lab, v in rows if lab != "dense")
         assert got == [("k=0", 2.0), ("k=1", 0.0), ("k=1", 0.0), ("k=2", -2.0)]
 
+    @pytest.mark.parametrize("command", ["build", "spectrum", "census"])
+    def test_n_only_applies_to_cyclic(self, tmp_path, capsys, command):
+        hfile = tmp_path / "k4.txt"
+        write_matrix_text(np.ones((4, 4)) - np.eye(4), hfile)
+        out = tmp_path / "out.csv"
+        extra = {"build": [], "spectrum": ["--in", hfile], "census": ["--trials", 5]}[command]
+        assert run(command, *extra, "--group", "tetra", "--n", "4", "--out", out) == 2
+        assert "--n only applies to --group cyclic, not tetra" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_random_octa_deviation_small(self, tmp_path):
         hfile = tmp_path / "h.txt"
         assert run("build", "--group", "octa", "--m", "3", "--seed", "4",

@@ -29,9 +29,7 @@ from irreplab.irreps import (
     IrrepBlockSpec,
     _census_from_specs,
     _census_minima,
-    _cos_angle,
     _spectrum_eigenvalues,
-    _zeta,
 )
 
 from test_groups import ALL_GROUPS, perm_from_stream
@@ -213,6 +211,63 @@ def cyclic_blocks(n, fs):
     return [(spec, spec.combination(blocks)) for spec in cyclic_specs(n)]
 
 
+def ref_zeta(j, n):
+    """Double-counting weight of distance j in the C_n Fourier sum."""
+    return 1.0 if 2 * j == n else 2.0
+
+
+def ref_cos(k, j, n):
+    """cos(2 pi k j / n) through the reduced angle r, with r = 0, 2r = n
+    and 4r = n snapped to their exact values, one scalar at a time."""
+    r = (k * j) % n
+    r = min(r, n - r)
+    if r == 0:
+        return 1.0
+    if 2 * r == n:
+        return -1.0
+    if 4 * r == n:
+        return 0.0
+    return math.cos(2.0 * math.pi * r / n)
+
+
+def ref_ring_specs(n, orbit_of):
+    """(label, copies, [(orbit, weight.hex())]) of every Fourier block,
+    keys ascending; ``orbit_of[j]`` is the orbit holding distance j."""
+    specs = []
+    for k in range(n // 2 + 1):
+        coeff = {orbit_of[0]: 1.0}
+        for j in range(1, n // 2 + 1):
+            coeff[orbit_of[j]] = ref_zeta(j, n) * ref_cos(k, j, n)
+        specs.append((f"k={k}", 1 if k == 0 or 2 * k == n else 2,
+                      [(o, c.hex()) for o, c in sorted(coeff.items())]))
+    return specs
+
+
+class TestFourierCoefficients:
+    @pytest.mark.parametrize("n", list(range(2, 61)) + [1000])
+    def test_ring_specs_match_scalar_reference_bitwise(self, n):
+        ring = build_group("cyclic", n)
+        perms = [tuple(range(n))]
+        if n <= 60:
+            perms += [perm_from_stream(n, seed) for seed in (3, 4)]
+        for perm in perms:
+            g = relabel(ring, perm)
+            # old site j sits at distance j from old site 0
+            orbit_of = [int(g.orbit_index[perm[0], perm[j]]) for j in range(n // 2 + 1)]
+            got = [(s.label, s.copies, [(o, c.hex()) for o, c in s.coefficients.items()])
+                   for s in decompose(g)]
+            assert got == ref_ring_specs(n, orbit_of)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 12, 60, 1000])
+    def test_one_cosine_per_reduced_angle(self, n, monkeypatch):
+        g = build_group("cyclic", n)
+        calls = []
+        cos = math.cos
+        monkeypatch.setattr(math, "cos", lambda x: calls.append(x) or cos(x))
+        decompose(g)
+        assert len(calls) <= n // 2 + 1
+
+
 class TestCyclicBlocks:
     def test_four_cycle_adjacency(self):
         pairs = cyclic_blocks(4, [0.0, 1.0, 0.0])
@@ -247,7 +302,7 @@ class TestCyclicBlocks:
         specs = cyclic_specs(n)
         for k in range(n // 2 + 1, n):
             spec = specs[n - k]
-            weights = [1.0] + [_zeta(j, n) * _cos_angle(k, j, n) for j in range(1, n // 2 + 1)]
+            weights = [1.0] + [ref_zeta(j, n) * ref_cos(k, j, n) for j in range(1, n // 2 + 1)]
             assert list(spec.coefficients.values()) == weights
             assert spec.copies == 2
 
@@ -256,7 +311,7 @@ class TestCyclicBlocks:
         fs = [random_sym_block(substream(70, 0, j), 2) for j in range(n // 2 + 1)]
         for k, (spec, block) in enumerate(cyclic_blocks(n, fs)):
             direct = fs[0] + sum(
-                _zeta(j, n) * math.cos(2 * math.pi * k * j / n) * fs[j]
+                ref_zeta(j, n) * math.cos(2 * math.pi * k * j / n) * fs[j]
                 for j in range(1, n // 2 + 1)
             )
             assert np.allclose(direct, block, atol=0)

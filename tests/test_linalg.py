@@ -50,6 +50,14 @@ def _jacobi_rotate(a, v, p, q):
         v[:, q] = s * v_p + c * v[:, q]
 
 
+class JacobiSweepCapError(NumericFailureError):
+    """The Jacobi oracle stopped at its sweep cap after ``sweeps`` sweeps."""
+
+    def __init__(self, message, sweeps):
+        super().__init__(message)
+        self.sweeps = sweeps
+
+
 def jacobi_eigensolve(h, want_vectors=False, tol=1e-12, max_sweeps=100):
     """Oracle: cyclic Jacobi sweeps until the off-diagonal Frobenius norm
     drops below ``tol * ||H||_F`` (rotation invariant, so the threshold is
@@ -66,10 +74,10 @@ def jacobi_eigensolve(h, want_vectors=False, tol=1e-12, max_sweeps=100):
         if off <= threshold:
             break
         if sweeps >= max_sweeps:
-            raise NumericFailureError(
+            raise JacobiSweepCapError(
                 f"Jacobi eigensolver did not converge after {sweeps} sweeps "
                 f"(off-diagonal norm {off:.3e}, threshold {threshold:.3e})",
-                sweeps=sweeps,
+                sweeps,
             )
         for p in range(n - 1):
             for q in range(p + 1, n):
