@@ -5,88 +5,46 @@ discrete rotation group (cyclic, tetrahedral, octahedral, cubic),
 decompose it into irrep combination blocks with predicted statistical
 widths, and measure by seeded Monte Carlo which irrep or angular
 momentum captures the ground state.
+
+Importing the package loads no submodule and not numpy: each exported
+name is resolved from its submodule on first use (PEP 562), so the
+command line can choose numpy's BLAS threads before numpy loads.
 """
 
-from .errors import InvalidInputError, NumericFailureError
-from .groups import (
-    PointGroup,
-    build_group,
-    build_invariant,
-    check_invariance,
-    relabel,
-)
-from .irreps import (
-    CensusResult,
-    CensusRow,
-    IrrepBlockSpec,
-    block_spectra,
-    decompose,
-    ground_state_irrep_census,
-    sample_invariant,
-)
-from .linalg import (
-    Spectrum,
-    SymMatrix,
-    eigensolve,
-    multiset_deviation,
-    read_matrix_text,
-    write_matrix_text,
-)
-from .rng import (
-    EnsembleConfig,
-    SubStream,
-    draw_label_blocks,
-    random_sym_block,
-    substream,
-)
-from .su2 import (
-    DimensionTable,
-    GsDistribution,
-    effective_width,
-    example_dimension_table,
-    f_space,
-    gs_distribution,
-    legendre,
-    sigma_j_sq,
-    width_table,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "InvalidInputError",
-    "NumericFailureError",
-    "SymMatrix",
-    "Spectrum",
-    "eigensolve",
-    "multiset_deviation",
-    "write_matrix_text",
-    "read_matrix_text",
-    "EnsembleConfig",
-    "SubStream",
-    "substream",
-    "random_sym_block",
-    "draw_label_blocks",
-    "PointGroup",
-    "build_group",
-    "relabel",
-    "build_invariant",
-    "check_invariance",
-    "IrrepBlockSpec",
-    "decompose",
-    "block_spectra",
-    "sample_invariant",
-    "CensusRow",
-    "CensusResult",
-    "ground_state_irrep_census",
-    "legendre",
-    "sigma_j_sq",
-    "effective_width",
-    "width_table",
-    "DimensionTable",
-    "GsDistribution",
-    "f_space",
-    "gs_distribution",
-    "example_dimension_table",
-    "__version__",
-]
+# Gauss-Legendre nodes of the su2 width integrals; kept here so the
+# command line's parser can show the default without loading su2
+DEFAULT_QUAD_POINTS = 512
+
+_EXPORTS = {
+    "errors": ("InvalidInputError", "NumericFailureError"),
+    "linalg": ("SymMatrix", "Spectrum", "eigensolve", "multiset_deviation",
+               "write_matrix_text", "read_matrix_text"),
+    "rng": ("EnsembleConfig", "SubStream", "substream", "random_sym_block",
+            "draw_label_blocks"),
+    "groups": ("PointGroup", "build_group", "relabel", "build_invariant",
+               "check_invariance"),
+    "irreps": ("IrrepBlockSpec", "decompose", "block_spectra", "sample_invariant",
+               "CensusRow", "CensusResult", "ground_state_irrep_census"),
+    "su2": ("legendre", "sigma_j_sq", "effective_width", "width_table",
+            "DimensionTable", "GsDistribution", "f_space", "gs_distribution",
+            "example_dimension_table"),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = [*_HOME, "__version__"]
+
+
+def __getattr__(name):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_HOME[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *_HOME})

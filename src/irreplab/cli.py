@@ -7,23 +7,27 @@ the same configuration reproduces every output byte for byte,
 regardless of ``--threads``.
 
 Exit codes: 0 success, 2 usage or input error, 3 numeric failure.
+
+numpy runs on one BLAS thread unless ``OPENBLAS_NUM_THREADS`` or
+``OMP_NUM_THREADS`` is set: ``--threads`` is the only parallelism, and
+a dense eigensolve's last bits depend on the BLAS thread count.  Each
+command imports only the modules it runs.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
-import numpy as np
-
-from . import __version__
+from . import DEFAULT_QUAD_POINTS, __version__
 from .errors import InvalidInputError, NumericFailureError
-from .groups import build_group, build_invariant, check_invariance
-from .irreps import _spectrum_eigenvalues, ground_state_irrep_census, sample_invariant
-from .linalg import SymMatrix, eigensolve, multiset_deviation, read_matrix_text, write_matrix_text
-from .rng import EnsembleConfig
-from .su2 import DEFAULT_QUAD_POINTS, DimensionTable, f_space, gs_distribution, width_table
+
+if "OPENBLAS_NUM_THREADS" not in os.environ and "OMP_NUM_THREADS" not in os.environ:
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+
+import numpy as np  # noqa: E402  (after the BLAS thread default)
 
 USAGE_ERROR = 2
 NUMERIC_ERROR = 3
@@ -81,6 +85,11 @@ def _group_config(args) -> dict:
 
 
 def _cmd_build(args) -> int:
+    from .groups import build_group, check_invariance
+    from .irreps import sample_invariant
+    from .linalg import write_matrix_text
+    from .rng import EnsembleConfig
+
     config = _group_config(args)
     group = build_group(args.group, args.n)
     cfg = EnsembleConfig(args.seed, 1, args.sigma0, args.group, args.n, args.m)
@@ -95,6 +104,10 @@ def _cmd_build(args) -> int:
 
 
 def _cmd_spectrum(args) -> int:
+    from .groups import build_group, build_invariant
+    from .irreps import _spectrum_eigenvalues
+    from .linalg import SymMatrix, eigensolve, multiset_deviation, read_matrix_text
+
     _check_n(args)
     if args.m < 1:
         raise InvalidInputError(f"--m must be >= 1, got {args.m}")
@@ -147,6 +160,9 @@ def _cmd_spectrum(args) -> int:
 
 
 def _cmd_census(args) -> int:
+    from .irreps import ground_state_irrep_census
+    from .rng import EnsembleConfig
+
     _check_threads(args.threads)
     config = _group_config(args)
     config.update({"trials": args.trials, "out": args.out, "format": args.format})
@@ -166,6 +182,8 @@ def _cmd_census(args) -> int:
 
 
 def _cmd_su2_widths(args) -> int:
+    from .su2 import width_table
+
     _write_rows(args.out, args.format, ("twoJ", "sigmaJ_sq"),
                 width_table(args.jmax, args.quad_points))
     config = {"jmax": args.jmax, "quad_points": args.quad_points,
@@ -176,6 +194,9 @@ def _cmd_su2_widths(args) -> int:
 
 
 def _cmd_gsdist(args) -> int:
+    from .rng import EnsembleConfig
+    from .su2 import DimensionTable, f_space, gs_distribution
+
     _check_threads(args.threads)
     dims = DimensionTable.from_csv(args.dims)
     if args.jmax is not None:

@@ -37,7 +37,6 @@ the trials into chunks (or over threads) changes nothing.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -338,6 +337,8 @@ def _chunked_tally(chunk_minima, trials: int, row_elements: int,
     if threads <= 1 or len(chunks) <= 1:
         outcomes = [worker(chunk) for chunk in chunks]
     else:
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=threads) as pool:
             outcomes = list(pool.map(worker, chunks))
     return sum(c for c, _ in outcomes), sum(t for _, t in outcomes)

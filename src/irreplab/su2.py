@@ -25,11 +25,10 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from importlib import resources
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
+from . import DEFAULT_QUAD_POINTS
 from .errors import InvalidInputError
 from .rng import EnsembleConfig, _check_scale, _chunked_tally, _normals_rows, _row_uniforms
 from .rng import substream  # noqa: F401  (kept importable here; perfbench's tracer test looks it up)
@@ -45,8 +44,6 @@ __all__ = [
     "gs_distribution",
     "example_dimension_table",
 ]
-
-DEFAULT_QUAD_POINTS = 512
 
 
 def legendre(j: int, x):
@@ -75,6 +72,8 @@ def _angular_grid(quad_points: int):
     # Gauss-Legendre nodes mapped from [-1, 1] to the angle range [0, pi];
     # the integrands are trigonometric polynomials, so convergence is
     # far faster than any tolerance used here
+    from numpy.polynomial.legendre import leggauss
+
     x, w = leggauss(quad_points)
     theta = 0.5 * math.pi * (x + 1.0)
     weights = 0.5 * math.pi * w
@@ -193,6 +192,8 @@ def example_dimension_table() -> DimensionTable:
     """The bundled illustrative table (shaped like a mid-size shell-model
     space: dimensions rise to J ~ 2 and then fall off, with J = 0 a small
     fraction of the total)."""
+    from importlib import resources
+
     ref = resources.files("irreplab").joinpath("data/example_dims.csv")
     with resources.as_file(ref) as path:
         return DimensionTable.from_csv(path)

@@ -29,3 +29,9 @@ def test_package_exports_are_the_module_union():
 def test_package_exports_stay_few():
     # ratchet: lower the bound as names leave, never raise it
     assert len(irreplab.__all__) <= 35
+
+
+def test_dir_lists_every_export_and_unknown_names_raise():
+    assert set(irreplab.__all__) <= set(dir(irreplab))
+    with pytest.raises(AttributeError, match="no_such_name"):
+        irreplab.no_such_name

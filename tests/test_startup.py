@@ -1,0 +1,114 @@
+"""What a fresh process pays for: BLAS threads and imported modules.
+
+Every check runs in a child interpreter, because numpy fixes its BLAS
+thread count when it loads and this test process has loaded it already.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
+DIMS = SRC / "irreplab" / "data" / "example_dims.csv"
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def _env(**extra):
+    env = {k: v for k, v in os.environ.items() if k not in THREAD_VARS}
+    env["PYTHONPATH"] = str(SRC)
+    env.update(extra)
+    return env
+
+
+def _child(code, cwd=None, **extra):
+    """Run ``code`` in a fresh interpreter; the JSON it prints last."""
+    out = subprocess.run([sys.executable, "-c", code], env=_env(**extra), cwd=cwd,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    return json.loads(out.stdout.splitlines()[-1])
+
+
+# records the thread variables at the moment numpy starts to load
+PROBE = """
+import json, os, sys
+seen = []
+class Probe:
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy":
+            seen.append({k: os.environ.get(k) for k in %r})
+sys.meta_path.insert(0, Probe())
+""" % (THREAD_VARS,)
+
+
+def _loaded(prefixes):
+    return f"print(json.dumps(sorted(m for m in sys.modules if m.startswith({prefixes!r}))))"
+
+
+class TestBlasThreads:
+    def test_cli_sets_one_thread_before_numpy_loads(self):
+        seen = _child(PROBE + "import irreplab.cli\nprint(json.dumps(seen))")
+        assert seen == [{"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": None}]
+
+    @pytest.mark.parametrize("var", THREAD_VARS)
+    def test_user_setting_is_left_as_given(self, var):
+        seen = _child(PROBE + "import irreplab.cli\nprint(json.dumps(seen))", **{var: "2"})
+        expected = dict.fromkeys(THREAD_VARS)
+        expected[var] = "2"
+        assert seen == [expected]
+
+    def test_library_import_changes_no_variable(self):
+        code = ("import json, os\nbefore = dict(os.environ)\nimport irreplab\n"
+                "for name in irreplab.__all__:\n    getattr(irreplab, name)\n"
+                "print(json.dumps(dict(os.environ) == before))")
+        assert _child(code) is True
+
+    def test_spectrum_bytes_do_not_depend_on_blas_threads(self, tmp_path):
+        # cyclic n = 50, m = 8 is large enough for a 2-core host's BLAS
+        # pool to move the dense eigenvalues' last bits
+        outputs = []
+        for name, extra in (("default", {}), ("one", {"OPENBLAS_NUM_THREADS": "1"})):
+            work = tmp_path / name
+            work.mkdir()
+            for argv in (["build", "--group", "cyclic", "--n", "50", "--m", "8",
+                          "--seed", "11", "--out", "h.txt"],
+                         ["spectrum", "--in", "h.txt", "--group", "cyclic", "--m", "8",
+                          "--out", "s.csv"]):
+                subprocess.run([sys.executable, "-m", "irreplab.cli", *argv], cwd=work,
+                               env=_env(**extra), check=True, capture_output=True,
+                               timeout=120)
+            outputs.append({p.name: p.read_bytes() for p in sorted(work.iterdir())})
+        assert len(outputs[0]) == 4
+        assert outputs[0] == outputs[1]
+
+
+class TestImports:
+    def test_package_import_loads_no_submodule_or_numpy(self):
+        code = ("import json, sys\nimport irreplab\n"
+                "assert set(irreplab.__all__) <= set(dir(irreplab))\n"
+                + _loaded(("irreplab", "numpy")))
+        assert _child(code) == ["irreplab"]
+
+    @pytest.mark.parametrize("argv, absent", [
+        (["--version"], ["irreplab.groups", "irreplab.irreps", "irreplab.linalg",
+                         "irreplab.rng", "irreplab.su2", "numpy.polynomial",
+                         "concurrent.futures"]),
+        (["gsdist", "--dims", str(DIMS), "--trials", "20", "--out", "d.csv"],
+         ["irreplab.groups", "irreplab.irreps", "irreplab.linalg"]),
+        (["census", "--group", "tetra", "--trials", "20", "--out", "c.csv"],
+         ["irreplab.su2"]),
+    ], ids=["version", "gsdist", "census"])
+    def test_command_loads_only_what_it_runs(self, tmp_path, argv, absent):
+        code = ("import contextlib, io, json, sys\nfrom irreplab.cli import main\n"
+                "with contextlib.redirect_stdout(io.StringIO()), "
+                "contextlib.suppress(SystemExit):\n"
+                f"    assert main({argv!r}) == 0\n"
+                + _loaded(("irreplab", "numpy.polynomial", "concurrent")))
+        loaded = _child(code, cwd=tmp_path)
+        assert "irreplab.cli" in loaded
+        assert not [m for m in loaded for name in absent
+                    if m == name or m.startswith(name + ".")]
