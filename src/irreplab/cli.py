@@ -9,9 +9,10 @@ regardless of ``--threads``.
 Exit codes: 0 success, 2 usage or input error, 3 numeric failure.
 
 numpy runs on one BLAS thread unless ``OPENBLAS_NUM_THREADS`` or
-``OMP_NUM_THREADS`` is set: ``--threads`` is the only parallelism, and
-a dense eigensolve's last bits depend on the BLAS thread count.  Each
-command imports only the modules it runs.
+``OMP_NUM_THREADS`` is set, or numpy loaded before this module did:
+``--threads`` is the only parallelism, and a dense eigensolve's last
+bits depend on the BLAS thread count.  Each command imports only the
+modules it runs.
 """
 
 from __future__ import annotations
@@ -24,7 +25,10 @@ import sys
 from . import DEFAULT_QUAD_POINTS, __version__
 from .errors import InvalidInputError, NumericFailureError
 
-if "OPENBLAS_NUM_THREADS" not in os.environ and "OMP_NUM_THREADS" not in os.environ:
+# once numpy has loaded, the variable could only leak into the children
+# of the importing process
+if ("numpy" not in sys.modules and "OPENBLAS_NUM_THREADS" not in os.environ
+        and "OMP_NUM_THREADS" not in os.environ):
     os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 import numpy as np  # noqa: E402  (after the BLAS thread default)

@@ -25,6 +25,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from importlib import resources
 
 import numpy as np
 
@@ -71,10 +72,18 @@ def legendre(j: int, x):
 def _angular_grid(quad_points: int):
     # Gauss-Legendre nodes mapped from [-1, 1] to the angle range [0, pi];
     # the integrands are trigonometric polynomials, so convergence is
-    # far faster than any tolerance used here
-    from numpy.polynomial.legendre import leggauss
+    # far faster than any tolerance used here.  The default rule is
+    # package data recorded from leggauss, which would solve a dense
+    # quad_points x quad_points eigenproblem; other degrees compute it
+    if quad_points == DEFAULT_QUAD_POINTS:
+        rule = resources.files("irreplab").joinpath(
+            f"data/gauss_legendre_{quad_points}.csv").read_text(encoding="ascii")
+        x, w = np.array([[float.fromhex(v) for v in line.split(",")]
+                         for line in rule.splitlines()[1:]]).T
+    else:
+        from numpy.polynomial.legendre import leggauss
 
-    x, w = leggauss(quad_points)
+        x, w = leggauss(quad_points)
     theta = 0.5 * math.pi * (x + 1.0)
     weights = 0.5 * math.pi * w
     theta.flags.writeable = False
@@ -83,8 +92,10 @@ def _angular_grid(quad_points: int):
 
 
 def _check_quad_points(quad_points: int):
-    if quad_points < 64:
-        raise InvalidInputError("quad_points must be >= 64")
+    # leggauss holds two dense quad_points x quad_points matrices, 64 MB
+    # at the ceiling
+    if not 64 <= quad_points <= 2048:
+        raise InvalidInputError(f"quad_points must be in [64, 2048], got {quad_points}")
 
 
 def sigma_j_sq(j: int, quad_points: int = DEFAULT_QUAD_POINTS) -> float:
@@ -192,8 +203,6 @@ def example_dimension_table() -> DimensionTable:
     """The bundled illustrative table (shaped like a mid-size shell-model
     space: dimensions rise to J ~ 2 and then fall off, with J = 0 a small
     fraction of the total)."""
-    from importlib import resources
-
     ref = resources.files("irreplab").joinpath("data/example_dims.csv")
     with resources.as_file(ref) as path:
         return DimensionTable.from_csv(path)

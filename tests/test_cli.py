@@ -1,11 +1,14 @@
 import hashlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from irreplab import build_group, check_invariance, read_matrix_text, write_matrix_text
 from irreplab.cli import _build_parser, main
+
+DIMS = Path(__file__).resolve().parent.parent / "src" / "irreplab" / "data" / "example_dims.csv"
 
 
 def run(*args):
@@ -319,6 +322,16 @@ class TestCensus:
 ])
 def test_threads_default_to_one(argv):
     assert _build_parser().parse_args(argv).threads == 1
+
+
+@pytest.mark.parametrize("command, extra", [
+    ("su2-widths", []),
+    ("gsdist", ["--dims", DIMS, "--trials", "10"]),
+])
+def test_quad_points_above_ceiling_exits_2(tmp_path, capsys, command, extra):
+    assert run(command, *extra, "--quad-points", "2049", "--out", tmp_path / "o.csv") == 2
+    assert "quad_points must be in [64, 2048], got 2049" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 class TestSu2Widths:

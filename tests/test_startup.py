@@ -12,6 +12,8 @@ from pathlib import Path
 
 import pytest
 
+from irreplab.su2 import width_table
+
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 DIMS = SRC / "irreplab" / "data" / "example_dims.csv"
@@ -49,6 +51,15 @@ def _loaded(prefixes):
     return f"print(json.dumps(sorted(m for m in sys.modules if m.startswith({prefixes!r}))))"
 
 
+def _run_main(argv):
+    """Child code: run the CLI on ``argv``, then print the modules loaded."""
+    return ("import contextlib, io, json, sys\nfrom irreplab.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()), "
+            "contextlib.suppress(SystemExit):\n"
+            f"    assert main({argv!r}) == 0\n"
+            + _loaded(("irreplab", "numpy.polynomial", "concurrent")))
+
+
 class TestBlasThreads:
     def test_cli_sets_one_thread_before_numpy_loads(self):
         seen = _child(PROBE + "import irreplab.cli\nprint(json.dumps(seen))")
@@ -60,6 +71,13 @@ class TestBlasThreads:
         expected = dict.fromkeys(THREAD_VARS)
         expected[var] = "2"
         assert seen == [expected]
+
+    def test_cli_imported_after_numpy_changes_no_variable(self):
+        # too late to choose numpy's pool; the variable would only reach
+        # the children of the importing process
+        code = ("import json, os\nimport numpy\nbefore = dict(os.environ)\n"
+                "import irreplab.cli\nprint(json.dumps(dict(os.environ) == before))")
+        assert _child(code) is True
 
     def test_library_import_changes_no_variable(self):
         code = ("import json, os\nbefore = dict(os.environ)\nimport irreplab\n"
@@ -97,18 +115,23 @@ class TestImports:
         (["--version"], ["irreplab.groups", "irreplab.irreps", "irreplab.linalg",
                          "irreplab.rng", "irreplab.su2", "numpy.polynomial",
                          "concurrent.futures"]),
+        # the default 512-node rule is package data: no leggauss eigensolve
         (["gsdist", "--dims", str(DIMS), "--trials", "20", "--out", "d.csv"],
-         ["irreplab.groups", "irreplab.irreps", "irreplab.linalg"]),
+         ["irreplab.groups", "irreplab.irreps", "irreplab.linalg", "numpy.polynomial"]),
+        (["su2-widths", "--out", "w.csv"],
+         ["irreplab.groups", "irreplab.irreps", "irreplab.linalg", "numpy.polynomial"]),
         (["census", "--group", "tetra", "--trials", "20", "--out", "c.csv"],
          ["irreplab.su2"]),
-    ], ids=["version", "gsdist", "census"])
+    ], ids=["version", "gsdist", "su2-widths", "census"])
     def test_command_loads_only_what_it_runs(self, tmp_path, argv, absent):
-        code = ("import contextlib, io, json, sys\nfrom irreplab.cli import main\n"
-                "with contextlib.redirect_stdout(io.StringIO()), "
-                "contextlib.suppress(SystemExit):\n"
-                f"    assert main({argv!r}) == 0\n"
-                + _loaded(("irreplab", "numpy.polynomial", "concurrent")))
-        loaded = _child(code, cwd=tmp_path)
+        loaded = _child(_run_main(argv), cwd=tmp_path)
         assert "irreplab.cli" in loaded
         assert not [m for m in loaded for name in absent
                     if m == name or m.startswith(name + ".")]
+
+    def test_other_quad_points_compute_the_rule(self, tmp_path):
+        argv = ["su2-widths", "--quad-points", "1024", "--format", "json", "--out", "w.json"]
+        loaded = _child(_run_main(argv), cwd=tmp_path)
+        assert "numpy.polynomial.legendre" in loaded
+        rows = json.loads((tmp_path / "w.json").read_text())
+        assert rows == [{"sigmaJ_sq": w, "twoJ": two_j} for two_j, w in width_table(10, 1024)]

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from numpy.polynomial.legendre import leggauss
 
 from irreplab import (
     DimensionTable,
@@ -21,6 +22,7 @@ from irreplab.cli import main
 from irreplab.su2 import _angular_grid
 
 DATA = Path(__file__).parent / "data"
+SRC_DATA = Path(__file__).resolve().parent.parent / "src" / "irreplab" / "data"
 BAD_FACTORS = [-1.0, 0.0, math.nan, math.inf]
 
 
@@ -108,6 +110,14 @@ class TestWidthIntegral:
         with pytest.raises(InvalidInputError):
             sigma_j_sq(2, quad_points=32)
 
+    def test_quad_points_ceiling(self):
+        assert sigma_j_sq(2, quad_points=2048) == pytest.approx(5 * math.pi / 64, abs=1e-12)
+        misses = _angular_grid.cache_info().misses
+        with pytest.raises(InvalidInputError, match=r"\[64, 2048\], got 2049"):
+            sigma_j_sq(2, quad_points=2049)
+        # rejected before any rule is built
+        assert _angular_grid.cache_info().misses == misses
+
     def test_strictly_decreasing_in_j(self):
         vals = [sigma_j_sq(j) for j in range(21)]
         assert all(a > b for a, b in zip(vals, vals[1:]))
@@ -123,6 +133,26 @@ class TestWidthIntegral:
         table = width_table(4)
         assert [tj for tj, _ in table] == [0, 2, 4, 6, 8]
         assert dict(table)[0] == pytest.approx(math.pi / 2, abs=1e-12)
+
+
+class TestDefaultRule:
+    """The 512-node rule ships as package data recorded from ``leggauss``."""
+
+    def test_shipped_rule_is_leggauss_bit_for_bit(self):
+        lines = (SRC_DATA / "gauss_legendre_512.csv").read_text(encoding="ascii").splitlines()
+        assert lines[0] == "x,w"
+        shipped = np.array([[float.fromhex(v) for v in ln.split(",")] for ln in lines[1:]])
+        reference = np.column_stack(leggauss(512))
+        assert shipped.shape == (512, 2)
+        np.testing.assert_array_equal(shipped.view(np.uint64), reference.view(np.uint64))
+
+    @pytest.mark.parametrize("quad_points", [512, 1024])
+    def test_grid_is_the_mapped_leggauss_rule(self, quad_points):
+        x, w = leggauss(quad_points)
+        for got, want in zip(_angular_grid(quad_points),
+                             (0.5 * math.pi * (x + 1.0), 0.5 * math.pi * w)):
+            np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+            assert not got.flags.writeable
 
 
 class TestEffectiveWidth:
