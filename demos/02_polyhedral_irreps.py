@@ -12,6 +12,8 @@ commute (no irrep repeats), and their shared integer eigenvalues are the
 combination coefficients, one copy per eigenvector.
 """
 
+import math
+
 from irreplab import (
     block_spectra,
     build_group,
@@ -30,8 +32,9 @@ for kind in ("tetra", "octa", "cube"):
 
     print("   irrep blocks (combination of orbit blocks F_k, multiplicity, variance factor):")
     for spec in decompose(group):
+        # NaN marks an orbit the block does not combine
         combo = " ".join(
-            f"{c:+g}F{k}" for k, c in spec.coefficients.items())
+            f"{c:+g}F{k}" for k, c in enumerate(spec.coefficients) if not math.isnan(c))
         print(f"     {spec.label:6s} {combo:24s} x{spec.copies}   "
               f"{spec.variance_factor:g} sigma0^2")
 

@@ -17,8 +17,9 @@ the larger sum over orbits of (orbit size x coefficient), a quantity
 that does not depend on how the sites are numbered, is ``<d>dim+`` and
 the other ``<d>dim-``.
 
-One kernel, ``_block_eigenvalues``, gives the combination blocks'
-eigenvalues from packed orbit triangles, for the census and the spectra.
+One kernel, ``_block_eigenvalues``, combines packed orbit triangles by
+a group's one (specs, orbits) coefficient array, NaN where a block does
+not combine an orbit, and solves the blocks, for census and spectra.
 
 The master consistency check, used throughout the tests: the sorted
 eigenvalues of the dense invariant matrix equal the multiset union of
@@ -57,35 +58,36 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IrrepBlockSpec:
     """One block of the block-diagonal form.
 
-    ``coefficients`` maps orbit numbers to the weights of the
-    combination block; ``copies`` is how many times the block repeats
-    in the block-diagonal form.  The predicted per-element variance of
-    the block, in units of the input element variance, is the sum of
-    squared coefficients (independent inputs of equal variance).
-    Keys ascend; ``combination`` is the kernel's bit-for-bit reference.
+    ``coefficients[k]`` weights orbit k in the combination block, NaN
+    where the block does not combine it; ``copies`` is how many times
+    the block repeats in the block-diagonal form.  The predicted
+    per-element variance of the block, in units of the input element
+    variance, is the sum of squared coefficients (independent inputs of
+    equal variance).  ``combination`` is the kernel's bit-for-bit reference.
     """
 
     label: str
     copies: int
-    coefficients: dict[int, float]
+    coefficients: np.ndarray
 
     @property
     def variance_factor(self) -> float:
-        return float(sum(c * c for c in self.coefficients.values()))
+        c = self.coefficients  # summed left to right; np.sum is pairwise
+        return float(np.nancumsum(c * c)[-1])
 
     def combination(self, blocks: Sequence[np.ndarray]) -> np.ndarray:
         out = None
-        for orbit, c in self.coefficients.items():
-            term = c * np.asarray(blocks[orbit], dtype=np.float64)
+        for k in np.flatnonzero(~np.isnan(self.coefficients)):
+            term = self.coefficients[k] * np.asarray(blocks[k], dtype=np.float64)
             out = term if out is None else out + term
         return out
 
 
-def _decompose_by_orbit_algebra(group: PointGroup) -> list[IrrepBlockSpec]:
+def _decompose_by_orbit_algebra(group: PointGroup) -> tuple[list[str], list[int], np.ndarray]:
     """Irrep blocks of a multiplicity-free action, read off its orbit algebra.
 
     The orbit adjacency matrices A_k commute exactly when no irrep
@@ -107,7 +109,7 @@ def _decompose_by_orbit_algebra(group: PointGroup) -> list[IrrepBlockSpec]:
     sizes = group.orbit_sizes()
     weight = {row: sum(s * c for s, c in zip(sizes, row)) for row in copies}
     rows = sorted(copies, key=lambda row: (copies[row], -weight[row]))
-    specs = []
+    labels = []
     for row in rows:
         twins = [r for r in rows if copies[r] == copies[row]]
         label = f"{copies[row]}dim"
@@ -115,16 +117,16 @@ def _decompose_by_orbit_algebra(group: PointGroup) -> list[IrrepBlockSpec]:
             raise InvalidInputError(f"{group.name}: no +/- rule names its {label} blocks")
         if len(twins) == 2:
             label += "+" if row == twins[0] else "-"
-        specs.append(IrrepBlockSpec(label, copies[row],
-                                    {k: c for k, c in enumerate(row) if c != 0}))
-    return specs
+        labels.append(label)
+    # NaN: the block does not combine that orbit
+    return labels, [copies[row] for row in rows], np.where(np.array(rows) == 0, np.nan, rows)
 
 
-def _fourier_blocks(group: PointGroup) -> list[IrrepBlockSpec]:
+def _fourier_blocks(group: PointGroup) -> tuple[list[str], list[int], np.ndarray]:
     """Fourier block structure of a C_n invariant matrix.
 
     Block k (k = 0..floor(n/2)) combines the distance blocks F_0..F_d,
-    each keyed by the orbit that holds distance j, with weight 1 for
+    each at the orbit that holds distance j, with weight 1 for
     j = 0 and ``zeta_j cos(2 pi r / n)`` otherwise, where
     r = min(kj mod n, n - kj mod n) is the reduced angle and zeta_j is
     1 at 2j = n and 2 elsewhere.  One cosine is computed per r, with
@@ -140,8 +142,7 @@ def _fourier_blocks(group: PointGroup) -> list[IrrepBlockSpec]:
     half = n // 2
     # walk the generator to find the cyclic distance each orbit holds
     # (the orbit number itself for the canonical numbering, but correct
-    # for any relabeling); column c of the weights is orbit c, so keys
-    # ascend by orbit
+    # for any relabeling); column c of the weights is orbit c
     gen = group.generators[0]
     site = 0
     dist = np.empty(half + 1, dtype=np.int64)
@@ -154,34 +155,30 @@ def _fourier_blocks(group: PointGroup) -> list[IrrepBlockSpec]:
     kj = np.outer(d, dist) % n
     weights = cosines[np.minimum(kj, n - kj)] * np.where(2 * dist == n, 1.0, 2.0)
     weights[:, dist == 0] = 1.0
-    orbits = list(range(half + 1))  # one int object per key, shared by every spec
-    return [IrrepBlockSpec(f"k={k}", 1 if k == 0 or 2 * k == n else 2,
-                           dict(zip(orbits, row.tolist()))) for k, row in enumerate(weights)]
+    return ([f"k={k}" for k in d], [1 if k == 0 or 2 * k == n else 2 for k in d], weights)
 
 
 def decompose(group: PointGroup) -> list[IrrepBlockSpec]:
-    """Block specs for any supported group, keyed by its own orbit numbers.
-
+    """Block specs for any supported group, whose coefficients are the rows
+    of one read-only (specs, orbits) array; a ring's rows name every orbit.
     Raises ``InvalidInputError`` for a non-cyclic group whose pair-orbit
     matrices do not commute or have non-integer eigenvalues.
     """
-    if group.kind == "cyclic":
-        return _fourier_blocks(group)
-    return _decompose_by_orbit_algebra(group)
+    derive = _fourier_blocks if group.kind == "cyclic" else _decompose_by_orbit_algebra
+    labels, copies, table = derive(group)
+    table.flags.writeable = False
+    return [IrrepBlockSpec(*spec) for spec in zip(labels, copies, table)]
 
 
-def _block_eigenvalues(specs: Sequence[IrrepBlockSpec], triangles: np.ndarray,
-                       m: int) -> np.ndarray:
+def _block_eigenvalues(specs: Sequence[IrrepBlockSpec], coeffs: np.ndarray,
+                       triangles: np.ndarray, m: int) -> np.ndarray:
     """(specs, rows, m) ascending eigenvalues of the combination blocks of
-    the (orbits, rows, m(m+1)/2) packed orbit ``triangles``.  Ascending
-    orbits, one multiply-add each into every spec that names the orbit:
-    the bits of `IrrepBlockSpec.combination` with ascending keys.  A
-    combination that is not finite raises ``NumericFailureError``."""
-    coeffs = np.full((len(specs), len(triangles)), np.nan)  # NaN: orbit not named
-    for i, spec in enumerate(specs):
-        coeffs[i, list(spec.coefficients)] = list(spec.coefficients.values())
+    the (orbits, rows, m(m+1)/2) packed orbit ``triangles`` by the specs'
+    stacked ``coeffs``.  Ascending orbits, one multiply-add each into
+    every spec that names the orbit (not NaN): the bits of
+    `IrrepBlockSpec.combination`.  A non-finite block raises ``NumericFailureError``."""
     # -0.0 is the exact additive identity: the first term keeps its bits
-    combos = np.full((len(specs),) + triangles.shape[1:], -0.0)
+    combos = np.full((len(coeffs),) + triangles.shape[1:], -0.0)
     with np.errstate(over="ignore", invalid="ignore"):
         for c, tri in zip(coeffs.T[:, :, None, None], triangles):
             np.add(combos, c * tri, out=combos, where=~np.isnan(c))
@@ -202,7 +199,8 @@ def _spectrum_eigenvalues(group: PointGroup, blocks: Sequence[np.ndarray]):
     m = blocks[0].shape[0]
     rows, cols = np.triu_indices(m)
     specs = decompose(group)
-    return specs, _block_eigenvalues(specs, np.stack(blocks)[:, None, rows, cols], m)[:, 0]
+    coeffs = np.stack([s.coefficients for s in specs])
+    return specs, _block_eigenvalues(specs, coeffs, np.stack(blocks)[:, None, rows, cols], m)[:, 0]
 
 
 def block_spectra(group: PointGroup, blocks: Sequence[np.ndarray]) -> Spectrum:
@@ -267,23 +265,24 @@ class CensusResult:
         raise KeyError(label)
 
 
-def _census_minima(specs: Sequence[IrrepBlockSpec], orbits: int, cfg: EnsembleConfig,
+def _census_minima(specs: Sequence[IrrepBlockSpec], coeffs: np.ndarray, cfg: EnsembleConfig,
                    trials: np.ndarray) -> np.ndarray:
     """(len(trials), len(specs)) lowest eigenvalues of every combination
     block of the given trials, computed on packed orbit triangles."""
-    triangles = _orbit_triangles(cfg.master_seed, trials, orbits, cfg.m, cfg.sigma0)
-    return _block_eigenvalues(specs, triangles, cfg.m)[:, :, 0].T
+    triangles = _orbit_triangles(cfg.master_seed, trials, coeffs.shape[1], cfg.m, cfg.sigma0)
+    return _block_eigenvalues(specs, coeffs, triangles, cfg.m)[:, :, 0].T
 
 
-def _census_from_specs(specs: Sequence[IrrepBlockSpec], orbits: int, sites: int,
-                       cfg: EnsembleConfig, threads: int = 1) -> CensusResult:
+def _census_from_specs(specs: Sequence[IrrepBlockSpec], sites: int, cfg: EnsembleConfig,
+                       threads: int = 1) -> CensusResult:
     m = cfg.m
+    coeffs = np.stack([s.coefficients for s in specs])
     # counts one orbit's uniforms or one full m x m block per orbit,
     # whichever is larger; per trial the kernel holds more: the packed
     # triangles and the accumulator beside the specs' full blocks, up to
     # about 2 L m^2 elements (cube m = 64: 33,024 against this 16,384)
-    row_elements = max(_row_uniforms(m * (m + 1) // 2), orbits * m * m)
-    counts, ties = _chunked_tally(lambda trials: _census_minima(specs, orbits, cfg, trials),
+    row_elements = max(_row_uniforms(m * (m + 1) // 2), coeffs.shape[1] * m * m)
+    counts, ties = _chunked_tally(lambda trials: _census_minima(specs, coeffs, cfg, trials),
                                   cfg.trials, row_elements, threads)
     rows = tuple(CensusRow(spec.label, spec.copies, m, spec.variance_factor, int(count),
                            cfg.trials, sites) for spec, count in zip(specs, counts))
@@ -304,5 +303,5 @@ def ground_state_irrep_census(cfg: EnsembleConfig, threads: int = 1) -> CensusRe
     if cfg.group is None:
         raise InvalidInputError("EnsembleConfig.group must be set for a census")
     group = build_group(cfg.group, cfg.n)
-    return _census_from_specs(decompose(group), group.orbit_count, group.sites, cfg, threads)
+    return _census_from_specs(decompose(group), group.sites, cfg, threads)
 

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import functools
 import math
+import re
 from dataclasses import dataclass
 from importlib import resources
 
@@ -55,7 +56,7 @@ def legendre(j: int, x):
     if j < 0:
         raise InvalidInputError("degree must be >= 0")
     arr = np.asarray(x, dtype=np.float64)
-    if np.any(np.abs(arr) > 1.0):
+    if not np.all(np.abs(arr) <= 1.0):
         raise InvalidInputError("Legendre argument must lie in [-1, 1]")
     scalar = arr.ndim == 0
     arr = np.atleast_1d(arr)
@@ -103,8 +104,11 @@ def sigma_j_sq(j: int, quad_points: int = DEFAULT_QUAD_POINTS) -> float:
 
     Quoted without the 4 pi^2 sigma-bar^2 prefactor.  Exact values for
     the first few degrees: pi/2, pi/8, 5 pi/64, 29 pi/512, 727 pi/16384.
+    A q-node rule holds 1e-10 up to j = q // 2 - 4; larger j is rejected.
     """
     _check_quad_points(quad_points)
+    if j > quad_points // 2 - 4:
+        raise InvalidInputError(f"J = {j} needs quad_points >= {2 * j + 8}, got {quad_points}")
     theta, weights = _angular_grid(quad_points)
     p = legendre(j, np.cos(theta))
     s = np.sin(theta)
@@ -188,12 +192,9 @@ class DimensionTable:
                     continue
                 if len(parts) != 2:
                     raise InvalidInputError(f"{path}:{lineno}: expected twoJ,dim")
-                try:
-                    entries.append((int(parts[0]), int(parts[1])))
-                except ValueError as exc:
-                    raise InvalidInputError(
-                        f"{path}:{lineno}: twoJ and dim must be integers"
-                    ) from exc
+                if not all(re.fullmatch(r"-?[0-9]+", p) for p in parts):
+                    raise InvalidInputError(f"{path}:{lineno}: twoJ and dim must be integers")
+                entries.append((int(parts[0]), int(parts[1])))
         if not entries:
             raise InvalidInputError(f"{path}: no dimension rows found")
         return cls(tuple(entries))

@@ -335,6 +335,13 @@ def test_quad_points_above_ceiling_exits_2(tmp_path, capsys, command, extra):
 
 
 class TestSu2Widths:
+    @pytest.mark.parametrize("jmax, quad", [("253", []), ("509", ["--quad-points", "1024"])])
+    def test_jmax_past_the_quadrature_exits_2(self, tmp_path, capsys, jmax, quad):
+        # 512 nodes reach J = 252 to 1e-10; at J = 400 they are 6% off
+        assert run("su2-widths", "--jmax", jmax, *quad, "--out", tmp_path / "w.csv") == 2
+        assert f"J = {jmax} needs quad_points" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_table_values(self, tmp_path):
         out = tmp_path / "w.csv"
         assert run("su2-widths", "--jmax", "4", "--out", out) == 0
@@ -376,12 +383,25 @@ class TestGsDist:
         assert "two_j=3 is half-integer" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == [dims]
 
-    def test_non_ascii_byte_exits_2(self, tmp_path, capsys):
+    # int() would read "1_0" as 10 and "+2" as 2; a field is an optional
+    # "-" and ASCII digits
+    @pytest.mark.parametrize("row", [b"2,\xe9", b"1_0,4", b"+2,4"],
+                             ids=["non-ascii", "underscore", "plus"])
+    def test_non_ascii_byte_exits_2(self, tmp_path, capsys, row):
         dims = tmp_path / "dims.csv"
-        dims.write_bytes(b"twoJ,dim\n0,1\n2,\xe9\n")
+        dims.write_bytes(b"twoJ,dim\n0,1\n" + row + b"\n")
         assert run("gsdist", "--dims", dims, "--trials", "10",
                    "--out", tmp_path / "d.csv") == 2
         assert f"{dims}:3: twoJ and dim must be integers" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [dims]
+
+    def test_two_j_past_the_quadrature_exits_2(self, tmp_path, capsys):
+        dims = tmp_path / "dims.csv"
+        dims.write_text("twoJ,dim\n0,3\n504,2\n506,2\n")
+        assert run("gsdist", "--dims", dims, "--trials", "10",
+                   "--out", tmp_path / "d.csv") == 2
+        assert "J = 253 needs quad_points >= 514, got 512" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [dims]
 
     @pytest.mark.parametrize("threads", ["0", "-3"])
     def test_threads_below_one_rejected(self, tmp_path, threads):

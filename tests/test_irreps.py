@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -35,10 +36,22 @@ from irreplab.irreps import (
 from test_groups import ALL_GROUPS, perm_from_stream
 
 
+def named(coefficients):
+    """(orbit, coefficient) pairs of the orbits a coefficient row names."""
+    return [(k, float(c)) for k, c in enumerate(coefficients) if not np.isnan(c)]
+
+
+def moved_orbits(g, h, perm):
+    """Orbit numbers of ``h = relabel(g, perm)``, indexed by g's orbits."""
+    return [int(h.orbit_index[perm[i], perm[j]]) for i, j in
+            (g.pairs_of(k)[0] for k in range(g.orbit_count))]
+
+
 class TestPolyhedralDecomposition:
-    # The coefficient tables the orbit-algebra derivation replaced.  Key
-    # order is part of the expectation: it fixes the summation order of
-    # `IrrepBlockSpec.combination`, and with it every census byte.
+    # The coefficient tables the orbit-algebra derivation replaced, as the
+    # (orbit, coefficient) pairs each row names; every other entry is NaN.
+    # Positions are orbit numbers, and the kernel sums them in ascending
+    # order, which fixes every census byte.
     TABLES = {
         "tetra": [
             ("1dim", 1, 10.0, [(0, 1.0), (1, 3.0)]),
@@ -58,9 +71,11 @@ class TestPolyhedralDecomposition:
     }
 
     def check_table(self, kind):
-        specs = decompose(build_group(kind))
-        assert [(s.label, s.copies, s.variance_factor, list(s.coefficients.items()))
+        group = build_group(kind)
+        specs = decompose(group)
+        assert [(s.label, s.copies, s.variance_factor, named(s.coefficients))
                 for s in specs] == self.TABLES[kind]
+        assert all(s.coefficients.shape == (group.orbit_count,) for s in specs)
 
     def test_tetra(self):
         self.check_table("tetra")
@@ -79,7 +94,18 @@ class TestPolyhedralDecomposition:
     def test_variance_factor_is_sum_of_squared_coefficients(self):
         for kind in ("tetra", "octa", "cube"):
             for s in decompose(build_group(kind)):
-                assert s.variance_factor == sum(c * c for c in s.coefficients.values())
+                assert s.variance_factor == sum(c * c for _, c in named(s.coefficients))
+
+    @pytest.mark.parametrize("kind, n", ALL_GROUPS + [("cyclic", 60), ("cyclic", 1000)])
+    def test_coefficients_are_rows_of_one_read_only_array(self, kind, n):
+        group = build_group(kind, n)
+        specs = decompose(group)
+        table = specs[0].coefficients.base
+        assert table.dtype == np.float64 and not table.flags.writeable
+        assert table.shape == (len(specs), group.orbit_count)
+        for i, spec in enumerate(specs):
+            assert spec.coefficients.base is table and not spec.coefficients.flags.writeable
+            assert np.shares_memory(spec.coefficients, table[i])
 
     def test_cyclic_rejected(self):
         # C_5 outside the Fourier path: its orbit matrices commute, but
@@ -108,21 +134,23 @@ class TestPolyhedralDecomposition:
         g = build_group(kind)
         perm = data.draw(st.permutations(range(g.sites)), label="perm")
         h = relabel(g, perm)
-        moved = {k: int(h.orbit_index[perm[i], perm[j]])
-                 for k in range(g.orbit_count) for i, j in g.pairs_of(k)}
+        moved = moved_orbits(g, h, perm)
         for a, b in zip(decompose(g), decompose(h)):
             assert (b.label, b.copies, b.variance_factor) == (a.label, a.copies, a.variance_factor)
-            assert b.coefficients == {moved[k]: c for k, c in a.coefficients.items()}
-            assert list(b.coefficients) == sorted(b.coefficients)
+            # relabeling permutes the columns, NaN included
+            assert np.array_equal(bits(b.coefficients[moved]), bits(a.coefficients))
 
     @pytest.mark.parametrize("n", list(range(2, 13)) + [40, 60])
     def test_relabeled_ring_keys_ascend(self, n):
-        # the kernel sums orbits in ascending order, so the Fourier specs
-        # key them that way on every numbering
+        # column k is orbit k on every numbering: relabeling a ring
+        # permutes its coefficient columns and moves no bit
+        ring = build_group("cyclic", n)
         for seed in range(5):
-            g = relabel(build_group("cyclic", n), perm_from_stream(n, seed))
-            for spec in decompose(g):
-                assert list(spec.coefficients) == sorted(spec.coefficients)
+            perm = perm_from_stream(n, seed)
+            g = relabel(ring, perm)
+            moved = moved_orbits(ring, g, perm)
+            for a, b in zip(decompose(ring), decompose(g)):
+                assert np.array_equal(bits(b.coefficients[moved]), bits(a.coefficients))
 
     def test_relabeled_cyclic_group_decomposes(self):
         g = relabel(build_group("cyclic", 6), perm_from_stream(6, 14))
@@ -254,7 +282,7 @@ class TestFourierCoefficients:
             g = relabel(ring, perm)
             # old site j sits at distance j from old site 0
             orbit_of = [int(g.orbit_index[perm[0], perm[j]]) for j in range(n // 2 + 1)]
-            got = [(s.label, s.copies, [(o, c.hex()) for o, c in s.coefficients.items()])
+            got = [(s.label, s.copies, [(o, float(c).hex()) for o, c in enumerate(s.coefficients)])
                    for s in decompose(g)]
             assert got == ref_ring_specs(n, orbit_of)
 
@@ -274,7 +302,7 @@ class TestCyclicBlocks:
         flat = sorted(float(b[0, 0]) for spec, b in pairs for _ in range(spec.copies))
         assert flat == [-2.0, 0.0, 0.0, 2.0]
         # the k = 0 weights are the double-counting factors zeta_j
-        assert tuple(pairs[0][0].coefficients.values())[1:] == (2.0, 1.0)
+        assert tuple(pairs[0][0].coefficients[1:]) == (2.0, 1.0)
 
     def test_three_cycle_scalar_formulas(self):
         a, b = 0.7, -1.3
@@ -303,7 +331,7 @@ class TestCyclicBlocks:
         for k in range(n // 2 + 1, n):
             spec = specs[n - k]
             weights = [1.0] + [ref_zeta(j, n) * ref_cos(k, j, n) for j in range(1, n // 2 + 1)]
-            assert list(spec.coefficients.values()) == weights
+            assert spec.coefficients.tolist() == weights
             assert spec.copies == 2
 
     def test_matches_cyclic_spec_coefficients(self):
@@ -332,7 +360,33 @@ class TestCyclicBlocks:
         g = build_group("cyclic", 60)
         assert g.orbit_count == 31
         for spec in decompose(g):
-            assert tuple(spec.coefficients) == tuple(range(31))
+            assert spec.coefficients.shape == (31,)
+            assert not np.isnan(spec.coefficients).any()
+
+    def test_snapped_zeros_are_named(self):
+        # at 4r = n the cosine snaps to 0.0, and the ring still names the
+        # orbit: 0.0, not NaN, so the kernel adds its +-0.0 term
+        n = 12
+        snapped = []
+        for k, spec in enumerate(cyclic_specs(n)):
+            assert not np.isnan(spec.coefficients).any()
+            for j, c in enumerate(spec.coefficients):
+                r = (k * j) % n
+                if 4 * min(r, n - r) == n:
+                    snapped.append(c.hex())
+        assert snapped == ["0x0.0p+0"] * 5  # (k, j) = (1, 3), (3, 1), (3, 3), (3, 5), (5, 3)
+
+    def test_ring_decomposition_stays_small(self):
+        # one float64 (specs, orbits) array: 501 x 501 x 8 B = 2.0 MB
+        g = build_group("cyclic", 1000)
+        tracemalloc.start()
+        try:
+            specs = decompose(g)
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(specs) == 501
+        assert retained <= 4 * 2**20
 
 
 class TestCyclicVarianceFactors:
@@ -379,6 +433,11 @@ class TestCyclicVarianceFactors:
                     exact = 2 * n - 2 if k in (0, n // 2) else n - 2
                 assert spec.variance_factor == pytest.approx(exact, rel=1e-15)
 
+    @pytest.mark.parametrize("n", list(range(2, 61)) + [100, 997, 1000])
+    def test_factor_is_the_left_to_right_sum(self, n):
+        for spec in cyclic_specs(n):
+            assert spec.variance_factor == sum(c * c for c in spec.coefficients.tolist())
+
     @pytest.mark.parametrize("n", [2, 4, 5, 6, 7])
     def test_empirical_block_variance(self, n):
         trials = 10000
@@ -403,17 +462,17 @@ class TestCensus:
         assert sum(r.gs_count for r in res.rows) == cfg.trials
 
     def test_single_block_degenerate_census(self):
-        specs = [IrrepBlockSpec("only", 1, {0: 1.0})]
+        specs = [IrrepBlockSpec("only", 1, np.array([1.0]))]
         cfg = EnsembleConfig(1, 50, m=2)
-        res = _census_from_specs(specs, 1, 1, cfg)
+        res = _census_from_specs(specs, 1, cfg)
         assert res.rows[0].gs_fraction == 1.0
 
     def test_exact_tie_detection(self):
         # two identical combinations always tie; the earlier one wins
-        specs = [IrrepBlockSpec("first", 1, {0: 1.0}),
-                 IrrepBlockSpec("second", 1, {0: 1.0})]
+        specs = [IrrepBlockSpec("first", 1, np.array([1.0])),
+                 IrrepBlockSpec("second", 1, np.array([1.0]))]
         cfg = EnsembleConfig(5, 64, m=2)
-        res = _census_from_specs(specs, 1, 2, cfg)
+        res = _census_from_specs(specs, 2, cfg)
         assert res.tie_count == 64
         assert res.rows[0].gs_count == 64
         assert res.rows[1].gs_count == 0
@@ -464,12 +523,13 @@ class TestCensusKernel:
         for group in canonical_and_relabeled(kind, n):
             orbits = group.orbit_count
             specs = decompose(group)
+            coeffs = np.stack([s.coefficients for s in specs])
             trials = np.array([0, 1, 7])
             for m in (1, 2, 4, 8, 17, 64):
                 for seed in (11, 29):
                     for sigma0 in (1.0, 0.37):
                         cfg = EnsembleConfig(seed, 1, sigma0, m=m)
-                        minima = _census_minima(specs, orbits, cfg, trials)
+                        minima = _census_minima(specs, coeffs, cfg, trials)
                         expected = []
                         for trial in trials:
                             blocks = draw_label_blocks(orbits, m, seed, int(trial), sigma0)
@@ -512,6 +572,8 @@ class TestCensusKernel:
         res = ground_state_irrep_census(EnsembleConfig(3, 10, group="cube", m=4))
         assert sum(r.gs_count for r in res.rows) == 10
         assert len(chunks) == len(solves) == 4
+        # the coefficient array is stacked once per census, not per chunk
+        assert all(a[1] is chunks[0][1] for a in chunks)
         assert [a.shape for a in solves] == [(4, 3, 4, 4)] * 3 + [(4, 1, 4, 4)]
         hfile, out = tmp_path / "h.txt", tmp_path / "s.csv"
         assert main(["build", "--group", "cyclic", "--n", "6", "--m", "2",
@@ -536,10 +598,7 @@ def exact_scalar_census(group):
     Gaussian orthant probability P(C_i z - C_j z < 0 for every j != i).
     """
     specs = decompose(group)
-    c = np.zeros((len(specs), group.orbit_count))
-    for i, spec in enumerate(specs):
-        for orbit, coeff in spec.coefficients.items():
-            c[i, orbit] = coeff
+    c = np.nan_to_num(np.stack([s.coefficients for s in specs]))  # NaN: weight 0
     probs = []
     for i in range(len(specs)):
         diff = c[i] - np.delete(c, i, axis=0)  # row j: the form L_i - L_j

@@ -84,6 +84,10 @@ class TestLegendre:
     def test_domain_checked(self):
         with pytest.raises(InvalidInputError):
             legendre(3, 1.2)
+        with pytest.raises(InvalidInputError, match=r"\[-1, 1\]"):
+            legendre(3, math.nan)
+        with pytest.raises(InvalidInputError, match=r"\[-1, 1\]"):
+            legendre(3, np.array([0.5, math.nan]))
         with pytest.raises(InvalidInputError):
             legendre(-1, 0.5)
 
@@ -105,6 +109,15 @@ class TestWidthIntegral:
     def test_quadrature_converged(self, j):
         assert abs(sigma_j_sq(j, 512) - sigma_j_sq(j, 1024)) < 1e-10
         assert abs(sigma_j_sq(j, 64) - sigma_j_sq(j, 128)) < 1e-10
+
+    @pytest.mark.parametrize("quad_points", [64, 65, 77, 100, 128, 200, 256, 512, 1024])
+    def test_quadrature_converged_to_its_bound(self, quad_points):
+        # a q-node rule reaches J = q // 2 - 4 and rejects the next J
+        bound = quad_points // 2 - 4
+        for j in [0, 3, 7, 12, 20, bound]:
+            assert sigma_j_sq(j, quad_points) == pytest.approx(sigma_j_sq(j, 2048), rel=1e-10)
+        with pytest.raises(InvalidInputError, match=f"J = {bound + 1} needs quad_points"):
+            sigma_j_sq(bound + 1, quad_points)
 
     def test_quad_points_floor(self):
         with pytest.raises(InvalidInputError):
