@@ -1,10 +1,13 @@
 """Command-line front end: seeded batch runs emitting CSV/JSON + manifest.
 
-Every command writes its primary output plus ``<out>.manifest.json``
-recording the command, the fully resolved configuration (seed
-included), the package version, and the output paths.  Re-running with
-the same configuration reproduces every output byte for byte,
-regardless of ``--threads``.
+Every command writes its primary output and returns what it resolved
+beyond its flags, with a summary line; `main` then writes
+``<out>.manifest.json`` and prints the summary.  The manifest records
+the command, every parsed flag but ``--threads`` under its flag name
+(``--n`` only for rings), the resolved values (``spectrum``'s ring
+``n``, ``file_asymmetry`` and ``max_multiset_deviation``), the package
+version and the output paths.  Re-running with the same configuration
+reproduces every output byte for byte, regardless of ``--threads``.
 
 Exit codes: 0 success, 2 usage or input error, 3 numeric failure.
 
@@ -41,18 +44,16 @@ def _fmt(x: float) -> str:
     return f"{x:.12g}"
 
 
-def _write_manifest(out_path: str, command: str, config: dict, outputs: list[str]) -> str:
+def _write_manifest(out_path: str, command: str, config: dict, outputs: list[str]) -> None:
     manifest = {
         "command": command,
         "config": config,
         "spec_version": __version__,
         "outputs": outputs,
     }
-    path = out_path + ".manifest.json"
-    with open(path, "w", encoding="ascii", newline="") as fh:
+    with open(out_path + ".manifest.json", "w", encoding="ascii", newline="") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    return path
 
 
 def _write_rows(out, fmt, header, rows):
@@ -68,64 +69,37 @@ def _write_rows(out, fmt, header, rows):
                 fh.write("\n")
 
 
-def _check_threads(threads: int) -> None:
-    if threads < 1:
-        raise InvalidInputError(f"--threads must be >= 1, got {threads}")
-
-
-def _check_n(args) -> None:
-    if args.group != "cyclic" and args.n is not None:
-        raise InvalidInputError(f"--n only applies to --group cyclic, not {args.group}")
-
-
-def _group_config(args) -> dict:
-    _check_n(args)
-    cfg = {"group": args.group, "m": args.m, "seed": args.seed, "sigma0": args.sigma0}
-    if args.group == "cyclic":
-        if args.n is None:
-            raise InvalidInputError("--group cyclic requires --n")
-        cfg["n"] = args.n
-    return cfg
-
-
-def _cmd_build(args) -> int:
+def _cmd_build(args):
     from .groups import build_group, check_invariance
     from .irreps import sample_invariant
     from .linalg import write_matrix_text
     from .rng import EnsembleConfig
 
-    config = _group_config(args)
     group = build_group(args.group, args.n)
     cfg = EnsembleConfig(args.seed, 1, args.sigma0, args.group, args.n, args.m)
     h, _ = sample_invariant(group, cfg, trial_index=0)
     write_matrix_text(h, args.out)
     violation = check_invariance(h, group, args.m)
-    config["out"] = args.out
-    _write_manifest(args.out, "build", config, [args.out])
-    print(f"wrote {h.dim}x{h.dim} invariant matrix to {args.out} "
-          f"(generator violation {_fmt(violation)})")
-    return 0
+    return {}, (f"wrote {h.dim}x{h.dim} invariant matrix to {args.out} "
+                f"(generator violation {_fmt(violation)})")
 
 
-def _cmd_spectrum(args) -> int:
+def _cmd_spectrum(args):
     from .groups import build_group, build_invariant
     from .irreps import _spectrum_eigenvalues
     from .linalg import SymMatrix, eigensolve, multiset_deviation, read_matrix_text
 
-    _check_n(args)
     if args.m < 1:
         raise InvalidInputError(f"--m must be >= 1, got {args.m}")
     h, asym = read_matrix_text(args.infile)
     if h.dim % args.m != 0:
         raise InvalidInputError(f"matrix dim {h.dim} is not a multiple of m={args.m}")
     sites = h.dim // args.m
-    n = args.n
-    if args.group == "cyclic":
-        if n is None:
-            n = sites
-        elif n != sites:
-            raise InvalidInputError(f"--n {n} disagrees with file ({sites} sites)")
-    group = build_group(args.group, n)
+    # a ring's n is read from the file
+    resolved = {"n": sites} if args.group == "cyclic" else {}
+    if args.n not in (None, sites):
+        raise InvalidInputError(f"--n {args.n} disagrees with file ({sites} sites)")
+    group = build_group(args.group, resolved.get("n"))
     if group.sites != sites:
         raise InvalidInputError(
             f"{args.group} acts on {group.sites} sites but file has {sites}"
@@ -150,26 +124,14 @@ def _cmd_spectrum(args) -> int:
     rows.extend(("dense", float(v)) for v in dense)
 
     _write_rows(args.out, args.format, ("irrep_label", "eigenvalue"), rows)
-    config = {
-        "group": args.group, "m": args.m, "in": args.infile, "out": args.out,
-        "format": args.format,
-    }
-    if args.group == "cyclic":
-        config["n"] = n
-    config["file_asymmetry"] = asym
-    config["max_multiset_deviation"] = deviation
-    _write_manifest(args.out, "spectrum", config, [args.out])
-    print(f"max multiset deviation (blocks vs dense): {_fmt(deviation)}")
-    return 0
+    resolved.update(file_asymmetry=asym, max_multiset_deviation=deviation)
+    return resolved, f"max multiset deviation (blocks vs dense): {_fmt(deviation)}"
 
 
-def _cmd_census(args) -> int:
+def _cmd_census(args):
     from .irreps import ground_state_irrep_census
     from .rng import EnsembleConfig
 
-    _check_threads(args.threads)
-    config = _group_config(args)
-    config.update({"trials": args.trials, "out": args.out, "format": args.format})
     cfg = EnsembleConfig(args.seed, args.trials, args.sigma0, args.group, args.n, args.m)
     result = ground_state_irrep_census(cfg, threads=args.threads)
     _write_rows(
@@ -179,29 +141,22 @@ def _cmd_census(args) -> int:
         [(r.label, r.copies, r.block_dim, r.variance_factor,
           r.gs_fraction, r.dimensional_fraction) for r in result.rows],
     )
-    _write_manifest(args.out, "census", config, [args.out])
-    print(f"census over {result.trials} trials written to {args.out} "
-          f"(ties: {result.tie_count})")
-    return 0
+    return {}, (f"census over {result.trials} trials written to {args.out} "
+                f"(ties: {result.tie_count})")
 
 
-def _cmd_su2_widths(args) -> int:
+def _cmd_su2_widths(args):
     from .su2 import width_table
 
     _write_rows(args.out, args.format, ("twoJ", "sigmaJ_sq"),
                 width_table(args.jmax, args.quad_points))
-    config = {"jmax": args.jmax, "quad_points": args.quad_points,
-              "out": args.out, "format": args.format}
-    _write_manifest(args.out, "su2-widths", config, [args.out])
-    print(f"width factors for J=0..{args.jmax} written to {args.out}")
-    return 0
+    return {}, f"width factors for J=0..{args.jmax} written to {args.out}"
 
 
-def _cmd_gsdist(args) -> int:
+def _cmd_gsdist(args):
     from .rng import EnsembleConfig
     from .su2 import DimensionTable, f_space, gs_distribution
 
-    _check_threads(args.threads)
     dims = DimensionTable.from_csv(args.dims)
     if args.jmax is not None:
         kept = tuple(e for e in dims.entries if e[0] <= 2 * args.jmax)
@@ -213,15 +168,8 @@ def _cmd_gsdist(args) -> int:
     space = dict(f_space(dims))
     _write_rows(args.out, args.format, ("twoJ", "f_space", "f_RM"),
                 [(two_j, space[two_j], frac) for two_j, frac in dist.entries])
-    config = {
-        "dims": args.dims, "trials": args.trials, "seed": args.seed,
-        "sigma0": args.sigma0, "jmax": args.jmax, "quad_points": args.quad_points,
-        "out": args.out, "format": args.format,
-    }
-    _write_manifest(args.out, "gsdist", config, [args.out])
-    print(f"ground-state distribution over {dist.trials} trials written to "
-          f"{args.out} (ties: {dist.tie_count})")
-    return 0
+    return {}, (f"ground-state distribution over {dist.trials} trials written to "
+                f"{args.out} (ties: {dist.tie_count})")
 
 
 def _add_common_output(p, fmt=True):
@@ -289,16 +237,25 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
+    # the manifest records every flag under its name, but --threads,
+    # which never changes a result
+    config = {"in" if key == "infile" else key: value for key, value in vars(args).items()
+              if key not in ("command", "func", "threads")}
     try:
-        return args.func(args)
+        # --n is allowed, and recorded, only for rings
+        if config.get("group", "cyclic") != "cyclic" and config.pop("n") is not None:
+            raise InvalidInputError(f"--n only applies to --group cyclic, not {args.group}")
+        resolved, summary = args.func(args)
+        _write_manifest(args.out, args.command, {**config, **resolved}, [args.out])
     except (InvalidInputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except NumericFailureError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return NUMERIC_ERROR
+    print(summary)
+    return 0
 
 
 if __name__ == "__main__":

@@ -142,13 +142,20 @@ def _fourier_blocks(group: PointGroup) -> tuple[list[str], list[int], np.ndarray
     half = n // 2
     # walk the generator to find the cyclic distance each orbit holds
     # (the orbit number itself for the canonical numbering, but correct
-    # for any relabeling); column c of the weights is orbit c
+    # for any relabeling); column c of the weights is orbit c.  The
+    # walk must be an n-cycle whose first half + 1 sites meet each of
+    # the half + 1 pair orbits once
     gen = group.generators[0]
-    site = 0
+    walk = [0]
+    for _ in range(n - 1):
+        walk.append(gen[walk[-1]])
+    orbits = group.orbit_index[0, walk[:half + 1]]
+    if (len(set(walk)) < n or group.orbit_count != half + 1
+            or len(set(orbits.tolist())) != half + 1):
+        raise InvalidInputError(f"{group.name}: the first generator does not walk a ring "
+                                "whose distances are the pair orbits")
     dist = np.empty(half + 1, dtype=np.int64)
-    for j in range(half + 1):
-        dist[group.orbit_index[0, site]] = j
-        site = gen[site]
+    dist[orbits] = np.arange(half + 1)
     d = np.arange(half + 1)
     cosines = np.select([d == 0, 2 * d == n, 4 * d == n], [1.0, -1.0, 0.0],
                         [math.cos(2.0 * math.pi * r / n) for r in range(half + 1)])
@@ -162,7 +169,9 @@ def decompose(group: PointGroup) -> list[IrrepBlockSpec]:
     """Block specs for any supported group, whose coefficients are the rows
     of one read-only (specs, orbits) array; a ring's rows name every orbit.
     Raises ``InvalidInputError`` for a non-cyclic group whose pair-orbit
-    matrices do not commute or have non-integer eigenvalues.
+    matrices do not commute or have non-integer eigenvalues, and for a
+    cyclic one whose first generator is not an n-cycle stepping through
+    its n // 2 + 1 pair orbits.
     """
     derive = _fourier_blocks if group.kind == "cyclic" else _decompose_by_orbit_algebra
     labels, copies, table = derive(group)

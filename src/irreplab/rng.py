@@ -322,8 +322,11 @@ def _chunked_tally(chunk_minima, trials: int, row_elements: int,
     """Tally ``chunk_minima(trial_indices) -> (rows, k)`` over trials
     0..trials-1.  ``row_elements`` bounds the array elements one trial
     of a chunk holds at once; a chunk holds about ``_CHUNK_ELEMENTS`` of
-    them, and chunks are spread over ``threads`` workers.  The result
-    depends on neither."""
+    them, and chunks are spread over ``threads`` workers, ``threads``
+    chunks at a time.  Each chunk is summed as it finishes, so memory
+    does not grow with ``trials``.  The result depends on neither."""
+    if threads < 1:
+        raise InvalidInputError(f"threads must be >= 1, got {threads}")
     size = max(1, _CHUNK_ELEMENTS // row_elements)
 
     def worker(chunk):
@@ -333,12 +336,17 @@ def _chunked_tally(chunk_minima, trials: int, row_elements: int,
             minima = chunk_minima(np.arange(start, min(trials, start + size)))
         return _tally(minima)
 
-    chunks = range(-(-trials // size))
-    if threads <= 1 or len(chunks) <= 1:
-        outcomes = [worker(chunk) for chunk in chunks]
-    else:
+    def outcomes(chunks):
+        if threads == 1 or len(chunks) <= 1:
+            yield from map(worker, chunks)
+            return
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            outcomes = list(pool.map(worker, chunks))
-    return sum(c for c, _ in outcomes), sum(t for _, t in outcomes)
+            for first in range(0, len(chunks), threads):
+                yield from pool.map(worker, chunks[first:first + threads])
+
+    counts, ties = 0, 0
+    for c, t in outcomes(range(-(-trials // size))):
+        counts, ties = counts + c, ties + t
+    return counts, ties

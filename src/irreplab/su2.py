@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 import re
 from dataclasses import dataclass
 from importlib import resources
@@ -157,7 +158,10 @@ class DimensionTable:
         seen = set()
         norm = []
         for two_j, dim in self.entries:
-            two_j, dim = int(two_j), int(dim)
+            try:  # ints and numpy integers; a float is never truncated
+                two_j, dim = operator.index(two_j), operator.index(dim)
+            except TypeError:
+                raise InvalidInputError("two_j and dim must be integers") from None
             if two_j < 0:
                 raise InvalidInputError("two_j must be >= 0")
             if dim < 1:

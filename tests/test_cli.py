@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 from pathlib import Path
@@ -449,3 +450,59 @@ class TestDeterminism:
             manifest = (tmp_path / f"{name}.manifest.json").read_text()
             blobs.append(manifest.replace(name, "OUT"))
         assert blobs[0] == blobs[1]
+
+
+def manifest_config(out):
+    return json.loads(Path(f"{out}.manifest.json").read_text())["config"]
+
+
+class TestManifest:
+    """The manifest records every parsed flag but --threads, under its
+    flag name, plus what a command resolved."""
+
+    # the configs of cases no golden file reaches, as the CLI wrote them
+    # when each command listed its config by hand
+    def test_ring_spectrum_reads_n_from_the_file(self, tmp_path):
+        ring, out = tmp_path / "ring.txt", tmp_path / "spec.csv"
+        assert run("build", "--group", "cyclic", "--n", "5", "--m", "2", "--seed", "3",
+                   "--out", ring) == 0
+        assert run("spectrum", "--in", ring, "--group", "cyclic", "--m", "2",
+                   "--out", out) == 0
+        assert manifest_config(out) == {
+            "file_asymmetry": 0.0, "format": "csv", "group": "cyclic", "in": str(ring),
+            "m": 2, "max_multiset_deviation": 3.552713678800501e-15, "n": 5,
+            "out": str(out),
+        }
+
+    def test_gsdist_jmax(self, tmp_path):
+        dims, out = tmp_path / "dims.csv", tmp_path / "d.csv"
+        dims.write_text("twoJ,dim\n0,5\n2,5\n8,5\n")
+        assert run("gsdist", "--dims", dims, "--trials", "50", "--seed", "2",
+                   "--jmax", "2", "--threads", "2", "--out", out) == 0
+        assert manifest_config(out) == {
+            "dims": str(dims), "format": "csv", "jmax": 2, "out": str(out),
+            "quad_points": 512, "seed": 2, "sigma0": 1.0, "trials": 50,
+        }
+
+    # one run of each subcommand, on a ring where it takes --group; a
+    # subcommand missing here fails the test
+    RUNS = {
+        "build": ["--group", "cyclic", "--n", "5", "--m", "2"],
+        "spectrum": ["--in", "{ring}", "--group", "cyclic", "--m", "2"],
+        "census": ["--group", "cyclic", "--n", "5", "--trials", "5"],
+        "su2-widths": ["--jmax", "2"],
+        "gsdist": ["--dims", DIMS, "--trials", "5"],
+    }
+    SUBPARSERS = next(a for a in _build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction)).choices
+
+    @pytest.mark.parametrize("command", sorted(SUBPARSERS))
+    def test_every_flag_but_threads_is_recorded(self, tmp_path, command):
+        ring, out = tmp_path / "ring.txt", tmp_path / "o"
+        assert run("build", "--group", "cyclic", "--n", "5", "--m", "2", "--out", ring) == 0
+        argv = [str(a).replace("{ring}", str(ring)) for a in self.RUNS[command]]
+        assert run(command, *argv, "--out", out) == 0
+        flags = {"in" if a.dest == "infile" else a.dest for a in self.SUBPARSERS[command]._actions
+                 if a.option_strings and a.dest not in ("help", "threads")}
+        resolved = {"file_asymmetry", "max_multiset_deviation"} if command == "spectrum" else set()
+        assert set(manifest_config(out)) == flags | resolved

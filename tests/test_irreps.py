@@ -304,6 +304,17 @@ class TestCyclicBlocks:
         # the k = 0 weights are the double-counting factors zeta_j
         assert tuple(pairs[0][0].coefficients[1:]) == (2.0, 1.0)
 
+    # a first generator that is no n-cycle: the Klein four-group, and C_6
+    # generated from the step +2; their Fourier blocks would be wrong
+    @pytest.mark.parametrize("generators", [
+        [(1, 0, 3, 2), (2, 3, 0, 1)],
+        [(2, 3, 4, 5, 0, 1), (1, 2, 3, 4, 5, 0)],
+    ], ids=["klein", "c6-step-2"])
+    def test_cyclic_group_not_a_ring_as_given_rejected(self, generators):
+        g = PointGroup.from_generators("cyclic", len(generators[0]), generators)
+        with pytest.raises(InvalidInputError, match="does not walk a ring"):
+            decompose(g)
+
     def test_three_cycle_scalar_formulas(self):
         a, b = 0.7, -1.3
         (s0, b0), (s1, b1) = cyclic_blocks(3, [a, b])
@@ -494,6 +505,11 @@ class TestCensus:
     def test_group_required(self):
         with pytest.raises(InvalidInputError):
             ground_state_irrep_census(EnsembleConfig(1, 10))
+
+    @pytest.mark.parametrize("threads", [0, -5])
+    def test_threads_below_one_rejected(self, threads):
+        with pytest.raises(InvalidInputError, match=f"threads must be >= 1, got {threads}"):
+            ground_state_irrep_census(EnsembleConfig(1, 10, group="tetra"), threads=threads)
 
     def test_csv_layout(self, tmp_path):
         out = tmp_path / "c.csv"

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,7 +15,14 @@ from irreplab import (
 )
 from irreplab import rng
 from irreplab.errors import NumericFailureError
-from irreplab.rng import _normals_rows, _orbit_triangles, _sym_blocks, _tally
+from irreplab.rng import (
+    _CHUNK_ELEMENTS,
+    _chunked_tally,
+    _normals_rows,
+    _orbit_triangles,
+    _sym_blocks,
+    _tally,
+)
 
 # Frozen at first build: the very first outputs of substream(1, 0, 0).
 FIRST_UINT64 = 10188629700888939329
@@ -212,3 +221,20 @@ class TestTally:
     def test_non_finite_minima_fail(self, bad):
         with pytest.raises(NumericFailureError):
             _tally(np.array([[0.0, 1.0], [bad, 1.0]]))
+
+    # one trial per chunk; chunk t's winner is column t % 4
+    @pytest.mark.parametrize("trials, threads, limit", [(5000, 1, 0.25), (2000, 2, 0.5)])
+    def test_memory_does_not_grow_with_trials(self, trials, threads, limit):
+        def minima(t):
+            return -np.eye(4)[t % 4]
+
+        # a first threaded run imports concurrent.futures, once per process
+        _chunked_tally(minima, 4, _CHUNK_ELEMENTS, threads)
+        tracemalloc.start()
+        try:
+            counts, ties = _chunked_tally(minima, trials, _CHUNK_ELEMENTS, threads)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert counts.tolist() == [trials // 4] * 4 and ties == 0
+        assert peak < limit * 2**20

@@ -210,6 +210,11 @@ class TestDimensionTable:
             DimensionTable(((2, 0),))
         with pytest.raises(InvalidInputError):
             DimensionTable(((-2, 5),))
+        # a float is rejected, not truncated; numpy integers pass
+        for entries in (((2.7, 3.9), (0, 1)), ((2.0, 3),), ((2, 3.0),)):
+            with pytest.raises(InvalidInputError, match="two_j and dim must be integers"):
+                DimensionTable(entries)
+        assert DimensionTable(((np.int64(2), np.int32(3)),)).entries == ((2, 3),)
 
     def test_sorted_and_total(self):
         t = DimensionTable(((4, 7), (0, 3)))
@@ -288,6 +293,11 @@ class TestGsDistribution:
         a = gs_distribution(t, cfg, threads=1)
         b = gs_distribution(t, cfg, threads=4)
         assert a.counts == b.counts
+
+    @pytest.mark.parametrize("threads", [0, -5])
+    def test_threads_below_one_rejected(self, threads):
+        with pytest.raises(InvalidInputError, match=f"threads must be >= 1, got {threads}"):
+            gs_distribution(example_dimension_table(), EnsembleConfig(1, 10), threads=threads)
 
     def test_half_integer_rows_need_widths(self):
         t = DimensionTable(((3, 5), (4, 5)))
