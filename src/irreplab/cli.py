@@ -69,6 +69,12 @@ def _write_rows(out, fmt, header, rows):
                 fh.write("\n")
 
 
+def _warn_ties(result) -> None:
+    if result.tie_count:  # a tie has probability zero, so this flags a bug
+        print(f"warning: {result.tie_count} of {result.trials} trials tied for the "
+              "ground state", file=sys.stderr)
+
+
 def _cmd_build(args):
     from .groups import build_group, check_invariance
     from .irreps import sample_invariant
@@ -85,7 +91,7 @@ def _cmd_build(args):
 
 
 def _cmd_spectrum(args):
-    from .groups import build_group, build_invariant
+    from .groups import _orbit_rows, build_group
     from .irreps import _spectrum_eigenvalues
     from .linalg import SymMatrix, eigensolve, multiset_deviation, read_matrix_text
 
@@ -106,10 +112,12 @@ def _cmd_spectrum(args):
         )
     m = args.m
     # each orbit's smallest pair is (0, j), met first along row 0
-    cols = np.unique(group.orbit_index[0], return_index=True)[1]
-    blocks = [SymMatrix.symmetrized(h.values[:m, j * m:(j + 1) * m]).values for j in cols]
+    first = {k: j for j, k in reversed(list(enumerate(group.orbit_index[0].tolist())))}
+    blocks = [SymMatrix.symmetrized(h.values[:m, j * m:(j + 1) * m]).values
+              for j in map(first.get, range(len(first)))]
     with np.errstate(over="ignore"):
-        gap = np.max(np.abs(h.values - build_invariant(group, blocks).values))
+        gap = max(np.max(np.abs(h.values[i * m:i * m + m].reshape(row.shape) - row))
+                  for i, row in enumerate(_orbit_rows(group, np.stack(blocks))))
     if not gap <= 1e-10 * h.max_abs():
         raise InvalidInputError(f"matrix is not {group.name}-invariant with symmetric "
                                 f"orbit blocks: off by {_fmt(gap)}")
@@ -141,6 +149,7 @@ def _cmd_census(args):
         [(r.label, r.copies, r.block_dim, r.variance_factor,
           r.gs_fraction, r.dimensional_fraction) for r in result.rows],
     )
+    _warn_ties(result)
     return {}, (f"census over {result.trials} trials written to {args.out} "
                 f"(ties: {result.tie_count})")
 
@@ -168,6 +177,7 @@ def _cmd_gsdist(args):
     space = dict(f_space(dims))
     _write_rows(args.out, args.format, ("twoJ", "f_space", "f_RM"),
                 [(two_j, space[two_j], frac) for two_j, frac in dist.entries])
+    _warn_ties(dist)
     return {}, (f"ground-state distribution over {dist.trials} trials written to "
                 f"{args.out} (ties: {dist.tie_count})")
 

@@ -209,30 +209,30 @@ def _coerce_blocks(group: PointGroup, blocks) -> list[np.ndarray]:
     return coerced
 
 
+def _orbit_rows(group: PointGroup, stacked: np.ndarray):
+    """Each site's (m, n, m) row of blocks of the invariant matrix of ``stacked``."""
+    return (stacked[orbits].transpose(1, 0, 2) for orbits in group.orbit_index)
+
+
 def build_invariant(group: PointGroup, blocks: Sequence) -> SymMatrix:
     """Assemble the group-invariant matrix of symmetric per-orbit blocks.
 
     ``blocks[k]`` is the symmetric m x m block (or a scalar, taken as
     1 x 1) of orbit k, one per orbit.  Block (i, j) of the result is the
-    block of the orbit of (i, j), gathered through ``orbit_index`` in
-    one step, so the matrix commutes with every group element lifted
-    as permutation (x) identity.  For a ring with m > 1 this is the
+    block of the orbit of (i, j), so the matrix commutes with every
+    group element lifted as permutation (x) identity.  Each site's row of
+    blocks is gathered through ``orbit_index`` into the one dense array,
+    which the result keeps uncopied.  For a ring with m > 1 this is the
     dihedral ensemble: the general C_n-invariant matrix also has blocks
     F(d) that are not symmetric, with F(-d) = F(d)^T.
     """
-    coerced = _coerce_blocks(group, blocks)
-    n, m = group.sites, coerced[0].shape[0]
-    # one expression, so the gathered (n, n, m, m) array is freed by the reshape
-    h = np.stack(coerced)[group.orbit_index].transpose(0, 2, 1, 3).reshape(n * m, n * m)
-    return SymMatrix(h)
-
-
-def _permuted_blockwise(h: np.ndarray, g: Perm, m: int) -> np.ndarray:
-    """(P_g (x) I_m) H (P_g (x) I_m)^T without forming the big permutation."""
-    n = len(g)
-    inverse = np.argsort(np.asarray(g))
-    blocks = h.reshape(n, m, n, m)
-    return blocks[inverse][:, :, inverse].reshape(n * m, n * m)
+    stacked = np.stack(_coerce_blocks(group, blocks))
+    n, m = group.sites, stacked.shape[1]
+    h = np.empty((n, m, n, m))
+    rows = _orbit_rows(group, stacked)
+    for i in range(n):
+        h[i] = next(rows)  # held by no name, so freed before the symmetry check
+    return SymMatrix._adopting(h.reshape(n * m, n * m))
 
 
 def check_invariance(h, group: PointGroup, m: int | None = None) -> float:
@@ -240,22 +240,22 @@ def check_invariance(h, group: PointGroup, m: int | None = None) -> float:
 
     Zero, exactly, when H commutes with every group element, as matrices
     assembled by `build_invariant` do; NaN when a non-finite entry makes
-    a difference NaN.
+    a difference NaN.  Compared one site's row of blocks at a time.
     """
     h = h.values if isinstance(h, SymMatrix) else np.asarray(h, dtype=np.float64)
-    dim = h.shape[0]
+    dim, n = h.shape[0], group.sites
     if m is None:
-        if dim % group.sites != 0:
-            raise InvalidInputError(
-                f"matrix dim {dim} is not a multiple of {group.sites} sites"
-            )
-        m = dim // group.sites
-    elif dim != group.sites * m:
-        raise InvalidInputError(
-            f"matrix dim {dim} does not equal sites*m = {group.sites * m}"
-        )
+        if dim % n != 0:
+            raise InvalidInputError(f"matrix dim {dim} is not a multiple of {n} sites")
+        m = dim // n
+    elif dim != n * m:
+        raise InvalidInputError(f"matrix dim {dim} does not equal sites*m = {n * m}")
+    blocks = h.reshape(n, m, n, m)
     worst = 0.0
     with np.errstate(invalid="ignore"):  # inf - inf is the documented NaN
         for g in group.generators:
-            worst = np.maximum(worst, np.max(np.abs(h - _permuted_blockwise(h, g, m))))
+            # block (i, j) of the permuted matrix is block (g^-1 i, g^-1 j)
+            inverse = np.argsort(np.asarray(g))
+            for i, source in enumerate(inverse):
+                worst = np.maximum(worst, np.max(np.abs(blocks[i] - blocks[source][:, inverse])))
     return float(worst)

@@ -8,8 +8,8 @@ eigenvector decomposition it returns against the matrix.
 A plain text matrix format is defined for interchange: first line the
 dimension, then one row of space-separated decimals per line.  Each
 distinct value is converted once in either direction.  The parser
-symmetrizes what it reads and reports the largest asymmetry it had to
-repair.
+fills one array, symmetrizes it in place and reports the largest
+asymmetry it had to repair.
 """
 
 from __future__ import annotations
@@ -44,7 +44,14 @@ class SymMatrix:
     __slots__ = ("_values",)
 
     def __init__(self, values):
-        arr = np.array(values, dtype=np.float64, copy=True)
+        self._adopt(np.array(values, dtype=np.float64, copy=True))
+
+    @classmethod
+    def _adopting(cls, arr: np.ndarray) -> "SymMatrix":
+        """A matrix keeping the float64 ``arr``, which nothing else holds, uncopied."""
+        return cls.__new__(cls)._adopt(arr)
+
+    def _adopt(self, arr: np.ndarray) -> "SymMatrix":
         if arr.ndim == 0:
             arr = arr.reshape(1, 1)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
@@ -57,6 +64,7 @@ class SymMatrix:
             )
         arr.flags.writeable = False
         self._values = arr
+        return self
 
     @classmethod
     def symmetrized(cls, values):
@@ -73,7 +81,7 @@ class SymMatrix:
             raise InvalidInputError(f"expected a square matrix, got shape {arr.shape}")
         if np.array_equal(arr.view(np.uint64), arr.T.view(np.uint64)):
             return cls(arr)
-        return cls(0.5 * arr + 0.5 * arr.T)
+        return cls._adopting(0.5 * arr + 0.5 * arr.T)
 
     @property
     def values(self) -> np.ndarray:
@@ -223,14 +231,14 @@ def read_matrix_text(path) -> tuple[SymMatrix, float]:
     """Read the text format; returns (matrix, max asymmetry repaired).
 
     Tokens take Python ``float`` syntax, and a non-ASCII byte makes its
-    token malformed; each distinct token is parsed once.  The file is
-    streamed, blank lines are skipped, and rows past the declared
-    dimension are counted but not kept, so the header alone never sizes
-    an allocation.  The row count is checked before the rows, and the
-    repaired asymmetry must be finite.
+    token malformed; each distinct token is parsed once.  Rows stream into
+    one array that doubles as rows of the declared length arrive, never on
+    the header alone: two dense copies at most, besides the tokens.  Blank
+    lines are skipped, rows past the dimension counted, not kept.  The row
+    count is checked before the rows; the repaired asymmetry must be finite.
     """
     floats = _Memo(float)
-    rows = []
+    bad = None
     found = 0
     with open(path, "r", encoding="ascii", errors="replace") as fh:
         lines = filter(None, map(str.strip, fh))
@@ -243,24 +251,34 @@ def read_matrix_text(path) -> tuple[SymMatrix, float]:
             raise InvalidInputError(f"{path}: first line must be the dimension") from exc
         if dim < 1:
             raise InvalidInputError(f"{path}: dimension must be >= 1")
+        m = np.empty((0, dim))
         for found, line in enumerate(lines, 1):
-            if found <= dim:
-                try:
-                    rows.append(list(map(floats.__getitem__, line.split())))
-                except ValueError as exc:
-                    rows.append(exc)
+            if found > dim or bad is not None:
+                continue
+            try:
+                row = list(map(floats.__getitem__, line.split()))
+            except ValueError as exc:
+                bad = ("malformed number in row", exc)
+                continue
+            if len(row) != dim:
+                bad = (f"row of length {len(row)}, expected {dim}", None)
+                continue
+            if found > len(m):  # in place: only this function holds m
+                m.resize((min(2 * found, dim), dim), refcheck=False)
+            m[found - 1] = row
     if found != dim:
         raise InvalidInputError(f"{path}: expected {dim} rows, found {found}")
-    for row in rows:
-        if isinstance(row, ValueError):
-            raise InvalidInputError(f"{path}: malformed number in row") from row
-        if len(row) != dim:
-            raise InvalidInputError(f"{path}: row of length {len(row)}, expected {dim}")
-    m = np.array(rows, dtype=np.float64)
+    if bad is not None:
+        raise InvalidInputError(f"{path}: {bad[0]}") from bad[1]
     if not np.all(np.isfinite(m)):
         raise InvalidInputError(f"{path}: matrix entries must be finite")
+    # |M - M^T| is symmetric: 64-row blocks right of the diagonal (narrower read slowly)
     with np.errstate(over="ignore"):
-        asym = float(np.max(np.abs(m - m.T)))
+        asym = max(float(np.max(np.abs(m[r:r + 64, r:] - m[r:, r:r + 64].T)))
+                   for r in range(0, dim, 64))
     if not np.isfinite(asym):
         raise InvalidInputError(f"{path}: asymmetry beyond the float range")
-    return SymMatrix.symmetrized(m), asym
+    if not np.array_equal(m.view(np.uint64), m.T.view(np.uint64)):
+        m *= 0.5  # the bits of SymMatrix.symmetrized, M/2 + M^T/2
+        m = m + m.T
+    return SymMatrix._adopting(m), asym

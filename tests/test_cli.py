@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import hashlib
 import json
 from pathlib import Path
@@ -6,7 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from irreplab import build_group, check_invariance, read_matrix_text, write_matrix_text
+from irreplab import (build_group, check_invariance, irreps, read_matrix_text, su2,
+                      write_matrix_text)
 from irreplab.cli import _build_parser, main
 
 DIMS = Path(__file__).resolve().parent.parent / "src" / "irreplab" / "data" / "example_dims.csv"
@@ -450,6 +452,25 @@ class TestDeterminism:
             manifest = (tmp_path / f"{name}.manifest.json").read_text()
             blobs.append(manifest.replace(name, "OUT"))
         assert blobs[0] == blobs[1]
+
+
+class TestTieWarning:
+    """A tie has probability zero, so a finished run with one warns on stderr."""
+
+    @pytest.mark.parametrize("command, module, name, argv", [
+        ("census", irreps, "ground_state_irrep_census", ["--group", "tetra", "--trials", "20"]),
+        ("gsdist", su2, "gs_distribution", ["--dims", DIMS, "--trials", "20"]),
+    ], ids=["census", "gsdist"])
+    def test_ties_warn_once_and_change_no_output(self, tmp_path, capsys, monkeypatch,
+                                                 command, module, name, argv):
+        assert run(command, *argv, "--out", tmp_path / "plain.csv") == 0
+        assert capsys.readouterr().err == ""
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *a, **k: dataclasses.replace(real(*a, **k),
+                                                                              tie_count=2))
+        assert run(command, *argv, "--out", tmp_path / "tied.csv") == 0
+        assert capsys.readouterr().err == "warning: 2 of 20 trials tied for the ground state\n"
+        assert (tmp_path / "tied.csv").read_bytes() == (tmp_path / "plain.csv").read_bytes()
 
 
 def manifest_config(out):

@@ -10,8 +10,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from irreplab import build_group, build_invariant, write_matrix_text
 from irreplab.su2 import width_table
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -57,7 +59,7 @@ def _run_main(argv):
             "with contextlib.redirect_stdout(io.StringIO()), "
             "contextlib.suppress(SystemExit):\n"
             f"    assert main({argv!r}) == 0\n"
-            + _loaded(("irreplab", "numpy.polynomial", "concurrent")))
+            + _loaded(("irreplab", "numpy.polynomial", "numpy.ma", "concurrent")))
 
 
 class TestBlasThreads:
@@ -121,9 +123,16 @@ class TestImports:
         (["su2-widths", "--out", "w.csv"],
          ["irreplab.groups", "irreplab.irreps", "irreplab.linalg", "numpy.polynomial"]),
         (["census", "--group", "tetra", "--trials", "20", "--out", "c.csv"],
-         ["irreplab.su2"]),
-    ], ids=["version", "gsdist", "su2-widths", "census"])
+         ["irreplab.su2", "numpy.ma"]),
+        # the one-output np.unique loads numpy.ma, about 1.6 MB of maxrss
+        (["spectrum", "--in", "h.txt", "--group", "cyclic", "--m", "2", "--out", "s.csv"],
+         ["irreplab.su2", "numpy.ma", "numpy.polynomial"]),
+    ], ids=["version", "gsdist", "su2-widths", "census", "spectrum"])
     def test_command_loads_only_what_it_runs(self, tmp_path, argv, absent):
+        if argv[0] == "spectrum":  # its input: a ring of 12 sites, m = 2
+            blocks = [np.eye(2) * (k + 1) for k in range(7)]
+            write_matrix_text(build_invariant(build_group("cyclic", 12), blocks),
+                              tmp_path / "h.txt")
         loaded = _child(_run_main(argv), cwd=tmp_path)
         assert "irreplab.cli" in loaded
         assert not [m for m in loaded for name in absent
