@@ -12,10 +12,9 @@ from irreplab import (
     build_group,
     build_invariant,
     decompose,
+    draw_label_blocks,
     eigensolve,
     multiset_deviation,
-    random_sym_block,
-    substream,
 )
 
 n, m = 6, 2
@@ -27,7 +26,7 @@ for i in range(n):
     print("   ", " ".join(str(k) for k in group.orbit_index[i]))
 
 # one random symmetric block per distance, then the big invariant matrix
-fs = [random_sym_block(substream(2024, 0, j), m) for j in range(n // 2 + 1)]
+fs = draw_label_blocks(n // 2 + 1, m, 2024, 0)
 h = build_invariant(group, fs)
 print(f"\nassembled {h.dim}x{h.dim} invariant matrix from "
       f"{len(fs)} distance blocks of size {m}x{m}")

@@ -23,8 +23,7 @@ _EXPORTS = {
     "errors": ("InvalidInputError", "NumericFailureError"),
     "linalg": ("SymMatrix", "Spectrum", "eigensolve", "multiset_deviation",
                "write_matrix_text", "read_matrix_text"),
-    "rng": ("EnsembleConfig", "SubStream", "substream", "random_sym_block",
-            "draw_label_blocks"),
+    "rng": ("EnsembleConfig", "SubStream", "substream", "draw_label_blocks"),
     "groups": ("PointGroup", "build_group", "relabel", "build_invariant",
                "check_invariance"),
     "irreps": ("IrrepBlockSpec", "decompose", "block_spectra", "sample_invariant",

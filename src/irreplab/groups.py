@@ -21,6 +21,7 @@ physics; see `relabel` and the relabeling tests):
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -155,7 +156,11 @@ def build_group(kind: str, n: int | None = None) -> PointGroup:
     """
     kind = kind.lower()
     if kind == "cyclic":
-        if n is None or n < 2:
+        try:
+            n = operator.index(n)
+        except TypeError:
+            raise InvalidInputError(f"cyclic group needs an integer n >= 2, got {n!r}") from None
+        if n < 2:
             raise InvalidInputError("cyclic group needs n >= 2")
         if n > _MAX_ORDER:
             raise InvalidInputError(f"cyclic group order {n} exceeds the supported {_MAX_ORDER}")

@@ -229,8 +229,13 @@ def sample_invariant(group: PointGroup, cfg: EnsembleConfig, trial_index: int = 
     """Draw one invariant matrix; returns (matrix, blocks used).
 
     A non-finite entry (``cfg.sigma0`` too large) raises
-    ``NumericFailureError``.
+    ``NumericFailureError``; a ``cfg.group`` or ``cfg.n`` naming another
+    group raises ``InvalidInputError``.
     """
+    if ((cfg.group is not None and cfg.group.lower() != group.kind)
+            or cfg.n not in (None, group.sites)):
+        raise InvalidInputError(f"config names group {cfg.group!r} with n={cfg.n}, "
+                                f"not {group.name}")
     with np.errstate(over="ignore"):
         blocks = draw_label_blocks(group.orbit_count, cfg.m, cfg.master_seed,
                                    trial_index, cfg.sigma0)

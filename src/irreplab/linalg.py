@@ -47,17 +47,22 @@ class SymMatrix:
         self._adopt(np.array(values, dtype=np.float64, copy=True))
 
     @classmethod
-    def _adopting(cls, arr: np.ndarray) -> "SymMatrix":
-        """A matrix keeping the float64 ``arr``, which nothing else holds, uncopied."""
-        return cls.__new__(cls)._adopt(arr)
+    def _adopting(cls, arr: np.ndarray, symmetrize: bool = False) -> "SymMatrix":
+        """A matrix keeping the float64 ``arr``, which nothing else holds,
+        uncopied; ``symmetrize`` first makes it M/2 + M^T/2 in place unless
+        it is symmetric to the bit."""
+        return cls.__new__(cls)._adopt(arr, symmetrize)
 
-    def _adopt(self, arr: np.ndarray) -> "SymMatrix":
+    def _adopt(self, arr: np.ndarray, symmetrize: bool = False) -> "SymMatrix":
         if arr.ndim == 0:
             arr = arr.reshape(1, 1)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise InvalidInputError(f"expected a square matrix, got shape {arr.shape}")
         if arr.shape[0] < 1:
             raise InvalidInputError("matrix dimension must be >= 1")
+        if symmetrize and not np.array_equal(arr.view(np.uint64), arr.T.view(np.uint64)):
+            arr *= 0.5
+            arr += arr.T
         if not np.array_equal(arr, arr.T):
             raise InvalidInputError(
                 "matrix is not exactly symmetric; use SymMatrix.symmetrized()"
@@ -74,14 +79,7 @@ class SymMatrix:
         entries near the float range finite; the bits equal (M + M^T)/2
         unless that sum overflows or turns subnormal.
         """
-        arr = np.asarray(values, dtype=np.float64)
-        if arr.ndim == 0:
-            arr = arr.reshape(1, 1)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise InvalidInputError(f"expected a square matrix, got shape {arr.shape}")
-        if np.array_equal(arr.view(np.uint64), arr.T.view(np.uint64)):
-            return cls(arr)
-        return cls._adopting(0.5 * arr + 0.5 * arr.T)
+        return cls._adopting(np.array(values, dtype=np.float64), symmetrize=True)
 
     @property
     def values(self) -> np.ndarray:
@@ -278,7 +276,4 @@ def read_matrix_text(path) -> tuple[SymMatrix, float]:
                    for r in range(0, dim, 64))
     if not np.isfinite(asym):
         raise InvalidInputError(f"{path}: asymmetry beyond the float range")
-    if not np.array_equal(m.view(np.uint64), m.T.view(np.uint64)):
-        m *= 0.5  # the bits of SymMatrix.symmetrized, M/2 + M^T/2
-        m = m + m.T
-    return SymMatrix._adopting(m), asym
+    return SymMatrix._adopting(m, symmetrize=True), asym

@@ -6,37 +6,41 @@ master seed, so trials can run in any order (or in parallel) without
 changing a single draw, and adding a new stream tag never perturbs the
 draws of existing tags.
 
-Stream derivation and generation are fixed algorithms, documented here
-so the sequences can be reproduced from this description alone:
+Stream derivation and generation are fixed algorithms, stated here and
+in README.md's reproducibility contract so the sequences can be
+reproduced from that text alone:
 
 * ``mix64`` is the SplitMix64 finalizer: ``z ^= z >> 30; z *= 0xBF58476D1CE4E5B9;
   z ^= z >> 27; z *= 0x94D049BB133111EB; z ^= z >> 31`` (all mod 2^64).
 * A substream's initial state is
-  ``mix64(mix64(mix64(seed) ^ (trial + 0xD1B54A32D192ED03)) ^ (tag + 0x8BB84B93962EACC9))``.
+  ``mix64(mix64(mix64(seed) ^ (trial + 0xD1B54A32D192ED03)) ^ (tag + 0x8BB84B93962EACC9))``,
+  with seed, trial and tag taken mod 2^64.
 * The raw 64-bit sequence is SplitMix64: state advances by the odd
   constant ``0x9E3779B97F4A7C15`` per draw and emits ``mix64(state)``.
 * Uniforms on [0, 1) take the top 53 bits: ``u = (word >> 11) * 2**-53``.
 * Standard normals use Marsaglia's polar method: consume uniform pairs
   ``(u1, u2)``, set ``v_i = 2 u_i - 1`` and ``s = v1^2 + v2^2``, reject
   unless ``0 < s < 1``, then emit ``v1 * f`` followed by ``v2 * f`` with
-  ``f = sqrt(-2 ln(s) / s)``.  The second deviate of a pair is kept in a
-  one-slot queue, never discarded.
+  ``f = sqrt(-2 ln(s) / s)``, ``ln`` being numpy's ``np.log``.  The
+  second deviate of a pair is kept in a one-slot queue, never discarded.
 
-``SubStream.normal`` is the reference implementation of this scheme.
-Every batched draw goes through one vectorised kernel, ``_polar_pairs``,
-which scans the polar acceptance of any array of stream states at once
-and returns each stream's next accepted pairs and its state after them:
-``SubStream.normals`` runs it on its own state, ``draw_label_blocks`` on
-the orbit tags of one trial, and the census (``_orbit_triangles``) and
-the J distribution on the trials of a chunk.  Each row keeps the same
-accepted pairs, in the same order, that repeated ``normal()`` calls
-would, so every path gives the same draws bit for bit, and splitting
-the trials into chunks (or over threads) changes nothing.
+Each step has one implementation: ``_mix64_array`` is the finalizer,
+``_stream_states`` the derivation and ``_polar_pairs`` the normal
+generator.  ``_polar_pairs`` scans the polar acceptance of any array of
+stream states at once and returns each stream's next accepted pairs and
+its state after them: ``SubStream.normals`` runs it on its own state,
+``draw_label_blocks`` on the orbit tags of one trial, and the census
+(``_orbit_triangles``) and the J distribution on the trials of a chunk.
+Each row keeps its stream's accepted pairs in order, so batching,
+chunking and threads change no draw; the tests check every path, bit
+for bit, against a one-deviate-at-a-time reference written from
+README.md alone.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,20 +51,15 @@ __all__ = [
     "EnsembleConfig",
     "SubStream",
     "substream",
-    "random_sym_block",
     "draw_label_blocks",
 ]
 
 _MASK = (1 << 64) - 1
-_GOLDEN = 0x9E3779B97F4A7C15
-_MIX_A = 0xBF58476D1CE4E5B9
-_MIX_B = 0x94D049BB133111EB
-_TRIAL_SALT = 0xD1B54A32D192ED03
-_TAG_SALT = 0x8BB84B93962EACC9
-
-_U64_GOLDEN = np.uint64(_GOLDEN)
-_U64_MIX_A = np.uint64(_MIX_A)
-_U64_MIX_B = np.uint64(_MIX_B)
+_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
+_MIX_A = np.uint64(0xBF58476D1CE4E5B9)
+_MIX_B = np.uint64(0x94D049BB133111EB)
+_TRIAL_SALT = np.uint64(0xD1B54A32D192ED03)
+_TAG_SALT = np.uint64(0x8BB84B93962EACC9)
 _SHIFT_30 = np.uint64(30)
 _SHIFT_27 = np.uint64(27)
 _SHIFT_31 = np.uint64(31)
@@ -72,20 +71,13 @@ _TO_UNIT = 2.0 ** -53
 _CHUNK_ELEMENTS = 1 << 15
 
 
-def mix64(z: int) -> int:
-    """SplitMix64 avalanche of one 64-bit word."""
-    z &= _MASK
-    z = ((z ^ (z >> 30)) * _MIX_A) & _MASK
-    z = ((z ^ (z >> 27)) * _MIX_B) & _MASK
-    return z ^ (z >> 31)
-
-
 def _mix64_array(z: np.ndarray) -> np.ndarray:
-    """mix64 of every word of the uint64 array ``z``, computed in place."""
+    """The SplitMix64 finalizer of every word of the uint64 array ``z``,
+    computed in place."""
     z ^= z >> _SHIFT_30
-    z *= _U64_MIX_A
+    z *= _MIX_A
     z ^= z >> _SHIFT_27
-    z *= _U64_MIX_B
+    z *= _MIX_B
     z ^= z >> _SHIFT_31
     return z
 
@@ -99,34 +91,9 @@ class SubStream:
         self._state = state & _MASK
         self._pending = None
 
-    def next_uint64(self) -> int:
-        self._state = (self._state + _GOLDEN) & _MASK
-        return mix64(self._state)
-
-    def uniform(self) -> float:
-        """Next uniform deviate on [0, 1)."""
-        return (self.next_uint64() >> 11) * _TO_UNIT
-
-    def normal(self) -> float:
-        """Next standard normal deviate (polar method)."""
-        if self._pending is not None:
-            x = self._pending
-            self._pending = None
-            return x
-        while True:
-            v1 = 2.0 * self.uniform() - 1.0
-            v2 = 2.0 * self.uniform() - 1.0
-            s = v1 * v1 + v2 * v2
-            if 0.0 < s < 1.0:
-                # np.log rather than math.log: keeps the scalar path
-                # bit-identical to the vectorized one
-                f = math.sqrt(-2.0 * float(np.log(s)) / s)
-                self._pending = v2 * f
-                return v1 * f
-
     def normals(self, count: int) -> np.ndarray:
-        """Next ``count`` standard normals; bitwise identical to repeated
-        normal() calls however the requests are batched."""
+        """Next ``count`` standard normals; the same bits however the
+        requests are batched."""
         if count < 0:
             raise InvalidInputError("count must be >= 0")
         head = [] if self._pending is None else [self._pending]
@@ -141,12 +108,22 @@ class SubStream:
         return f"SubStream(state=0x{self._state:016x})"
 
 
+def _words(x) -> np.ndarray:
+    """An int (reduced mod 2**64) or an int array (wrapped as it is cast) as uint64."""
+    return np.asarray(x & _MASK if isinstance(x, int) else x, dtype=np.uint64)
+
+
+def _stream_states(master_seed: int, trials, tags) -> np.ndarray:
+    """1-d uint64 initial states of the streams (master_seed, trial, tag)
+    for ``trials`` and ``tags`` broadcast together; the seed is mixed once."""
+    seed = _mix64_array(np.array([operator.index(master_seed) & _MASK], dtype=np.uint64))
+    states = _mix64_array(seed ^ (_words(trials) + _TRIAL_SALT))
+    return _mix64_array(states ^ (_words(tags) + _TAG_SALT))
+
+
 def substream(master_seed: int, trial_index: int, stream_tag: int) -> SubStream:
     """Derive the private stream for (trial, tag) under a master seed."""
-    s = mix64(master_seed)
-    s = mix64(s ^ ((trial_index + _TRIAL_SALT) & _MASK))
-    s = mix64(s ^ ((stream_tag + _TAG_SALT) & _MASK))
-    return SubStream(s)
+    return SubStream(int(_stream_states(master_seed, trial_index, stream_tag)[0]))
 
 
 def _pair_budget(need: int) -> int:
@@ -173,9 +150,9 @@ def _polar_pairs(states: np.ndarray, need: int) -> tuple[np.ndarray, np.ndarray]
     if need == 0:
         return np.empty((states.size, 0)), states
     budget = _pair_budget(need)
-    steps = _U64_GOLDEN * np.arange(1, 2 * budget + 1, dtype=np.uint64)
+    steps = _GOLDEN * np.arange(1, 2 * budget + 1, dtype=np.uint64)
     # the (rows, 2 * budget) grids dominate a chunk's memory, so they are
-    # transformed in place; each step rounds exactly as SubStream.normal
+    # transformed in place; each step rounds as the one-at-a-time scheme
     words = _mix64_array(states[:, None] + steps)
     words >>= _SHIFT_11
     v = words * _TO_UNIT
@@ -210,9 +187,7 @@ def _polar_pairs(states: np.ndarray, need: int) -> tuple[np.ndarray, np.ndarray]
 def _normals_rows(master_seed: int, trials, tags, count: int) -> np.ndarray:
     """Row r is ``substream(master_seed, trials[r], tags[r]).normals(count)``,
     with ``trials`` and ``tags`` broadcast together."""
-    trials = np.asarray(trials, dtype=np.uint64)
-    states = _mix64_array(np.uint64(mix64(master_seed)) ^ (trials + np.uint64(_TRIAL_SALT)))
-    states = _mix64_array(states ^ (np.asarray(tags, dtype=np.uint64) + np.uint64(_TAG_SALT)))
+    states = _stream_states(master_seed, trials, tags)
     return _polar_pairs(states, (count + 1) // 2)[0][:, :count]
 
 
@@ -222,8 +197,8 @@ def _scaled(z: np.ndarray, sigma0: float) -> np.ndarray:
 
 
 def _orbit_triangles(master_seed: int, trials, orbits: int, m: int, sigma0: float) -> np.ndarray:
-    """(orbits, rows, m(m+1)/2) upper triangles, row-major, of orbit k's
-    ``random_sym_block(substream(master_seed, trials[r], k), m, sigma0)``;
+    """(orbits, rows, m(m+1)/2) upper triangles, row-major, of block k of
+    ``draw_label_blocks(orbits, m, master_seed, trials[r], sigma0)``;
     one tag at a time, so one orbit's polar grid is alive at once."""
     return np.stack([_scaled(_normals_rows(master_seed, trials, tag, m * (m + 1) // 2), sigma0)
                      for tag in range(orbits)])
@@ -251,17 +226,6 @@ def _check_block_args(m: int, sigma0: float) -> None:
     _check_scale("sigma0", sigma0)
 
 
-def random_sym_block(stream: SubStream, m: int, sigma0: float = 1.0) -> np.ndarray:
-    """Random symmetric m x m block.
-
-    All independent entries (on and above the diagonal, row-major order)
-    are i.i.d. normal with standard deviation ``sigma0``; the strict
-    lower triangle mirrors the upper bitwise.
-    """
-    _check_block_args(m, sigma0)
-    return _sym_blocks(_scaled(stream.normals(m * (m + 1) // 2), sigma0), m)
-
-
 @dataclass(frozen=True)
 class EnsembleConfig:
     """Everything that determines a reproducible ensemble experiment.
@@ -279,7 +243,15 @@ class EnsembleConfig:
     m: int = 1
 
     def __post_init__(self):
-        if not 0 <= int(self.master_seed) <= _MASK:
+        for name in ("master_seed", "trials", "m", "n"):
+            value = getattr(self, name)
+            if name == "n" and value is None:
+                continue
+            try:
+                object.__setattr__(self, name, operator.index(value))
+            except TypeError:
+                raise InvalidInputError(f"{name} must be an integer, got {value!r}") from None
+        if not 0 <= self.master_seed <= _MASK:
             raise InvalidInputError("master_seed must fit in 64 bits")
         if self.trials < 1:
             raise InvalidInputError("trials must be >= 1")
@@ -293,15 +265,17 @@ def draw_label_blocks(
     trial_index: int,
     sigma0: float = 1.0,
 ) -> list[np.ndarray]:
-    """One random symmetric block per pair orbit for a single trial;
-    block k is ``random_sym_block(substream(master_seed, trial_index, k), m, sigma0)``.
+    """One random symmetric m x m block per pair orbit for a single trial.
 
-    The stream tag of orbit k is k, so draws for existing orbits never
-    move when further orbits are added.
+    Block k's entries on and above the diagonal, in row-major order, are
+    ``sigma0`` times the first m(m+1)/2 normals of
+    ``substream(master_seed, trial_index, k)``, with -0.0 made +0.0; the
+    strict lower triangle mirrors the upper bitwise.  The stream tag of
+    orbit k is k, so draws for existing orbits never move when further
+    orbits are added.
     """
     _check_block_args(m, sigma0)
-    # reduced mod 2**64, as substream() reduces it
-    z = _normals_rows(master_seed, [trial_index & _MASK], np.arange(orbits), m * (m + 1) // 2)
+    z = _normals_rows(master_seed, trial_index, np.arange(orbits), m * (m + 1) // 2)
     return list(_sym_blocks(_scaled(z, sigma0), m))
 
 

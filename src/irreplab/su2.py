@@ -138,11 +138,8 @@ def effective_width(
                 f"two_j={two_j} is half-integer; pass its width factor explicitly"
             )
         width_factor = sigma_j_sq(two_j // 2, quad_points)
-    elif not 0.0 < width_factor < math.inf:
-        raise InvalidInputError(
-            f"width factor for two_j={two_j} must be positive and finite, "
-            f"got {width_factor}"
-        )
+    else:
+        _check_scale(f"width factor for two_j={two_j}", width_factor)
     return math.sqrt(n_j) * sigma_scale * math.sqrt(width_factor)
 
 

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from stream_oracle import Stream
 
 from irreplab import (
     InvalidInputError,
@@ -9,9 +10,7 @@ from irreplab import (
     check_invariance,
     draw_label_blocks,
     eigensolve,
-    random_sym_block,
     relabel,
-    substream,
 )
 from irreplab import groups
 from irreplab.cli import main
@@ -30,8 +29,8 @@ def every_element(g):
 
 
 def perm_from_stream(sites, seed):
-    # Fisher-Yates with package uniforms
-    s = substream(seed, 0, 0)
+    # Fisher-Yates with the contract's uniforms
+    s = Stream(seed, 0, 0)
     p = list(range(sites))
     for i in range(sites - 1, 0, -1):
         j = int(s.uniform() * (i + 1))
@@ -78,6 +77,15 @@ class TestBuildGroup:
             build_group("cyclic", 1)
         with pytest.raises(InvalidInputError):
             build_group("tetra", 5)
+
+    @pytest.mark.parametrize("n", [2.5, 6.0, "6", None])
+    def test_non_integer_ring_size_rejected(self, n):
+        with pytest.raises(InvalidInputError, match="cyclic group needs an integer n"):
+            build_group("cyclic", n)
+
+    def test_integer_like_ring_size_accepted(self):
+        g = build_group("cyclic", np.int64(6))
+        assert type(g.sites) is int and g == build_group("cyclic", 6)
 
     def test_oversized_ring_rejected_before_allocating(self, monkeypatch):
         def no_closure(*args):
@@ -261,7 +269,7 @@ class TestCheckInvariance:
 
     def test_generator_zero_iff_full_zero(self):
         g = build_group("octa")
-        noise = random_sym_block(substream(123, 0, 0), 6)
+        noise = draw_label_blocks(1, 6, 123, 0)[0]
         gen = check_invariance(noise, g, 1)
         full = check_invariance(noise, every_element(g), 1)
         assert gen > 0.0 and full >= gen

@@ -19,7 +19,6 @@ from irreplab import (
     eigensolve,
     ground_state_irrep_census,
     multiset_deviation,
-    random_sym_block,
     relabel,
     sample_invariant,
     substream,
@@ -324,8 +323,7 @@ class TestCyclicBlocks:
 
     @pytest.mark.parametrize("n", range(5, 13))
     def test_union_of_blocks_is_dense_spectrum(self, n):
-        fs = [random_sym_block(substream(60 + n, 0, j), 2)
-              for j in range(n // 2 + 1)]
+        fs = draw_label_blocks(n // 2 + 1, 2, 60 + n, 0)
         union = np.sort(np.concatenate(
             [eigensolve(b).eigenvalues for spec, b in cyclic_blocks(n, fs)
              for _ in range(spec.copies)]
@@ -347,7 +345,7 @@ class TestCyclicBlocks:
 
     def test_matches_cyclic_spec_coefficients(self):
         n = 8
-        fs = [random_sym_block(substream(70, 0, j), 2) for j in range(n // 2 + 1)]
+        fs = draw_label_blocks(n // 2 + 1, 2, 70, 0)
         for k, (spec, block) in enumerate(cyclic_blocks(n, fs)):
             direct = fs[0] + sum(
                 ref_zeta(j, n) * math.cos(2 * math.pi * k * j / n) * fs[j]
@@ -358,7 +356,7 @@ class TestCyclicBlocks:
     def test_eigenvector_structure_scalar_case(self):
         # k=0 eigenvector constant; k=n/2 alternates sign (even n)
         n = 6
-        fs = [float(substream(81, 0, j).normal()) for j in range(n // 2 + 1)]
+        fs = [float(substream(81, 0, j).normals(1)[0]) for j in range(n // 2 + 1)]
         g = build_group("cyclic", n)
         h = build_invariant(g, fs).values
         pairs = cyclic_blocks(n, fs)
@@ -660,3 +658,22 @@ class TestSampleInvariant:
 
         assert check_invariance(h1, g, 2) == 0.0
         assert len(blocks1) == 4
+
+    @pytest.mark.parametrize("kind, n, cfg_group, cfg_n", [
+        ("tetra", None, "cube", None), ("tetra", None, None, 8), ("cube", None, "cube", 6),
+        ("cyclic", 6, "cyclic", 5), ("cyclic", 6, "tetra", None)])
+    def test_config_naming_another_group_rejected(self, kind, n, cfg_group, cfg_n):
+        cfg = EnsembleConfig(1, 1, group=cfg_group, n=cfg_n, m=2)
+        with pytest.raises(InvalidInputError, match="config names group"):
+            sample_invariant(build_group(kind, n), cfg)
+
+    def test_config_naming_the_group_accepted(self):
+        g = build_group("cyclic", 6)
+        for cfg_group, cfg_n in [(None, None), ("cyclic", 6), ("CYCLIC", None), (None, 6)]:
+            h, _ = sample_invariant(g, EnsembleConfig(1, 1, group=cfg_group, n=cfg_n, m=2))
+            assert h.dim == 12
+
+
+def test_census_of_a_boolean_m_writes_an_integer_block_dim():
+    rows = ground_state_irrep_census(EnsembleConfig(1, 10, group="tetra", m=True)).rows
+    assert [type(row.block_dim) for row in rows] == [int, int]

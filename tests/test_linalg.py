@@ -5,17 +5,17 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from stream_oracle import Stream
 
 from irreplab import (
     InvalidInputError,
     NumericFailureError,
     Spectrum,
     SymMatrix,
+    draw_label_blocks,
     eigensolve,
     multiset_deviation,
-    random_sym_block,
     read_matrix_text,
-    substream,
     write_matrix_text,
 )
 from irreplab.cli import main
@@ -138,7 +138,7 @@ SEEDED_5X5_EIGS = [
 
 
 def seeded_5x5():
-    return SymMatrix(random_sym_block(substream(314159, 0, 0), 5))
+    return SymMatrix(draw_label_blocks(1, 5, 314159, 0)[0])
 
 
 class TestSymMatrix:
@@ -190,7 +190,7 @@ class TestEigensolve:
     @pytest.mark.parametrize("options", ENGINES)
     @pytest.mark.parametrize("seed,dim", [(100, 3), (101, 5), (102, 9), (103, 16)])
     def test_trace_and_frobenius_sums(self, options, seed, dim):
-        h = SymMatrix(random_sym_block(substream(seed, 0, 0), dim))
+        h = SymMatrix(draw_label_blocks(1, dim, seed, 0)[0])
         spec = options["solve"](h)
         tol = 1e-8 * dim * max(1.0, h.max_abs())
         assert abs(np.sum(spec.eigenvalues) - np.trace(h.values)) < tol
@@ -210,7 +210,7 @@ class TestEigensolve:
 
     def test_jacobi_matches_lapack(self):
         for seed, dim in [(200, 2), (201, 6), (202, 11), (203, 17)]:
-            h = random_sym_block(substream(seed, 0, 0), dim)
+            h = draw_label_blocks(1, dim, seed, 0)[0]
             lap = eigensolve(h).eigenvalues
             jac = jacobi_eigensolve(h).eigenvalues
             assert np.max(np.abs(lap - jac)) < 1e-12 * max(1.0, np.max(np.abs(h)))
@@ -222,7 +222,7 @@ class TestEigensolve:
             eigensolve([[np.inf, 0.0], [0.0, 1.0]])
 
     def test_jacobi_sweep_cap_reports_count(self):
-        h = random_sym_block(substream(7, 0, 0), 6)
+        h = draw_label_blocks(1, 6, 7, 0)[0]
         with pytest.raises(NumericFailureError) as err:
             jacobi_eigensolve(h, max_sweeps=0)
         assert err.value.sweeps == 0
@@ -240,7 +240,7 @@ class TestSpectrumType:
 
 def random_givens_orthogonal(dim, seed, rotations=None):
     """Product of Givens rotations with seeded angles."""
-    stream = substream(seed, 0, 99)
+    stream = Stream(seed, 0, 99)
     p = np.eye(dim)
     for _ in range(rotations or 3 * dim):
         i = int(stream.uniform() * dim)
@@ -292,7 +292,7 @@ class TestSimilarity:
 
     @pytest.mark.parametrize("dim", [4, 8, 64])
     def test_spectrum_preserved_under_givens_rotation(self, dim):
-        h = random_sym_block(substream(42 + dim, 0, 0), dim)
+        h = draw_label_blocks(1, dim, 42 + dim, 0)[0]
         p = random_givens_orthogonal(dim, seed=dim)
         before = eigensolve(h).eigenvalues
         after = eigensolve(similarity(h, p)).eigenvalues

@@ -5,12 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtr
+from stream_oracle import Stream, sym_block
 
 from irreplab import (
     EnsembleConfig,
     InvalidInputError,
     draw_label_blocks,
-    random_sym_block,
     substream,
 )
 from irreplab import rng
@@ -24,16 +24,10 @@ from irreplab.rng import (
     _tally,
 )
 
-# Frozen at first build: the very first outputs of substream(1, 0, 0).
+# Frozen at first build: the very first outputs of the stream (1, 0, 0).
 FIRST_UINT64 = 10188629700888939329
 FIRST_UNIFORM = 0.5523267228177061
 FIRST_NORMAL = 0.4632575191403335
-
-
-def scalar_normals(seed, trial, tag, count):
-    """The reference: ``count`` calls of ``SubStream.normal``."""
-    s = substream(seed, trial, tag)
-    return np.array([s.normal() for _ in range(count)])
 
 
 class TestDeterminism:
@@ -49,15 +43,14 @@ class TestDeterminism:
         assert not np.array_equal(base, substream(10, 0, 0).normals(16))
 
     def test_regression_values(self):
-        assert substream(1, 0, 0).next_uint64() == FIRST_UINT64
-        assert substream(1, 0, 0).uniform() == FIRST_UNIFORM
-        assert substream(1, 0, 0).normal() == FIRST_NORMAL
+        assert Stream(1, 0, 0).next_uint64() == FIRST_UINT64
+        assert Stream(1, 0, 0).uniform() == FIRST_UNIFORM
+        assert Stream(1, 0, 0).normal() == FIRST_NORMAL
+        assert substream(1, 0, 0).normals(1)[0] == FIRST_NORMAL
 
     def test_normal_batch_matches_scalar_path(self):
         batched = substream(4, 2, 7).normals(201)
-        s = substream(4, 2, 7)
-        singles = np.array([s.normal() for _ in range(201)])
-        assert np.array_equal(batched, singles)
+        assert np.array_equal(batched, Stream(4, 2, 7).normals(201))
 
     def test_batching_pattern_irrelevant(self):
         whole = substream(13, 5, 1).normals(40)
@@ -78,13 +71,29 @@ class TestDeterminism:
             patch.setattr(rng, "_pair_budget", lambda need: budget)
             s = substream(seed, 1, 2)
             batched = np.concatenate([[]] + [s.normals(k) for k in sizes])
-        assert np.array_equal(batched, scalar_normals(seed, 1, 2, sum(sizes)))
-        assert s.normal() == scalar_normals(seed, 1, 2, sum(sizes) + 1)[-1]
+        singles = Stream(seed, 1, 2).normals(sum(sizes) + 1)
+        assert np.array_equal(batched, singles[:-1])
+        assert s.normals(1)[0] == singles[-1]
 
     def test_empty_request(self):
         s = substream(1, 0, 0)
         assert s.normals(0).size == 0
-        assert s.normal() == FIRST_NORMAL
+        assert s.normals(1)[0] == FIRST_NORMAL
+
+
+class TestStreamDerivation:
+    # seed, trial and tag are each taken mod 2**64
+    @pytest.mark.parametrize("seed, trial, tag", [
+        (2**64 - 1, 0, 0), (2**64, 0, 0), (-1, 0, 0), (5, -1, 0), (5, 0, -1), (-1, -1, -1)])
+    def test_substream_matches_reference_at_the_edges(self, seed, trial, tag):
+        assert np.array_equal(substream(seed, trial, tag).normals(9),
+                              Stream(seed, trial, tag).normals(9))
+
+    @pytest.mark.parametrize("seed, trial", [(2**64 - 1, 0), (2**64, 3), (-1, 0), (5, -1)])
+    def test_label_blocks_match_reference_at_the_edges(self, seed, trial):
+        blocks = draw_label_blocks(3, 2, seed, trial)
+        for tag in range(3):
+            assert np.array_equal(blocks[tag], sym_block(Stream(seed, trial, tag), 2))
 
 
 class TestDistribution:
@@ -108,41 +117,36 @@ class TestDistribution:
 
 
 class TestSymBlock:
+    # one trial's blocks, one stream per orbit
     def test_scalar_case(self):
-        x = random_sym_block(substream(3, 0, 0), 1, 2.0)
-        assert x.shape == (1, 1)
-        draws = np.array(
-            [random_sym_block(substream(3, t, 0), 1, 2.0)[0, 0] for t in range(20000)]
-        )
+        draws = np.array(draw_label_blocks(20000, 1, 3, 0, 2.0))
+        assert draws.shape == (20000, 1, 1)
         assert abs(draws.var(ddof=1) / 4.0 - 1.0) < 0.05
 
     def test_exactly_symmetric(self):
-        b = random_sym_block(substream(11, 0, 0), 7)
+        b = draw_label_blocks(1, 7, 11, 0)[0]
         assert np.array_equal(b, b.T)
 
     def test_elementwise_variance(self):
-        s = substream(9, 0, 0)
-        draws = np.stack([random_sym_block(s, 4, 1.5) for _ in range(10000)])
+        draws = np.stack(draw_label_blocks(10000, 4, 9, 0, 1.5))
         v = draws.var(axis=0, ddof=1)
         assert np.max(np.abs(v / 2.25 - 1.0)) < 0.05
 
     def test_zero_size_rejected(self):
-        with pytest.raises(InvalidInputError):
-            random_sym_block(substream(1, 0, 0), 0)
+        with pytest.raises(InvalidInputError, match="block size m must be >= 1"):
+            draw_label_blocks(1, 0, 1, 0)
 
 
 class TestLabelBlocks:
     def test_tags_follow_label_position(self):
         blocks = draw_label_blocks(3, 2, 17, 4)
         for tag in range(3):
-            assert np.array_equal(blocks[tag], random_sym_block(substream(17, 4, tag), 2))
+            assert np.array_equal(blocks[tag], sym_block(Stream(17, 4, tag), 2))
 
     @pytest.mark.parametrize("m, sigma0", [(0, 1.0), (2, 0.0), (2, float("nan")), (2, float("inf"))])
     def test_bad_shape_or_width_rejected(self, m, sigma0):
         with pytest.raises(InvalidInputError):
             draw_label_blocks(2, m, 1, 0, sigma0)
-        with pytest.raises(InvalidInputError):
-            random_sym_block(substream(1, 0, 0), m, sigma0)
 
     def test_appending_labels_preserves_earlier_draws(self):
         short = draw_label_blocks(2, 3, 21, 0)
@@ -168,6 +172,19 @@ class TestEnsembleConfig:
         cfg = EnsembleConfig(5, 100)
         assert cfg.sigma0 == 1.0 and cfg.m == 1 and cfg.group is None
 
+    @pytest.mark.parametrize("field, value", [
+        ("master_seed", 1.5), ("master_seed", None), ("trials", 2.5), ("m", 2.0), ("m", "2"),
+        ("n", 6.0)])
+    def test_non_integer_fields_rejected(self, field, value):
+        fields = {"master_seed": 1, "trials": 10, "group": "cyclic", "n": 6, "m": 1, field: value}
+        with pytest.raises(InvalidInputError, match=f"{field} must be an integer"):
+            EnsembleConfig(**fields)
+
+    def test_integer_fields_stored_as_int(self):
+        cfg = EnsembleConfig(np.uint64(3), np.int32(10), group="cyclic", n=np.int64(6), m=True)
+        assert [type(v) for v in (cfg.master_seed, cfg.trials, cfg.n, cfg.m)] == [int] * 4
+        assert (cfg.master_seed, cfg.trials, cfg.n, cfg.m) == (3, 10, 6, 1)
+
 
 class TestBatchedRows:
     @settings(max_examples=60, deadline=None)
@@ -183,7 +200,7 @@ class TestBatchedRows:
         batched = _normals_rows(seed, trials, tag, count)
         assert batched.shape == (rows, count)
         for row, trial in zip(batched, trials):
-            assert np.array_equal(row, substream(seed, int(trial), tag).normals(count))
+            assert np.array_equal(row, Stream(seed, int(trial), tag).normals(count))
 
     @pytest.mark.parametrize("pairs", [1, 2, 3])
     def test_short_rows_fall_back_to_scalar_stream(self, pairs, monkeypatch):
@@ -191,14 +208,14 @@ class TestBatchedRows:
         # pairs, so each carries on through the kernel many times
         monkeypatch.setattr(rng, "_pair_budget", lambda need: pairs)
         batched = _normals_rows(7, np.arange(50), 3, 40)
-        assert np.array_equal(batched, np.stack([scalar_normals(7, t, 3, 40) for t in range(50)]))
+        assert np.array_equal(batched, np.stack([Stream(7, t, 3).normals(40) for t in range(50)]))
 
     def test_partly_short_rows(self, monkeypatch):
         # one pair each: rows whose first pair is rejected carry on, the
         # others are served from the first draw
         monkeypatch.setattr(rng, "_pair_budget", lambda need: 1)
         batched = _normals_rows(19, np.arange(200), 0, 2)
-        assert np.array_equal(batched, np.stack([scalar_normals(19, t, 0, 2) for t in range(200)]))
+        assert np.array_equal(batched, np.stack([Stream(19, t, 0).normals(2) for t in range(200)]))
 
     @pytest.mark.parametrize("m", [1, 2, 5])
     def test_stacked_label_blocks_match_per_trial_draws(self, m):
@@ -206,7 +223,7 @@ class TestBatchedRows:
         stacked = _sym_blocks(_orbit_triangles(23, trials, 3, m, 1.5), m)
         for orbit in range(3):
             for row, trial in enumerate(trials):
-                single = random_sym_block(substream(23, int(trial), orbit), m, 1.5)
+                single = sym_block(Stream(23, int(trial), orbit), m, 1.5)
                 assert np.array_equal(stacked[orbit, row], single)
 
 

@@ -191,7 +191,8 @@ class TestEffectiveWidth:
 
     @pytest.mark.parametrize("factor", BAD_FACTORS)
     def test_factor_must_be_positive_and_finite(self, factor):
-        with pytest.raises(InvalidInputError, match="positive and finite"):
+        with pytest.raises(InvalidInputError,
+                           match="width factor for two_j=4 must be positive and finite"):
             effective_width(4, 3, width_factor=factor)
 
     @pytest.mark.parametrize("scale", [0.0, -2.0, math.nan, math.inf])
