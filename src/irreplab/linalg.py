@@ -6,10 +6,10 @@ runs LAPACK (`numpy.linalg.eigh` / `eigvalsh`) and checks every
 eigenvector decomposition it returns against the matrix.
 
 A plain text matrix format is defined for interchange: first line the
-dimension, then one row of space-separated decimals per line.  Each
-distinct value is converted once in either direction.  The parser
-fills one array, symmetrizes it in place and reports the largest
-asymmetry it had to repair.
+dimension, then one row of space-separated decimals per line.  Up to
+dim + dim^2 / 16 distinct values are converted once in either direction.
+The parser fills one array, symmetrizes it in place and reports the
+largest asymmetry it had to repair.
 """
 
 from __future__ import annotations
@@ -193,13 +193,18 @@ def multiset_deviation(a, b) -> float:
 
 
 class _Memo(dict):
-    """Maps each distinct key through ``convert`` once."""
+    """Maps each key through ``convert`` once while it holds fewer than
+    dim + dim^2 / 16 (about a dense copy), and then each time; invariant
+    matrices of the polyhedra and of rings of n >= 5 sites stay under."""
 
-    def __init__(self, convert):
+    def __init__(self, convert, dim: int):
         self.convert = convert
+        self.limit = dim + dim * dim // 16
 
     def __missing__(self, key):
-        value = self[key] = self.convert(key)
+        value = self.convert(key)
+        if len(self) < self.limit:
+            self[key] = value
         return value
 
 
@@ -217,7 +222,7 @@ def write_matrix_text(h, path) -> None:
     once and its word reused: an invariant matrix repeats few values.
     """
     h = _as_sym(h)
-    words = _Memo(_word)
+    words = _Memo(_word, h.dim)
     with open(path, "w", encoding="ascii") as fh:
         fh.write(f"{h.dim}\n")
         for bits in h.values.view(np.uint64):
@@ -229,13 +234,12 @@ def read_matrix_text(path) -> tuple[SymMatrix, float]:
     """Read the text format; returns (matrix, max asymmetry repaired).
 
     Tokens take Python ``float`` syntax, and a non-ASCII byte makes its
-    token malformed; each distinct token is parsed once.  Rows stream into
+    token malformed; repeats are parsed once (see `_Memo`).  Rows stream into
     one array that doubles as rows of the declared length arrive, never on
     the header alone: two dense copies at most, besides the tokens.  Blank
     lines are skipped, rows past the dimension counted, not kept.  The row
     count is checked before the rows; the repaired asymmetry must be finite.
     """
-    floats = _Memo(float)
     bad = None
     found = 0
     with open(path, "r", encoding="ascii", errors="replace") as fh:
@@ -250,6 +254,7 @@ def read_matrix_text(path) -> tuple[SymMatrix, float]:
         if dim < 1:
             raise InvalidInputError(f"{path}: dimension must be >= 1")
         m = np.empty((0, dim))
+        floats = _Memo(float, dim)
         for found, line in enumerate(lines, 1):
             if found > dim or bad is not None:
                 continue

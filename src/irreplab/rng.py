@@ -26,11 +26,10 @@ reproduced from that text alone:
 
 Each step has one implementation: ``_mix64_array`` is the finalizer,
 ``_stream_states`` the derivation and ``_polar_pairs`` the normal
-generator.  ``_polar_pairs`` scans the polar acceptance of any array of
-stream states at once and returns each stream's next accepted pairs and
-its state after them: ``SubStream.normals`` runs it on its own state,
-``draw_label_blocks`` on the orbit tags of one trial, and the census
-(``_orbit_triangles``) and the J distribution on the trials of a chunk.
+generator, which scans the polar acceptance of any array of stream
+states at once: ``SubStream.normals`` runs it on its own state, the J
+distribution and ``_orbit_triangles``, the one draw path of orbit blocks,
+on a chunk of trials (one trial for ``draw_label_blocks``).
 Each row keeps its stream's accepted pairs in order, so batching,
 chunking and threads change no draw; the tests check every path, bit
 for bit, against a one-deviate-at-a-time reference written from
@@ -40,6 +39,7 @@ README.md alone.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 
@@ -191,33 +191,29 @@ def _normals_rows(master_seed: int, trials, tags, count: int) -> np.ndarray:
     return _polar_pairs(states, (count + 1) // 2)[0][:, :count]
 
 
-def _scaled(z: np.ndarray, sigma0: float) -> np.ndarray:
-    """``sigma0 * z``, with every -0.0 turned into +0.0."""
-    return sigma0 * z + 0.0
-
-
 def _orbit_triangles(master_seed: int, trials, orbits: int, m: int, sigma0: float) -> np.ndarray:
-    """(orbits, rows, m(m+1)/2) upper triangles, row-major, of block k of
-    ``draw_label_blocks(orbits, m, master_seed, trials[r], sigma0)``;
-    one tag at a time, so one orbit's polar grid is alive at once."""
-    return np.stack([_scaled(_normals_rows(master_seed, trials, tag, m * (m + 1) // 2), sigma0)
-                     for tag in range(orbits)])
+    """(orbits, rows, m(m+1)/2) row-major upper triangles: row r of orbit k
+    is ``sigma0`` times the first m(m+1)/2 normals of stream (master_seed,
+    trials[r], k), -0.0 made +0.0; one tag, so one polar grid, at a time."""
+    tri = np.empty((max(orbits, 0), np.size(trials), m * (m + 1) // 2))
+    for tag in range(orbits):
+        tri[tag] = sigma0 * _normals_rows(master_seed, trials, tag, tri.shape[2]) + 0.0
+    return tri
 
 
 def _sym_blocks(packed: np.ndarray, m: int) -> np.ndarray:
-    """The one unpacking: symmetric m x m blocks, any leading shape, whose
-    upper triangles (row-major) are the last axis of ``packed``."""
+    """The one unpacking (a gather): symmetric m x m blocks, any leading
+    shape, whose upper triangles (row-major) are the last axis of ``packed``."""
+    index = np.empty((m, m), dtype=np.intp)
     rows, cols = np.triu_indices(m)
-    blocks = np.empty(packed.shape[:-1] + (m, m))
-    blocks[..., rows, cols] = packed
-    blocks[..., cols, rows] = packed
-    return blocks
+    index[rows, cols] = index[cols, rows] = np.arange(rows.size)
+    return np.take(packed, index, axis=-1)
 
 
 def _check_scale(name: str, value: float) -> None:
-    """The one rule for a width scale: positive and finite."""
-    if not 0.0 < value < math.inf:
-        raise InvalidInputError(f"{name} must be positive and finite, got {value}")
+    """The one rule for a width scale: a real number, positive and finite."""
+    if not (isinstance(value, numbers.Real) and 0.0 < value < math.inf):
+        raise InvalidInputError(f"{name} must be positive and finite, got {value!r}")
 
 
 def _check_block_args(m: int, sigma0: float) -> None:
@@ -251,6 +247,8 @@ class EnsembleConfig:
                 object.__setattr__(self, name, operator.index(value))
             except TypeError:
                 raise InvalidInputError(f"{name} must be an integer, got {value!r}") from None
+        if not isinstance(self.group, (str, type(None))):
+            raise InvalidInputError(f"group must be a name or None, got {self.group!r}")
         if not 0 <= self.master_seed <= _MASK:
             raise InvalidInputError("master_seed must fit in 64 bits")
         if self.trials < 1:
@@ -272,11 +270,11 @@ def draw_label_blocks(
     ``substream(master_seed, trial_index, k)``, with -0.0 made +0.0; the
     strict lower triangle mirrors the upper bitwise.  The stream tag of
     orbit k is k, so draws for existing orbits never move when further
-    orbits are added.
+    orbits are added.  These are the census's blocks for that trial.
     """
     _check_block_args(m, sigma0)
-    z = _normals_rows(master_seed, trial_index, np.arange(orbits), m * (m + 1) // 2)
-    return list(_sym_blocks(_scaled(z, sigma0), m))
+    triangles = _orbit_triangles(master_seed, trial_index, orbits, m, sigma0)
+    return list(_sym_blocks(triangles[:, 0], m))
 
 
 def _tally(minima: np.ndarray) -> tuple[np.ndarray, int]:

@@ -93,13 +93,6 @@ def _angular_grid(quad_points: int):
     return theta, weights
 
 
-def _check_quad_points(quad_points: int):
-    # leggauss holds two dense quad_points x quad_points matrices, 64 MB
-    # at the ceiling
-    if not 64 <= quad_points <= 2048:
-        raise InvalidInputError(f"quad_points must be in [64, 2048], got {quad_points}")
-
-
 def sigma_j_sq(j: int, quad_points: int = DEFAULT_QUAD_POINTS) -> float:
     """The universal width factor ``integral_0^pi P_j(cos w)^2 sin^2 w dw``.
 
@@ -107,7 +100,10 @@ def sigma_j_sq(j: int, quad_points: int = DEFAULT_QUAD_POINTS) -> float:
     the first few degrees: pi/2, pi/8, 5 pi/64, 29 pi/512, 727 pi/16384.
     A q-node rule holds 1e-10 up to j = q // 2 - 4; larger j is rejected.
     """
-    _check_quad_points(quad_points)
+    # leggauss holds two dense quad_points x quad_points matrices, 64 MB
+    # at the ceiling
+    if not 64 <= quad_points <= 2048:
+        raise InvalidInputError(f"quad_points must be in [64, 2048], got {quad_points}")
     if j > quad_points // 2 - 4:
         raise InvalidInputError(f"J = {j} needs quad_points >= {2 * j + 8}, got {quad_points}")
     theta, weights = _angular_grid(quad_points)

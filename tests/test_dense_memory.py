@@ -15,10 +15,13 @@ import pytest
 from irreplab import (
     EnsembleConfig,
     InvalidInputError,
+    SymMatrix,
     build_group,
     check_invariance,
+    draw_label_blocks,
     read_matrix_text,
     sample_invariant,
+    write_matrix_text,
 )
 from irreplab.cli import main
 
@@ -77,6 +80,15 @@ def test_read_matrix_text(case):
 def test_spectrum_command(case):
     peak = _peak(lambda: _quiet_main(case["spectrum"]))
     assert peak <= 2.5 * case["dense"]
+
+
+def test_random_matrix_text(tmp_path):
+    # every value distinct: the codec's value memo stops at its limit
+    dim = 400
+    h = SymMatrix(draw_label_blocks(1, dim, 3, 0)[0])
+    path = tmp_path / "random.txt"
+    assert _peak(lambda: write_matrix_text(h, path)) <= 3 * dim * dim * 8
+    assert _peak(lambda: read_matrix_text(path)) <= 3 * dim * dim * 8
 
 
 def test_reader_allocates_for_the_rows_read(tmp_path):

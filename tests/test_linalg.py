@@ -12,6 +12,7 @@ from irreplab import (
     NumericFailureError,
     Spectrum,
     SymMatrix,
+    build_group,
     draw_label_blocks,
     eigensolve,
     multiset_deviation,
@@ -19,6 +20,7 @@ from irreplab import (
     write_matrix_text,
 )
 from irreplab.cli import main
+from irreplab.linalg import _Memo
 
 def _jacobi_rotate(a, v, p, q):
     apq = a[p, q]
@@ -435,6 +437,27 @@ class TestMatrixTextBytes:
         back, asym = read_matrix_text(path)
         assert asym == 0.0
         assert np.array_equal(back.values.view(np.uint64), values.view(np.uint64))
+
+    @pytest.mark.parametrize("dim", [1, 2, 20])
+    def test_bytes_past_the_memo_limit(self, tmp_path, dim):
+        # all dim(dim+1)/2 values distinct: past dim + dim^2/16 of them the
+        # writer formats and the reader parses each occurrence again
+        values = draw_label_blocks(1, dim, 8, 0)[0]
+        path = tmp_path / "h.txt"
+        write_matrix_text(values, path)
+        assert path.read_bytes() == _reference_text(values).encode("ascii")
+        back, asym = read_matrix_text(path)
+        assert asym == 0.0
+        assert np.array_equal(back.values.view(np.uint64), values.view(np.uint64))
+
+    @pytest.mark.parametrize("kind, n", [("tetra", None), ("octa", None), ("cube", None),
+                                         ("cyclic", 5), ("cyclic", 6), ("cyclic", 50)])
+    def test_invariant_matrices_stay_under_the_memo_limit(self, kind, n):
+        # L orbits give at most L m(m+1)/2 distinct values, each formatted once
+        group = build_group(kind, n)
+        for m in (1, 2, 3, 8, 60, 250, 1000):
+            limit = _Memo(float, group.sites * m).limit
+            assert group.orbit_count * m * (m + 1) // 2 <= limit
 
     @pytest.mark.parametrize(
         "args,digest",

@@ -148,6 +148,17 @@ class TestLabelBlocks:
         with pytest.raises(InvalidInputError):
             draw_label_blocks(2, m, 1, 0, sigma0)
 
+    def test_underflow_to_zero_is_positive_zero(self):
+        # sigma0 * z rounds to a signed zero for the tiniest width, and a
+        # -0.0 would be written as "-0"
+        blocks = np.stack(draw_label_blocks(3, 4, 5, 0, 5e-324))
+        zeros = blocks == 0.0
+        assert zeros.any() and not np.signbit(blocks[zeros]).any()
+
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_no_orbits_no_blocks(self, m):
+        assert draw_label_blocks(0, m, 7, 0) == []
+
     def test_appending_labels_preserves_earlier_draws(self):
         short = draw_label_blocks(2, 3, 21, 0)
         longer = draw_label_blocks(3, 3, 21, 0)
@@ -178,6 +189,13 @@ class TestEnsembleConfig:
     def test_non_integer_fields_rejected(self, field, value):
         fields = {"master_seed": 1, "trials": 10, "group": "cyclic", "n": 6, "m": 1, field: value}
         with pytest.raises(InvalidInputError, match=f"{field} must be an integer"):
+            EnsembleConfig(**fields)
+
+    @pytest.mark.parametrize("field, value", [
+        ("sigma0", "1"), ("sigma0", None), ("sigma0", [1.0]), ("group", 5), ("group", b"cube")])
+    def test_wrong_typed_fields_rejected(self, field, value):
+        fields = {"master_seed": 1, "trials": 10, field: value}
+        with pytest.raises(InvalidInputError, match=field):
             EnsembleConfig(**fields)
 
     def test_integer_fields_stored_as_int(self):

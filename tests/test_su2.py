@@ -200,6 +200,13 @@ class TestEffectiveWidth:
         with pytest.raises(InvalidInputError, match="sigma_scale"):
             effective_width(4, 3, scale)
 
+    @pytest.mark.parametrize("value", ["1", b"1", [1.0]], ids=repr)
+    def test_scale_and_factor_must_be_real_numbers(self, value):
+        with pytest.raises(InvalidInputError, match="sigma_scale"):
+            effective_width(4, 3, value)
+        with pytest.raises(InvalidInputError, match="width factor for two_j=3"):
+            effective_width(3, 3, width_factor=value)
+
 
 class TestDimensionTable:
     def test_validation(self):
