@@ -15,13 +15,14 @@ numpy runs on one BLAS thread unless ``OPENBLAS_NUM_THREADS`` or
 ``OMP_NUM_THREADS`` is set, or numpy loaded before this module did:
 ``--threads`` is the only parallelism, and a dense eigensolve's last
 bits depend on the BLAS thread count.  Each command imports only the
-modules it runs.
+modules it runs, so ``--version`` and a usage error load no numpy.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -33,8 +34,6 @@ from .errors import InvalidInputError, NumericFailureError
 if ("numpy" not in sys.modules and "OPENBLAS_NUM_THREADS" not in os.environ
         and "OMP_NUM_THREADS" not in os.environ):
     os.environ["OPENBLAS_NUM_THREADS"] = "1"
-
-import numpy as np  # noqa: E402  (after the BLAS thread default)
 
 USAGE_ERROR = 2
 NUMERIC_ERROR = 3
@@ -91,9 +90,9 @@ def _cmd_build(args):
 
 
 def _cmd_spectrum(args):
-    from .groups import _orbit_rows, build_group
+    from .groups import _orbit_blocks, build_group
     from .irreps import _spectrum_eigenvalues
-    from .linalg import SymMatrix, eigensolve, multiset_deviation, read_matrix_text
+    from .linalg import eigensolve, multiset_deviation, read_matrix_text
 
     if args.m < 1:
         raise InvalidInputError(f"--m must be >= 1, got {args.m}")
@@ -110,27 +109,15 @@ def _cmd_spectrum(args):
         raise InvalidInputError(
             f"{args.group} acts on {group.sites} sites but file has {sites}"
         )
-    m = args.m
-    # each orbit's smallest pair is (0, j), met first along row 0
-    first = {k: j for j, k in reversed(list(enumerate(group.orbit_index[0].tolist())))}
-    blocks = [SymMatrix.symmetrized(h.values[:m, j * m:(j + 1) * m]).values
-              for j in map(first.get, range(len(first)))]
-    with np.errstate(over="ignore"):
-        gap = max(np.max(np.abs(h.values[i * m:i * m + m].reshape(row.shape) - row))
-                  for i, row in enumerate(_orbit_rows(group, np.stack(blocks))))
-    if not gap <= 1e-10 * h.max_abs():
-        raise InvalidInputError(f"matrix is not {group.name}-invariant with symmetric "
-                                f"orbit blocks: off by {_fmt(gap)}")
-
+    blocks = _orbit_blocks(h, group, args.m)
     specs, values = _spectrum_eigenvalues(group, blocks)
     rows = [(spec.label, float(v)) for spec, ev in zip(specs, values)
             for _ in range(spec.copies) for v in ev]
     dense = eigensolve(h).eigenvalues
-    deviation = multiset_deviation(np.sort([v for _, v in rows]), dense)
-    if not np.isfinite(deviation):
+    deviation = multiset_deviation(sorted(v for _, v in rows), dense)
+    if not math.isfinite(deviation):
         raise NumericFailureError("block and dense eigenvalues differ beyond the float range")
     rows.extend(("dense", float(v)) for v in dense)
-
     _write_rows(args.out, args.format, ("irrep_label", "eigenvalue"), rows)
     resolved.update(file_asymmetry=asym, max_multiset_deviation=deviation)
     return resolved, f"max multiset deviation (blocks vs dense): {_fmt(deviation)}"

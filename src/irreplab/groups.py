@@ -7,6 +7,8 @@ order 24).  Permutations are stored as image tuples: ``p[i]`` is where
 site ``i`` goes.  A group carries the numbering of its site-pair
 orbits, read off its elements once when it is built: the diagonal
 orbit is 0, the others follow ascending by each orbit's smallest pair.
+`build_invariant` assembles a matrix from one block per orbit, and
+`_orbit_blocks`, its inverse, reads them back for ``spectrum``.
 
 Vertex numbering conventions (any consistent relabeling gives the same
 physics; see `relabel` and the relabeling tests):
@@ -27,7 +29,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, _check_index
 from .linalg import SymMatrix
 
 __all__ = [
@@ -240,6 +242,23 @@ def build_invariant(group: PointGroup, blocks: Sequence) -> SymMatrix:
     return SymMatrix._adopting(h.reshape(n * m, n * m))
 
 
+def _orbit_blocks(h: SymMatrix, group: PointGroup, m: int) -> list[np.ndarray]:
+    """The inverse of `build_invariant`: each orbit's m x m block of ``h``,
+    read at its smallest pair (0, j), met first along row 0, and
+    symmetrized.  ``h`` is compared with their matrix one site's row of
+    blocks at a time; a gap above 1e-10 max|H| raises InvalidInputError."""
+    first = {k: j for j, k in reversed(list(enumerate(group.orbit_index[0].tolist())))}
+    blocks = [SymMatrix.symmetrized(h.values[:m, j * m:(j + 1) * m]).values
+              for j in map(first.get, range(len(first)))]
+    with np.errstate(over="ignore"):
+        gap = max(np.max(np.abs(h.values[i * m:i * m + m].reshape(row.shape) - row))
+                  for i, row in enumerate(_orbit_rows(group, np.stack(blocks))))
+    if not gap <= 1e-10 * h.max_abs():
+        raise InvalidInputError(f"matrix is not {group.name}-invariant with symmetric "
+                                f"orbit blocks: off by {gap:.12g}")
+    return blocks
+
+
 def check_invariance(h, group: PointGroup, m: int | None = None) -> float:
     """Largest violation of ``H = (P (x) I) H (P (x) I)^T`` over the generators.
 
@@ -253,7 +272,7 @@ def check_invariance(h, group: PointGroup, m: int | None = None) -> float:
         if dim % n != 0:
             raise InvalidInputError(f"matrix dim {dim} is not a multiple of {n} sites")
         m = dim // n
-    elif dim != n * m:
+    elif dim != n * _check_index("m", m):
         raise InvalidInputError(f"matrix dim {dim} does not equal sites*m = {n * m}")
     blocks = h.reshape(n, m, n, m)
     worst = 0.0

@@ -40,12 +40,11 @@ from __future__ import annotations
 
 import math
 import numbers
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError, NumericFailureError
+from .errors import InvalidInputError, NumericFailureError, _check_index
 
 __all__ = [
     "EnsembleConfig",
@@ -94,6 +93,7 @@ class SubStream:
     def normals(self, count: int) -> np.ndarray:
         """Next ``count`` standard normals; the same bits however the
         requests are batched."""
+        count = _check_index("count", count)
         if count < 0:
             raise InvalidInputError("count must be >= 0")
         head = [] if self._pending is None else [self._pending]
@@ -116,14 +116,17 @@ def _words(x) -> np.ndarray:
 def _stream_states(master_seed: int, trials, tags) -> np.ndarray:
     """1-d uint64 initial states of the streams (master_seed, trial, tag)
     for ``trials`` and ``tags`` broadcast together; the seed is mixed once."""
-    seed = _mix64_array(np.array([operator.index(master_seed) & _MASK], dtype=np.uint64))
+    seed = _mix64_array(np.array([master_seed & _MASK], dtype=np.uint64))
     states = _mix64_array(seed ^ (_words(trials) + _TRIAL_SALT))
     return _mix64_array(states ^ (_words(tags) + _TAG_SALT))
 
 
 def substream(master_seed: int, trial_index: int, stream_tag: int) -> SubStream:
     """Derive the private stream for (trial, tag) under a master seed."""
-    return SubStream(int(_stream_states(master_seed, trial_index, stream_tag)[0]))
+    seed = _check_index("master_seed", master_seed)
+    trial = _check_index("trial_index", trial_index)
+    tag = _check_index("stream_tag", stream_tag)
+    return SubStream(int(_stream_states(seed, trial, tag)[0]))
 
 
 def _pair_budget(need: int) -> int:
@@ -195,7 +198,7 @@ def _orbit_triangles(master_seed: int, trials, orbits: int, m: int, sigma0: floa
     """(orbits, rows, m(m+1)/2) row-major upper triangles: row r of orbit k
     is ``sigma0`` times the first m(m+1)/2 normals of stream (master_seed,
     trials[r], k), -0.0 made +0.0; one tag, so one polar grid, at a time."""
-    tri = np.empty((max(orbits, 0), np.size(trials), m * (m + 1) // 2))
+    tri = np.empty((orbits, np.size(trials), m * (m + 1) // 2))
     for tag in range(orbits):
         tri[tag] = sigma0 * _normals_rows(master_seed, trials, tag, tri.shape[2]) + 0.0
     return tri
@@ -243,10 +246,7 @@ class EnsembleConfig:
             value = getattr(self, name)
             if name == "n" and value is None:
                 continue
-            try:
-                object.__setattr__(self, name, operator.index(value))
-            except TypeError:
-                raise InvalidInputError(f"{name} must be an integer, got {value!r}") from None
+            object.__setattr__(self, name, _check_index(name, value))
         if not isinstance(self.group, (str, type(None))):
             raise InvalidInputError(f"group must be a name or None, got {self.group!r}")
         if not 0 <= self.master_seed <= _MASK:
@@ -272,8 +272,14 @@ def draw_label_blocks(
     orbit k is k, so draws for existing orbits never move when further
     orbits are added.  These are the census's blocks for that trial.
     """
+    orbits = _check_index("orbits", orbits)
+    if orbits < 0:
+        raise InvalidInputError(f"orbits must be >= 0, got {orbits}")
+    m = _check_index("m", m)
     _check_block_args(m, sigma0)
-    triangles = _orbit_triangles(master_seed, trial_index, orbits, m, sigma0)
+    seed = _check_index("master_seed", master_seed)
+    trial = _check_index("trial_index", trial_index)
+    triangles = _orbit_triangles(seed, trial, orbits, m, sigma0)
     return list(_sym_blocks(triangles[:, 0], m))
 
 
@@ -297,6 +303,7 @@ def _chunked_tally(chunk_minima, trials: int, row_elements: int,
     them, and chunks are spread over ``threads`` workers, ``threads``
     chunks at a time.  Each chunk is summed as it finishes, so memory
     does not grow with ``trials``.  The result depends on neither."""
+    threads = _check_index("threads", threads)
     if threads < 1:
         raise InvalidInputError(f"threads must be >= 1, got {threads}")
     size = max(1, _CHUNK_ELEMENTS // row_elements)

@@ -32,7 +32,7 @@ from importlib import resources
 import numpy as np
 
 from . import DEFAULT_QUAD_POINTS
-from .errors import InvalidInputError
+from .errors import InvalidInputError, _check_index
 from .rng import EnsembleConfig, _check_scale, _chunked_tally, _normals_rows, _row_uniforms
 from .rng import substream  # noqa: F401  (kept importable here; perfbench's tracer test looks it up)
 
@@ -54,6 +54,7 @@ def legendre(j: int, x):
 
     Accepts scalars or arrays with entries in [-1, 1]; |P_j| <= 1 there.
     """
+    j = _check_index("degree", j)
     if j < 0:
         raise InvalidInputError("degree must be >= 0")
     arr = np.asarray(x, dtype=np.float64)
@@ -100,6 +101,8 @@ def sigma_j_sq(j: int, quad_points: int = DEFAULT_QUAD_POINTS) -> float:
     the first few degrees: pi/2, pi/8, 5 pi/64, 29 pi/512, 727 pi/16384.
     A q-node rule holds 1e-10 up to j = q // 2 - 4; larger j is rejected.
     """
+    j = _check_index("J", j)
+    quad_points = _check_index("quad_points", quad_points)
     # leggauss holds two dense quad_points x quad_points matrices, 64 MB
     # at the ceiling
     if not 64 <= quad_points <= 2048:
@@ -211,6 +214,7 @@ def width_table(j_max: int, quad_points: int = DEFAULT_QUAD_POINTS):
 
     ``dict()`` of them is a valid ``widths`` argument of `gs_distribution`.
     """
+    j_max = _check_index("j_max", j_max)
     if j_max < 0:
         raise InvalidInputError("j_max must be >= 0")
     return tuple((2 * j, sigma_j_sq(j, quad_points)) for j in range(j_max + 1))

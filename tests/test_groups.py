@@ -5,12 +5,14 @@ from stream_oracle import Stream
 from irreplab import (
     InvalidInputError,
     PointGroup,
+    SymMatrix,
     build_group,
     build_invariant,
     check_invariance,
     draw_label_blocks,
     eigensolve,
     relabel,
+    write_matrix_text,
 )
 from irreplab import groups
 from irreplab.cli import main
@@ -252,6 +254,67 @@ class TestBuildInvariant:
             build_invariant(g, [np.eye(2), np.eye(3)])
 
 
+class TestOrbitBlocks:
+    """`_orbit_blocks`, the inverse of `build_invariant` that `spectrum` reads through."""
+
+    @pytest.mark.parametrize("kind,n", ALL_GROUPS)
+    @pytest.mark.parametrize("relabeled", [False, True])
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_inverse_of_build_invariant(self, kind, n, relabeled, m):
+        g = build_group(kind, n)
+        if relabeled:
+            g = relabel(g, perm_from_stream(g.sites, 9))
+        blocks = draw_label_blocks(g.orbit_count, m, 31, 0)
+        read = groups._orbit_blocks(build_invariant(g, blocks), g, m)
+        assert [b.tobytes() for b in read] == [b.tobytes() for b in blocks]
+
+    @staticmethod
+    def bumped_cube(scale):
+        """A cube m = 2 matrix with one diagonal entry moved by scale * max|H|."""
+        g = build_group("cube")
+        h = build_invariant(g, draw_label_blocks(g.orbit_count, 2, 5, 0)).values.copy()
+        h[5, 5] += scale * np.max(np.abs(h))
+        return h, g
+
+    def test_one_entry_bump_within_the_tolerance_accepted(self):
+        h, g = self.bumped_cube(1e-11)
+        assert len(groups._orbit_blocks(SymMatrix(h), g, 2)) == g.orbit_count
+
+    def test_one_entry_bump_rejected(self, tmp_path, capsys):
+        h, g = self.bumped_cube(1e-9)
+        with pytest.raises(InvalidInputError) as err:
+            groups._orbit_blocks(SymMatrix(h), g, 2)
+        assert str(err.value).startswith(
+            "matrix is not cube-invariant with symmetric orbit blocks: off by ")
+        # the command line reports the library's message as it is
+        write_matrix_text(h, tmp_path / "h.txt")
+        assert main(["spectrum", "--in", str(tmp_path / "h.txt"), "--group", "cube",
+                     "--m", "2", "--out", str(tmp_path / "s.csv")]) == 2
+        assert capsys.readouterr().err == f"error: {err.value}\n"
+
+    def test_non_symmetric_ring_blocks_rejected(self):
+        # an exactly C_5-invariant m = 2 matrix whose blocks F(d), with
+        # F(-d) = F(d)^T, are not symmetric
+        rng = np.random.default_rng(3)
+        n, m = 5, 2
+        f = [rng.standard_normal((m, m)) for _ in range(n)]
+        f[0] = f[0] + f[0].T
+        for d in range(1, n // 2 + 1):
+            f[n - d] = f[d].T
+        h = np.block([[f[(j - i) % n] for j in range(n)] for i in range(n)])
+        g = build_group("cyclic", n)
+        assert check_invariance(h, g, m) == 0.0
+        with pytest.raises(InvalidInputError, match="^matrix is not cyclic.5.-invariant"):
+            groups._orbit_blocks(SymMatrix(h), g, m)
+
+    def test_gap_beyond_the_float_range_reads_inf(self):
+        big = 1.7976931348623157e308
+        with pytest.raises(InvalidInputError) as err:
+            groups._orbit_blocks(SymMatrix(np.diag([big, -big])), build_group("cyclic", 2), 1)
+        assert str(err.value) == ("matrix is not cyclic(2)-invariant with symmetric "
+                                  "orbit blocks: off by inf")
+
+
 class TestCheckInvariance:
     def test_perturbation_detected_exactly(self):
         g = build_group("cube")
@@ -292,6 +355,12 @@ class TestCheckInvariance:
             check_invariance(np.eye(5), g)
         with pytest.raises(InvalidInputError):
             check_invariance(np.eye(8), g, m=3)
+
+    def test_non_integer_m_rejected(self):
+        g = build_group("tetra")
+        with pytest.raises(InvalidInputError, match="^m must be an integer, got 2.0$"):
+            check_invariance(np.eye(8), g, m=2.0)
+        assert check_invariance(np.eye(8), g, m=np.int64(2)) == 0.0
 
 
 class TestRelabeling:

@@ -509,6 +509,12 @@ class TestCensus:
         with pytest.raises(InvalidInputError, match=f"threads must be >= 1, got {threads}"):
             ground_state_irrep_census(EnsembleConfig(1, 10, group="tetra"), threads=threads)
 
+    # one chunk of tetra trials holds 1489 of them: 3000 span three
+    @pytest.mark.parametrize("trials", [10, 3000])
+    def test_non_integer_threads_rejected(self, trials):
+        with pytest.raises(InvalidInputError, match="^threads must be an integer, got 2.5$"):
+            ground_state_irrep_census(EnsembleConfig(1, trials, group="tetra"), threads=2.5)
+
     def test_csv_layout(self, tmp_path):
         out = tmp_path / "c.csv"
         assert main(["census", "--group", "tetra", "--m", "1", "--trials", "10",
@@ -666,6 +672,12 @@ class TestSampleInvariant:
         cfg = EnsembleConfig(1, 1, group=cfg_group, n=cfg_n, m=2)
         with pytest.raises(InvalidInputError, match="config names group"):
             sample_invariant(build_group(kind, n), cfg)
+
+    def test_non_integer_trial_rejected(self):
+        # not truncated to trial 1's matrix
+        cfg = EnsembleConfig(3, 1, group="cube", m=2)
+        with pytest.raises(InvalidInputError, match="^trial_index must be an integer"):
+            sample_invariant(build_group("cube"), cfg, trial_index=1.5)
 
     def test_config_naming_the_group_accepted(self):
         g = build_group("cyclic", 6)

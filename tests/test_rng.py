@@ -95,6 +95,16 @@ class TestStreamDerivation:
         for tag in range(3):
             assert np.array_equal(blocks[tag], sym_block(Stream(seed, trial, tag), 2))
 
+    @pytest.mark.parametrize("seed, trial, tag, name", [
+        (1.5, 0, 0, "master_seed"), (1, 1.5, 0, "trial_index"), (1, 0, 1.7, "stream_tag")])
+    def test_non_integer_substream_arguments_rejected(self, seed, trial, tag, name):
+        with pytest.raises(InvalidInputError, match=f"^{name} must be an integer"):
+            substream(seed, trial, tag)
+
+    def test_non_integer_count_rejected(self):
+        with pytest.raises(InvalidInputError, match="^count must be an integer, got 2.5$"):
+            substream(1, 0, 0).normals(2.5)
+
 
 class TestDistribution:
     def test_pooled_substream_moments(self):
@@ -158,6 +168,23 @@ class TestLabelBlocks:
     @pytest.mark.parametrize("m", [1, 3])
     def test_no_orbits_no_blocks(self, m):
         assert draw_label_blocks(0, m, 7, 0) == []
+
+    @pytest.mark.parametrize("args, message", [
+        ((-1, 2, 1, 0), "orbits must be >= 0, got -1"),
+        ((2.5, 2, 1, 0), "orbits must be an integer, got 2.5"),
+        ((2, 2.0, 1, 0), "m must be an integer, got 2.0"),
+        ((2, 2, 1.5, 0), "master_seed must be an integer, got 1.5"),
+        # a float trial would be truncated to the draws of trial 1
+        ((3, 2, 7, 1.5), "trial_index must be an integer, got 1.5"),
+        ((3, 2, 7, 1.9), "trial_index must be an integer, got 1.9"),
+    ])
+    def test_non_integer_or_negative_arguments_rejected(self, args, message):
+        with pytest.raises(InvalidInputError, match=f"^{message}$"):
+            draw_label_blocks(*args)
+
+    def test_numpy_integers_accepted(self):
+        blocks = draw_label_blocks(np.int64(3), np.int32(2), np.uint64(7), np.int16(1))
+        assert np.array_equal(blocks, draw_label_blocks(3, 2, 7, 1))
 
     def test_appending_labels_preserves_earlier_draws(self):
         short = draw_label_blocks(2, 3, 21, 0)

@@ -59,17 +59,23 @@ def _run_main(argv):
             "with contextlib.redirect_stdout(io.StringIO()), "
             "contextlib.suppress(SystemExit):\n"
             f"    assert main({argv!r}) == 0\n"
-            + _loaded(("irreplab", "numpy.polynomial", "numpy.ma", "concurrent")))
+            + _loaded(("irreplab", "numpy", "concurrent")))
+
+
+# the cli module loads no numpy itself: a command's library modules do
+RUN_COMMAND = ("from irreplab.cli import main\n"
+               "main(['su2-widths', '--jmax', '0', '--out', 'w.csv'])\n"
+               "print(json.dumps(seen))")
 
 
 class TestBlasThreads:
-    def test_cli_sets_one_thread_before_numpy_loads(self):
-        seen = _child(PROBE + "import irreplab.cli\nprint(json.dumps(seen))")
+    def test_cli_sets_one_thread_before_numpy_loads(self, tmp_path):
+        seen = _child(PROBE + RUN_COMMAND, cwd=tmp_path)
         assert seen == [{"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": None}]
 
     @pytest.mark.parametrize("var", THREAD_VARS)
-    def test_user_setting_is_left_as_given(self, var):
-        seen = _child(PROBE + "import irreplab.cli\nprint(json.dumps(seen))", **{var: "2"})
+    def test_user_setting_is_left_as_given(self, tmp_path, var):
+        seen = _child(PROBE + RUN_COMMAND, cwd=tmp_path, **{var: "2"})
         expected = dict.fromkeys(THREAD_VARS)
         expected[var] = "2"
         assert seen == [expected]
@@ -115,8 +121,10 @@ class TestImports:
 
     @pytest.mark.parametrize("argv, absent", [
         (["--version"], ["irreplab.groups", "irreplab.irreps", "irreplab.linalg",
-                         "irreplab.rng", "irreplab.su2", "numpy.polynomial",
-                         "concurrent.futures"]),
+                         "irreplab.rng", "irreplab.su2", "numpy", "concurrent.futures"]),
+        # argparse's exit 2 for a missing required flag
+        (["census"], ["irreplab.groups", "irreplab.irreps", "irreplab.linalg",
+                      "irreplab.rng", "irreplab.su2", "numpy"]),
         # the default 512-node rule is package data: no leggauss eigensolve
         (["gsdist", "--dims", str(DIMS), "--trials", "20", "--out", "d.csv"],
          ["irreplab.groups", "irreplab.irreps", "irreplab.linalg", "numpy.polynomial"]),
@@ -127,7 +135,7 @@ class TestImports:
         # the one-output np.unique loads numpy.ma, about 1.6 MB of maxrss
         (["spectrum", "--in", "h.txt", "--group", "cyclic", "--m", "2", "--out", "s.csv"],
          ["irreplab.su2", "numpy.ma", "numpy.polynomial"]),
-    ], ids=["version", "gsdist", "su2-widths", "census", "spectrum"])
+    ], ids=["version", "usage-error", "gsdist", "su2-widths", "census", "spectrum"])
     def test_command_loads_only_what_it_runs(self, tmp_path, argv, absent):
         if argv[0] == "spectrum":  # its input: a ring of 12 sites, m = 2
             blocks = [np.eye(2) * (k + 1) for k in range(7)]

@@ -91,6 +91,11 @@ class TestLegendre:
         with pytest.raises(InvalidInputError):
             legendre(-1, 0.5)
 
+    def test_non_integer_degree_rejected(self):
+        with pytest.raises(InvalidInputError, match="^degree must be an integer, got 2.5$"):
+            legendre(2.5, 0.5)
+        assert legendre(np.int64(2), 0.5) == legendre(2, 0.5)
+
     def test_array_input(self):
         xs = np.array([0.0, 0.5])
         assert np.allclose(legendre(2, xs), [-0.5, -0.125])
@@ -131,6 +136,13 @@ class TestWidthIntegral:
         # rejected before any rule is built
         assert _angular_grid.cache_info().misses == misses
 
+    @pytest.mark.parametrize("j, quad_points, message", [
+        (2.5, 512, "J must be an integer, got 2.5"),
+        (2, 100.5, "quad_points must be an integer, got 100.5")])
+    def test_non_integer_arguments_rejected(self, j, quad_points, message):
+        with pytest.raises(InvalidInputError, match=f"^{message}$"):
+            sigma_j_sq(j, quad_points)
+
     def test_strictly_decreasing_in_j(self):
         vals = [sigma_j_sq(j) for j in range(21)]
         assert all(a > b for a, b in zip(vals, vals[1:]))
@@ -146,6 +158,11 @@ class TestWidthIntegral:
         table = width_table(4)
         assert [tj for tj, _ in table] == [0, 2, 4, 6, 8]
         assert dict(table)[0] == pytest.approx(math.pi / 2, abs=1e-12)
+
+    def test_width_table_needs_an_integer_j_max(self):
+        with pytest.raises(InvalidInputError, match="^j_max must be an integer, got 2.5$"):
+            width_table(2.5)
+        assert width_table(np.int64(2)) == width_table(2)
 
 
 class TestDefaultRule:
@@ -306,6 +323,16 @@ class TestGsDistribution:
     def test_threads_below_one_rejected(self, threads):
         with pytest.raises(InvalidInputError, match=f"threads must be >= 1, got {threads}"):
             gs_distribution(example_dimension_table(), EnsembleConfig(1, 10), threads=threads)
+
+    # one chunk of the bundled table's trials holds 126 of them: 300 span three
+    @pytest.mark.parametrize("trials", [10, 300])
+    def test_non_integer_threads_rejected(self, trials):
+        with pytest.raises(InvalidInputError, match="^threads must be an integer, got 2.5$"):
+            gs_distribution(example_dimension_table(), EnsembleConfig(1, trials), threads=2.5)
+
+    def test_non_integer_quad_points_rejected(self):
+        with pytest.raises(InvalidInputError, match="^quad_points must be an integer, got 100.5$"):
+            gs_distribution(example_dimension_table(), EnsembleConfig(1, 10), quad_points=100.5)
 
     def test_half_integer_rows_need_widths(self):
         t = DimensionTable(((3, 5), (4, 5)))
