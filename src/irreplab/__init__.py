@@ -15,10 +15,6 @@ import importlib
 
 __version__ = "0.1.0"
 
-# Gauss-Legendre nodes of the su2 width integrals; kept here so the
-# command line's parser can show the default without loading su2
-DEFAULT_QUAD_POINTS = 512
-
 _EXPORTS = {
     "errors": ("InvalidInputError", "NumericFailureError"),
     "linalg": ("SymMatrix", "Spectrum", "eigensolve", "multiset_deviation",

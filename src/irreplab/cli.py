@@ -26,7 +26,7 @@ import math
 import os
 import sys
 
-from . import DEFAULT_QUAD_POINTS, __version__
+from . import __version__
 from .errors import InvalidInputError, NumericFailureError
 
 # once numpy has loaded, the variable could only leak into the children
@@ -144,8 +144,7 @@ def _cmd_census(args):
 def _cmd_su2_widths(args):
     from .su2 import width_table
 
-    _write_rows(args.out, args.format, ("twoJ", "sigmaJ_sq"),
-                width_table(args.jmax, args.quad_points))
+    _write_rows(args.out, args.format, ("twoJ", "sigmaJ_sq"), width_table(args.jmax))
     return {}, f"width factors for J=0..{args.jmax} written to {args.out}"
 
 
@@ -160,7 +159,7 @@ def _cmd_gsdist(args):
             raise InvalidInputError(f"--jmax {args.jmax} removes every table row")
         dims = DimensionTable(kept)
     cfg = EnsembleConfig(args.seed, args.trials, args.sigma0)
-    dist = gs_distribution(dims, cfg, quad_points=args.quad_points, threads=args.threads)
+    dist = gs_distribution(dims, cfg, threads=args.threads)
     space = dict(f_space(dims))
     _write_rows(args.out, args.format, ("twoJ", "f_space", "f_RM"),
                 [(two_j, space[two_j], frac) for two_j, frac in dist.entries])
@@ -213,7 +212,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("su2-widths", help="universal per-J width factors")
     p.add_argument("--jmax", type=int, default=10)
-    p.add_argument("--quad-points", type=int, default=DEFAULT_QUAD_POINTS)
     _add_common_output(p)
     p.set_defaults(func=_cmd_su2_widths)
 
@@ -225,7 +223,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--sigma0", type=float, default=1.0)
     p.add_argument("--jmax", type=int, default=None, help="drop table rows above this J")
-    p.add_argument("--quad-points", type=int, default=DEFAULT_QUAD_POINTS)
     p.add_argument("--threads", type=int, default=1)
     _add_common_output(p)
     p.set_defaults(func=_cmd_gsdist)

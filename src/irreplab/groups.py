@@ -131,6 +131,7 @@ class PointGroup:
         return int(self.orbit_index.max()) + 1
 
     def pairs_of(self, orbit: int) -> list[tuple[int, int]]:
+        orbit = _check_index("orbit", orbit)
         ii, jj = np.nonzero(np.triu(self.orbit_index == orbit))
         return [(int(i), int(j)) for i, j in zip(ii, jj)]
 
@@ -142,7 +143,8 @@ class PointGroup:
     @classmethod
     def from_generators(cls, kind: str, sites: int, generators) -> "PointGroup":
         """Close the generators; rejects a site action that is not transitive."""
-        gens = tuple(tuple(g) for g in generators)
+        sites = _check_index("sites", sites)
+        gens = tuple(tuple(_check_index("site label", i) for i in g) for g in generators)
         for g in gens:
             if sorted(g) != list(range(sites)):
                 raise InvalidInputError(f"{g} is not a permutation of {sites} sites")
@@ -189,7 +191,7 @@ def relabel(group: PointGroup, perm) -> PointGroup:
     ``perm[i]`` is the new name of old site ``i``; generators are
     conjugated accordingly.
     """
-    perm = tuple(perm)
+    perm = tuple(_check_index("site label", i) for i in perm)
     if sorted(perm) != list(range(group.sites)):
         raise InvalidInputError("relabeling must be a permutation of the sites")
     inverse = tuple(np.argsort(perm))

@@ -10,7 +10,9 @@ the elements of the J block have variance proportional to
 
 a universal, J-decreasing factor (the 4 pi^2 sigma-bar^2 prefactor is
 left off throughout, matching how the table of w_J values is usually
-quoted: 1.571, 0.393, 0.245, 0.178, 0.139 for J = 0..4).
+quoted: 1.571, 0.393, 0.245, 0.178, 0.139 for J = 0..4).  Each w_J is
+pi times a rational with a closed form (`sigma_j_sq`), so it is
+computed exactly, for J up to 1020.
 
 In a finite many-body space where N_J states carry angular momentum J,
 the J subspace is modeled as N_J independent Gaussian energies of
@@ -22,7 +24,6 @@ the space itself, f_space = N_J / N_tot.
 
 from __future__ import annotations
 
-import functools
 import math
 import operator
 import re
@@ -31,7 +32,6 @@ from importlib import resources
 
 import numpy as np
 
-from . import DEFAULT_QUAD_POINTS
 from .errors import InvalidInputError, _check_index
 from .rng import EnsembleConfig, _check_scale, _chunked_tally, _normals_rows, _row_uniforms
 from .rng import substream  # noqa: F401  (kept importable here; perfbench's tracer test looks it up)
@@ -47,6 +47,9 @@ __all__ = [
     "gs_distribution",
     "example_dimension_table",
 ]
+
+# the exact sum for one J costs O(J) products of O(J)-bit integers
+_MAX_J = 1020
 
 
 def legendre(j: int, x):
@@ -71,55 +74,36 @@ def legendre(j: int, x):
     return float(cur[0]) if scalar else cur
 
 
-@functools.lru_cache(maxsize=32)
-def _angular_grid(quad_points: int):
-    # Gauss-Legendre nodes mapped from [-1, 1] to the angle range [0, pi];
-    # the integrands are trigonometric polynomials, so convergence is
-    # far faster than any tolerance used here.  The default rule is
-    # package data recorded from leggauss, which would solve a dense
-    # quad_points x quad_points eigenproblem; other degrees compute it
-    if quad_points == DEFAULT_QUAD_POINTS:
-        rule = resources.files("irreplab").joinpath(
-            f"data/gauss_legendre_{quad_points}.csv").read_text(encoding="ascii")
-        x, w = np.array([[float.fromhex(v) for v in line.split(",")]
-                         for line in rule.splitlines()[1:]]).T
-    else:
-        from numpy.polynomial.legendre import leggauss
-
-        x, w = leggauss(quad_points)
-    theta = 0.5 * math.pi * (x + 1.0)
-    weights = 0.5 * math.pi * w
-    theta.flags.writeable = False
-    weights.flags.writeable = False
-    return theta, weights
-
-
-def sigma_j_sq(j: int, quad_points: int = DEFAULT_QUAD_POINTS) -> float:
+def sigma_j_sq(j: int) -> float:
     """The universal width factor ``integral_0^pi P_j(cos w)^2 sin^2 w dw``.
 
-    Quoted without the 4 pi^2 sigma-bar^2 prefactor.  Exact values for
-    the first few degrees: pi/2, pi/8, 5 pi/64, 29 pi/512, 727 pi/16384.
-    A q-node rule holds 1e-10 up to j = q // 2 - 4; larger j is rejected.
+    Quoted without the 4 pi^2 sigma-bar^2 prefactor.  It is pi times a
+    rational (Szego, Orthogonal Polynomials, 4.9): with
+    P_j(cos w) = 4^-j sum_k b_k cos((j - 2k) w), b_k = C(2k, k) C(2j - 2k, j - k),
+    and sin^2 w = (1 - cos 2w) / 2, only cosine products of equal or
+    neighbouring frequencies survive the integral, and b_k = b_(j-k), so
+
+        w_j = pi * (sum_k b_k^2 - sum_k b_k b_(k+1)) / (2 * 16^j).
+
+    The rational is summed in integers, rounded once to a float and
+    multiplied by ``math.pi``: pi/2, pi/8, 5 pi/64, 29 pi/512 and
+    727 pi/16384 for j = 0..4.  J must lie in [0, 1020].
     """
     j = _check_index("J", j)
-    quad_points = _check_index("quad_points", quad_points)
-    # leggauss holds two dense quad_points x quad_points matrices, 64 MB
-    # at the ceiling
-    if not 64 <= quad_points <= 2048:
-        raise InvalidInputError(f"quad_points must be in [64, 2048], got {quad_points}")
-    if j > quad_points // 2 - 4:
-        raise InvalidInputError(f"J = {j} needs quad_points >= {2 * j + 8}, got {quad_points}")
-    theta, weights = _angular_grid(quad_points)
-    p = legendre(j, np.cos(theta))
-    s = np.sin(theta)
-    return float(np.sum(weights * p * p * s * s))
+    if not 0 <= j <= _MAX_J:
+        raise InvalidInputError(f"J must be in [0, {_MAX_J}], got {j}")
+    central = [1]  # C(2k, k)
+    for k in range(j):
+        central.append(central[-1] * (4 * k + 2) // (k + 1))
+    b = [central[k] * central[j - k] for k in range(j + 1)]
+    numerator = sum(x * x for x in b) - sum(x * y for x, y in zip(b, b[1:]))
+    return math.pi * (numerator / (2 * 16**j))
 
 
 def effective_width(
     two_j: int,
     n_j: int,
     sigma_scale: float = 1.0,
-    quad_points: int = DEFAULT_QUAD_POINTS,
     width_factor: float | None = None,
 ) -> float:
     """Spectral width ``sqrt(N_J) * sigma * sqrt(w_J)`` of the J subspace.
@@ -128,7 +112,8 @@ def effective_width(
     ``two_j``, where the Legendre-polynomial integral does not apply)
     and must be positive and finite.
     """
-    if n_j < 1:
+    two_j = _check_index("two_j", two_j)
+    if _check_index("subspace dimension", n_j) < 1:
         raise InvalidInputError("subspace dimension must be >= 1")
     _check_scale("sigma_scale", sigma_scale)
     if width_factor is None:
@@ -136,7 +121,7 @@ def effective_width(
             raise InvalidInputError(
                 f"two_j={two_j} is half-integer; pass its width factor explicitly"
             )
-        width_factor = sigma_j_sq(two_j // 2, quad_points)
+        width_factor = sigma_j_sq(two_j // 2)
     else:
         _check_scale(f"width factor for two_j={two_j}", width_factor)
     return math.sqrt(n_j) * sigma_scale * math.sqrt(width_factor)
@@ -209,15 +194,15 @@ def example_dimension_table() -> DimensionTable:
         return DimensionTable.from_csv(path)
 
 
-def width_table(j_max: int, quad_points: int = DEFAULT_QUAD_POINTS):
+def width_table(j_max: int):
     """``(2J, w_J)`` pairs for integer J = 0..j_max, as a tuple.
 
     ``dict()`` of them is a valid ``widths`` argument of `gs_distribution`.
     """
     j_max = _check_index("j_max", j_max)
-    if j_max < 0:
-        raise InvalidInputError("j_max must be >= 0")
-    return tuple((2 * j, sigma_j_sq(j, quad_points)) for j in range(j_max + 1))
+    if not 0 <= j_max <= _MAX_J:
+        raise InvalidInputError(f"j_max must be in [0, {_MAX_J}], got {j_max}")
+    return tuple((2 * j, sigma_j_sq(j)) for j in range(j_max + 1))
 
 
 def f_space(dims: DimensionTable) -> list[tuple[int, float]]:
@@ -256,7 +241,6 @@ class GsDistribution:
 def gs_distribution(
     dims: DimensionTable,
     cfg: EnsembleConfig,
-    quad_points: int = DEFAULT_QUAD_POINTS,
     widths=None,
     threads: int = 1,
 ) -> GsDistribution:
@@ -279,7 +263,7 @@ def gs_distribution(
     """
     factors = dict(widths or ())
     eff = np.array(
-        [effective_width(two_j, dim, cfg.sigma0, quad_points, factors.get(two_j))
+        [effective_width(two_j, dim, cfg.sigma0, factors.get(two_j))
          for two_j, dim in dims.entries]
     )
     entry_dims = [dim for _, dim in dims.entries]

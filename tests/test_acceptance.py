@@ -161,7 +161,7 @@ def test_criterion_8_frm_enhancement():
     baseline = json.loads((DATA / "gsdist_baseline.json").read_text())
     cfg = EnsembleConfig(baseline["master_seed"], baseline["trials"],
                          baseline["sigma0"])
-    dist = gs_distribution(dims, cfg, quad_points=baseline["quad_points"])
+    dist = gs_distribution(dims, cfg)
     space = dict(f_space(dims))
     ok = dist.fraction(0) > space[0]
     ok = ok and dist.modal_two_j() == 0

@@ -327,23 +327,17 @@ def test_threads_default_to_one(argv):
     assert _build_parser().parse_args(argv).threads == 1
 
 
-@pytest.mark.parametrize("command, extra", [
-    ("su2-widths", []),
-    ("gsdist", ["--dims", DIMS, "--trials", "10"]),
-])
-def test_quad_points_above_ceiling_exits_2(tmp_path, capsys, command, extra):
-    assert run(command, *extra, "--quad-points", "2049", "--out", tmp_path / "o.csv") == 2
-    assert "quad_points must be in [64, 2048], got 2049" in capsys.readouterr().err
-    assert list(tmp_path.iterdir()) == []
-
-
 class TestSu2Widths:
-    @pytest.mark.parametrize("jmax, quad", [("253", []), ("509", ["--quad-points", "1024"])])
-    def test_jmax_past_the_quadrature_exits_2(self, tmp_path, capsys, jmax, quad):
-        # 512 nodes reach J = 252 to 1e-10; at J = 400 they are 6% off
-        assert run("su2-widths", "--jmax", jmax, *quad, "--out", tmp_path / "w.csv") == 2
-        assert f"J = {jmax} needs quad_points" in capsys.readouterr().err
+    def test_jmax_past_the_ceiling_exits_2(self, tmp_path, capsys):
+        assert run("su2-widths", "--jmax", "1021", "--out", tmp_path / "w.csv") == 2
+        assert "j_max must be in [0, 1020], got 1021" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
+
+    def test_values_are_correctly_rounded(self, tmp_path):
+        # a 512-node quadrature printed this row as 0.0073591132632
+        out = tmp_path / "w.csv"
+        assert run("su2-widths", "--jmax", "86", "--out", out) == 0
+        assert out.read_text().splitlines()[87] == "172,0.00735911326321"
 
     def test_table_values(self, tmp_path):
         out = tmp_path / "w.csv"
@@ -398,12 +392,12 @@ class TestGsDist:
         assert f"{dims}:3: twoJ and dim must be integers" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == [dims]
 
-    def test_two_j_past_the_quadrature_exits_2(self, tmp_path, capsys):
+    def test_two_j_past_the_ceiling_exits_2(self, tmp_path, capsys):
         dims = tmp_path / "dims.csv"
-        dims.write_text("twoJ,dim\n0,3\n504,2\n506,2\n")
+        dims.write_text("twoJ,dim\n0,3\n2040,2\n2042,2\n")
         assert run("gsdist", "--dims", dims, "--trials", "10",
                    "--out", tmp_path / "d.csv") == 2
-        assert "J = 253 needs quad_points >= 514, got 512" in capsys.readouterr().err
+        assert "J must be in [0, 1020], got 1021" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == [dims]
 
     @pytest.mark.parametrize("threads", ["0", "-3"])
@@ -502,7 +496,7 @@ class TestManifest:
                    "--jmax", "2", "--threads", "2", "--out", out) == 0
         assert manifest_config(out) == {
             "dims": str(dims), "format": "csv", "jmax": 2, "out": str(out),
-            "quad_points": 512, "seed": 2, "sigma0": 1.0, "trials": 50,
+            "seed": 2, "sigma0": 1.0, "trials": 50,
         }
 
     # one run of each subcommand, on a ring where it takes --group; a

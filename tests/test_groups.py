@@ -104,6 +104,14 @@ class TestBuildGroup:
             with pytest.raises(InvalidInputError, match="site action is not transitive"):
                 PointGroup.from_generators("split", sites, [gen])
 
+    @pytest.mark.parametrize("sites, gen, message", [
+        (3, (1.0, 2.0, 0.0), "site label must be an integer, got 1.0"),
+        (3.0, (1, 2, 0), "sites must be an integer, got 3.0")])
+    def test_non_integer_generators_rejected(self, sites, gen, message):
+        with pytest.raises(InvalidInputError, match=f"^{message}$"):
+            PointGroup.from_generators("x", sites, [gen])
+        assert PointGroup.from_generators("x", 3, [np.array([1, 2, 0])]).order == 3
+
 
 class TestPairOrbits:
     def test_tetra_two_labels(self):
@@ -152,6 +160,12 @@ class TestPairOrbits:
         g = build_group("octa")
         assert g.pairs_of(2) == [(0, 2), (1, 3), (4, 5)]
         assert [len(g.pairs_of(k)) for k in range(g.orbit_count)] == g.orbit_sizes()
+
+    def test_pairs_of_needs_an_integer_orbit(self):
+        g = build_group("tetra")
+        with pytest.raises(InvalidInputError, match="^orbit must be an integer, got 1.5$"):
+            g.pairs_of(1.5)
+        assert g.pairs_of(np.int64(1)) == g.pairs_of(1)
 
     @pytest.mark.parametrize("kind,n", ALL_GROUPS + [("cyclic", 60)])
     @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -387,6 +401,12 @@ class TestRelabeling:
         ev = eigensolve(h).eigenvalues
         ev2 = eigensolve(h2).eigenvalues
         assert np.max(np.abs(ev - ev2)) < 1e-12
+
+    def test_non_integer_relabeling_rejected(self):
+        g = build_group("tetra")
+        with pytest.raises(InvalidInputError, match="^site label must be an integer, got 1.0$"):
+            relabel(g, [1.0, 0.0, 2.0, 3.0])
+        assert relabel(g, np.array([1, 0, 2, 3])) == relabel(g, [1, 0, 2, 3])
 
     def test_group_element_relabeling_is_symmetry(self):
         g = build_group("octa")

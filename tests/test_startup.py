@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 
 from irreplab import build_group, build_invariant, write_matrix_text
-from irreplab.su2 import width_table
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
@@ -125,7 +124,7 @@ class TestImports:
         # argparse's exit 2 for a missing required flag
         (["census"], ["irreplab.groups", "irreplab.irreps", "irreplab.linalg",
                       "irreplab.rng", "irreplab.su2", "numpy"]),
-        # the default 512-node rule is package data: no leggauss eigensolve
+        # the widths are exact sums: no quadrature rule, no leggauss
         (["gsdist", "--dims", str(DIMS), "--trials", "20", "--out", "d.csv"],
          ["irreplab.groups", "irreplab.irreps", "irreplab.linalg", "numpy.polynomial"]),
         (["su2-widths", "--out", "w.csv"],
@@ -145,10 +144,3 @@ class TestImports:
         assert "irreplab.cli" in loaded
         assert not [m for m in loaded for name in absent
                     if m == name or m.startswith(name + ".")]
-
-    def test_other_quad_points_compute_the_rule(self, tmp_path):
-        argv = ["su2-widths", "--quad-points", "1024", "--format", "json", "--out", "w.json"]
-        loaded = _child(_run_main(argv), cwd=tmp_path)
-        assert "numpy.polynomial.legendre" in loaded
-        rows = json.loads((tmp_path / "w.json").read_text())
-        assert rows == [{"sigmaJ_sq": w, "twoJ": two_j} for two_j, w in width_table(10, 1024)]

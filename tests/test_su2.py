@@ -1,5 +1,7 @@
+import functools
 import json
 import math
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -18,11 +20,10 @@ from irreplab import (
     sigma_j_sq,
     width_table,
 )
+from irreplab import su2
 from irreplab.cli import main
-from irreplab.su2 import _angular_grid
 
 DATA = Path(__file__).parent / "data"
-SRC_DATA = Path(__file__).resolve().parent.parent / "src" / "irreplab" / "data"
 BAD_FACTORS = [-1.0, 0.0, math.nan, math.inf]
 
 
@@ -51,9 +52,41 @@ def legendre_coefficient_oracle(j, x):
     return total / 2.0**j
 
 
+@functools.lru_cache(maxsize=None)
+def angular_rule(nodes):
+    """A ``nodes``-point Gauss-Legendre rule mapped to the angles [0, pi]."""
+    x, w = leggauss(nodes)
+    return 0.5 * math.pi * (x + 1.0), 0.5 * math.pi * w
+
+
+def quadrature_width(j, nodes):
+    """``integral_0^pi P_j(cos w)^2 sin^2 w dw`` on a ``nodes``-point rule."""
+    theta, weights = angular_rule(nodes)
+    p, s = legendre(j, np.cos(theta)), np.sin(theta)
+    return float(np.sum(weights * p * p * s * s))
+
+
+def cosine_double_sum(j):
+    """The width integral over pi as a Fraction, integrating each of the
+    (j + 1)^2 terms of P_j(cos w)^2 sin^2 w, where
+    P_j(cos w) = 4^-j sum_k b_k cos((j - 2k) w), b_k = C(2k, k) C(2j - 2k, j - k)."""
+    def cos_sin_sq(m):
+        # integral_0^pi cos(m w) sin^2 w dw / pi, with sin^2 = (1 - cos 2w) / 2
+        return {0: Fraction(1, 2), 2: Fraction(-1, 4)}.get(abs(m), Fraction(0))
+
+    b = [math.comb(2 * k, k) * math.comb(2 * (j - k), j - k) for k in range(j + 1)]
+    total = Fraction(0)
+    for k in range(j + 1):
+        for l in range(j + 1):
+            # cos(a w) cos(c w) = (cos((a - c) w) + cos((a + c) w)) / 2
+            a, c = j - 2 * k, j - 2 * l
+            total += b[k] * b[l] * (cos_sin_sq(a - c) + cos_sin_sq(a + c)) / 2
+    return total / 16**j
+
+
 def legendre_pair_integral(j1, j2):
-    """``integral_0^pi P_j1(cos w) P_j2(cos w) sin w dw`` on the default grid."""
-    theta, weights = _angular_grid(512)
+    """``integral_0^pi P_j1(cos w) P_j2(cos w) sin w dw`` on a 512-node rule."""
+    theta, weights = angular_rule(512)
     c = np.cos(theta)
     return float(np.sum(weights * legendre(j1, c) * legendre(j2, c) * np.sin(theta)))
 
@@ -104,44 +137,53 @@ class TestLegendre:
 class TestWidthIntegral:
     @pytest.mark.parametrize("j,exact", list(enumerate(EXACT_WIDTH_FACTORS)))
     def test_exact_low_degrees(self, j, exact):
-        assert sigma_j_sq(j) == pytest.approx(exact, abs=1e-12)
+        assert sigma_j_sq(j) == exact
+
+    @pytest.mark.parametrize("j", range(41))
+    def test_matches_the_cosine_double_sum(self, j):
+        r = cosine_double_sum(j)
+        assert sigma_j_sq(j) == math.pi * (r.numerator / r.denominator)
 
     def test_three_decimal_table(self):
         vals = [sigma_j_sq(j) for j in range(5)]
         assert [round(v, 3) for v in vals] == [1.571, 0.393, 0.245, 0.178, 0.139]
 
+    # the 512- and 1024-node rules land within 2e-14 of the exact value
     @pytest.mark.parametrize("j", [0, 3, 7, 12, 20])
     def test_quadrature_converged(self, j):
-        assert abs(sigma_j_sq(j, 512) - sigma_j_sq(j, 1024)) < 1e-10
-        assert abs(sigma_j_sq(j, 64) - sigma_j_sq(j, 128)) < 1e-10
+        for nodes in (512, 1024):
+            assert sigma_j_sq(j) == pytest.approx(quadrature_width(j, nodes), rel=2e-14)
 
+    # a q-node rule holds 1e-10 up to J = q // 2 - 4
     @pytest.mark.parametrize("quad_points", [64, 65, 77, 100, 128, 200, 256, 512, 1024])
     def test_quadrature_converged_to_its_bound(self, quad_points):
-        # a q-node rule reaches J = q // 2 - 4 and rejects the next J
-        bound = quad_points // 2 - 4
-        for j in [0, 3, 7, 12, 20, bound]:
-            assert sigma_j_sq(j, quad_points) == pytest.approx(sigma_j_sq(j, 2048), rel=1e-10)
-        with pytest.raises(InvalidInputError, match=f"J = {bound + 1} needs quad_points"):
-            sigma_j_sq(bound + 1, quad_points)
+        for j in [0, 3, 7, 12, 20, quad_points // 2 - 4]:
+            assert sigma_j_sq(j) == pytest.approx(quadrature_width(j, quad_points), rel=1e-10)
 
-    def test_quad_points_floor(self):
-        with pytest.raises(InvalidInputError):
-            sigma_j_sq(2, quad_points=32)
+    def test_matches_a_2048_node_rule_up_to_the_ceiling(self):
+        # leggauss(2048) itself integrates sin^2 w 1.6e-13 off pi/2, which
+        # sets the tolerance
+        for j in [*range(0, 1020, 17), 1020]:
+            assert sigma_j_sq(j) == pytest.approx(quadrature_width(j, 2048), rel=3e-13)
 
-    def test_quad_points_ceiling(self):
-        assert sigma_j_sq(2, quad_points=2048) == pytest.approx(5 * math.pi / 64, abs=1e-12)
-        misses = _angular_grid.cache_info().misses
-        with pytest.raises(InvalidInputError, match=r"\[64, 2048\], got 2049"):
-            sigma_j_sq(2, quad_points=2049)
-        # rejected before any rule is built
-        assert _angular_grid.cache_info().misses == misses
-
-    @pytest.mark.parametrize("j, quad_points, message", [
-        (2.5, 512, "J must be an integer, got 2.5"),
-        (2, 100.5, "quad_points must be an integer, got 100.5")])
-    def test_non_integer_arguments_rejected(self, j, quad_points, message):
+    @pytest.mark.parametrize("j, message", [(2.5, "J must be an integer, got 2.5")])
+    def test_non_integer_arguments_rejected(self, j, message):
         with pytest.raises(InvalidInputError, match=f"^{message}$"):
-            sigma_j_sq(j, quad_points)
+            sigma_j_sq(j)
+
+    @pytest.mark.parametrize("j", [-1, 1021])
+    def test_j_outside_the_ceiling_rejected(self, j):
+        with pytest.raises(InvalidInputError, match=rf"^J must be in \[0, 1020\], got {j}$"):
+            sigma_j_sq(j)
+
+    def test_width_table_checks_j_max_before_any_width(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(su2, "sigma_j_sq", lambda j: calls.append(j))
+        for j_max in (-1, 1021):
+            with pytest.raises(InvalidInputError,
+                               match=rf"^j_max must be in \[0, 1020\], got {j_max}$"):
+                width_table(j_max)
+        assert calls == []
 
     def test_strictly_decreasing_in_j(self):
         vals = [sigma_j_sq(j) for j in range(21)]
@@ -165,26 +207,6 @@ class TestWidthIntegral:
         assert width_table(np.int64(2)) == width_table(2)
 
 
-class TestDefaultRule:
-    """The 512-node rule ships as package data recorded from ``leggauss``."""
-
-    def test_shipped_rule_is_leggauss_bit_for_bit(self):
-        lines = (SRC_DATA / "gauss_legendre_512.csv").read_text(encoding="ascii").splitlines()
-        assert lines[0] == "x,w"
-        shipped = np.array([[float.fromhex(v) for v in ln.split(",")] for ln in lines[1:]])
-        reference = np.column_stack(leggauss(512))
-        assert shipped.shape == (512, 2)
-        np.testing.assert_array_equal(shipped.view(np.uint64), reference.view(np.uint64))
-
-    @pytest.mark.parametrize("quad_points", [512, 1024])
-    def test_grid_is_the_mapped_leggauss_rule(self, quad_points):
-        x, w = leggauss(quad_points)
-        for got, want in zip(_angular_grid(quad_points),
-                             (0.5 * math.pi * (x + 1.0), 0.5 * math.pi * w)):
-            np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
-            assert not got.flags.writeable
-
-
 class TestEffectiveWidth:
     def test_single_state_is_bare_width(self):
         assert effective_width(4, 1) == pytest.approx(
@@ -200,6 +222,17 @@ class TestEffectiveWidth:
         assert effective_width(0, 100, 1.0) == pytest.approx(
             10 * math.sqrt(math.pi / 2), rel=1e-14
         )
+
+    @pytest.mark.parametrize("two_j, n_j, message", [
+        (0, 2.5, "subspace dimension must be an integer, got 2.5"),
+        (4.0, 3, "two_j must be an integer, got 4.0")])
+    def test_non_integer_arguments_rejected(self, two_j, n_j, message):
+        with pytest.raises(InvalidInputError, match=f"^{message}$"):
+            effective_width(two_j, n_j)
+
+    def test_negative_j_rejected(self):
+        with pytest.raises(InvalidInputError, match=r"^J must be in \[0, 1020\], got -1$"):
+            effective_width(-2, 3)
 
     def test_half_integer_needs_override(self):
         with pytest.raises(InvalidInputError):
@@ -330,10 +363,6 @@ class TestGsDistribution:
         with pytest.raises(InvalidInputError, match="^threads must be an integer, got 2.5$"):
             gs_distribution(example_dimension_table(), EnsembleConfig(1, trials), threads=2.5)
 
-    def test_non_integer_quad_points_rejected(self):
-        with pytest.raises(InvalidInputError, match="^quad_points must be an integer, got 100.5$"):
-            gs_distribution(example_dimension_table(), EnsembleConfig(1, 10), quad_points=100.5)
-
     def test_half_integer_rows_need_widths(self):
         t = DimensionTable(((3, 5), (4, 5)))
         with pytest.raises(InvalidInputError):
@@ -358,8 +387,7 @@ class TestGsDistribution:
         baseline = json.loads((DATA / "gsdist_baseline.json").read_text())
         cfg = EnsembleConfig(baseline["master_seed"], baseline["trials"],
                              baseline["sigma0"])
-        dist = gs_distribution(example_dimension_table(), cfg,
-                               quad_points=baseline["quad_points"])
+        dist = gs_distribution(example_dimension_table(), cfg)
         got = {str(tj): c for tj, c in dist.counts}
         assert got == baseline["counts"]
         assert dist.tie_count == 0
