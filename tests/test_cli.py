@@ -333,6 +333,17 @@ class TestSu2Widths:
         assert "j_max must be in [0, 1020], got 1021" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("jmax, quad", [("253", ["--quad-points", "512"]),
+                                            ("509", ["--quad-points", "1024"])])
+    def test_jmax_past_the_quadrature_exits_2(self, tmp_path, capsys, jmax, quad):
+        # these J once needed more quadrature nodes; the widths are exact now
+        # and a command line that still asks for nodes is refused, not run
+        with pytest.raises(SystemExit) as exc:
+            run("su2-widths", "--jmax", jmax, *quad, "--out", tmp_path / "w.csv")
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --quad-points" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_values_are_correctly_rounded(self, tmp_path):
         # a 512-node quadrature printed this row as 0.0073591132632
         out = tmp_path / "w.csv"
