@@ -27,7 +27,7 @@ import os
 import sys
 
 from . import __version__
-from .errors import InvalidInputError, NumericFailureError
+from .errors import InvalidInputError, NumericFailureError, _check_index
 
 # once numpy has loaded, the variable could only leak into the children
 # of the importing process
@@ -94,8 +94,7 @@ def _cmd_spectrum(args):
     from .irreps import _spectrum_eigenvalues
     from .linalg import eigensolve, multiset_deviation, read_matrix_text
 
-    if args.m < 1:
-        raise InvalidInputError(f"--m must be >= 1, got {args.m}")
+    _check_index("--m", args.m, 1)
     h, asym = read_matrix_text(args.infile)
     if h.dim % args.m != 0:
         raise InvalidInputError(f"matrix dim {h.dim} is not a multiple of m={args.m}")

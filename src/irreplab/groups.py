@@ -23,7 +23,6 @@ physics; see `relabel` and the relabeling tests):
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -143,7 +142,7 @@ class PointGroup:
     @classmethod
     def from_generators(cls, kind: str, sites: int, generators) -> "PointGroup":
         """Close the generators; rejects a site action that is not transitive."""
-        sites = _check_index("sites", sites)
+        sites = _check_index("sites", sites, 1)
         gens = tuple(tuple(_check_index("site label", i) for i in g) for g in generators)
         for g in gens:
             if sorted(g) != list(range(sites)):
@@ -158,16 +157,11 @@ def build_group(kind: str, n: int | None = None) -> PointGroup:
     ``kind`` is "cyclic" (with ``n`` >= 2 sites) or one of "tetra",
     "octa", "cube".
     """
+    if not isinstance(kind, str):
+        raise InvalidInputError(f"unknown group kind {kind!r}")
     kind = kind.lower()
     if kind == "cyclic":
-        try:
-            n = operator.index(n)
-        except TypeError:
-            raise InvalidInputError(f"cyclic group needs an integer n >= 2, got {n!r}") from None
-        if n < 2:
-            raise InvalidInputError("cyclic group needs n >= 2")
-        if n > _MAX_ORDER:
-            raise InvalidInputError(f"cyclic group order {n} exceeds the supported {_MAX_ORDER}")
+        n = _check_index("cyclic group n", n, 2, _MAX_ORDER)
         gen = tuple((i + 1) % n for i in range(n))
         group = PointGroup.from_generators("cyclic", n, (gen,))
         expected = n
@@ -274,7 +268,7 @@ def check_invariance(h, group: PointGroup, m: int | None = None) -> float:
         if dim % n != 0:
             raise InvalidInputError(f"matrix dim {dim} is not a multiple of {n} sites")
         m = dim // n
-    elif dim != n * _check_index("m", m):
+    elif dim != n * (m := _check_index("m", m, 1)):
         raise InvalidInputError(f"matrix dim {dim} does not equal sites*m = {n * m}")
     blocks = h.reshape(n, m, n, m)
     worst = 0.0

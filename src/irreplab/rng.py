@@ -39,12 +39,11 @@ README.md alone.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError, NumericFailureError, _check_index
+from .errors import InvalidInputError, NumericFailureError, _check_index, _check_scale
 
 __all__ = [
     "EnsembleConfig",
@@ -93,9 +92,7 @@ class SubStream:
     def normals(self, count: int) -> np.ndarray:
         """Next ``count`` standard normals; the same bits however the
         requests are batched."""
-        count = _check_index("count", count)
-        if count < 0:
-            raise InvalidInputError("count must be >= 0")
+        count = _check_index("count", count, 0)
         head = [] if self._pending is None else [self._pending]
         pairs, ends = _polar_pairs(np.array([self._state], dtype=np.uint64),
                                    (count - len(head) + 1) // 2)
@@ -213,18 +210,6 @@ def _sym_blocks(packed: np.ndarray, m: int) -> np.ndarray:
     return np.take(packed, index, axis=-1)
 
 
-def _check_scale(name: str, value: float) -> None:
-    """The one rule for a width scale: a real number, positive and finite."""
-    if not (isinstance(value, numbers.Real) and 0.0 < value < math.inf):
-        raise InvalidInputError(f"{name} must be positive and finite, got {value!r}")
-
-
-def _check_block_args(m: int, sigma0: float) -> None:
-    if m < 1:
-        raise InvalidInputError("block size m must be >= 1")
-    _check_scale("sigma0", sigma0)
-
-
 @dataclass(frozen=True)
 class EnsembleConfig:
     """Everything that determines a reproducible ensemble experiment.
@@ -242,18 +227,14 @@ class EnsembleConfig:
     m: int = 1
 
     def __post_init__(self):
-        for name in ("master_seed", "trials", "m", "n"):
+        for name, low, high in (("master_seed", 0, _MASK), ("trials", 1, None),
+                                ("m", 1, None), ("n", None, None)):
             value = getattr(self, name)
-            if name == "n" and value is None:
-                continue
-            object.__setattr__(self, name, _check_index(name, value))
+            if name != "n" or value is not None:
+                object.__setattr__(self, name, _check_index(name, value, low, high))
         if not isinstance(self.group, (str, type(None))):
             raise InvalidInputError(f"group must be a name or None, got {self.group!r}")
-        if not 0 <= self.master_seed <= _MASK:
-            raise InvalidInputError("master_seed must fit in 64 bits")
-        if self.trials < 1:
-            raise InvalidInputError("trials must be >= 1")
-        _check_block_args(self.m, self.sigma0)
+        _check_scale("sigma0", self.sigma0)
 
 
 def draw_label_blocks(
@@ -272,11 +253,9 @@ def draw_label_blocks(
     orbit k is k, so draws for existing orbits never move when further
     orbits are added.  These are the census's blocks for that trial.
     """
-    orbits = _check_index("orbits", orbits)
-    if orbits < 0:
-        raise InvalidInputError(f"orbits must be >= 0, got {orbits}")
-    m = _check_index("m", m)
-    _check_block_args(m, sigma0)
+    orbits = _check_index("orbits", orbits, 0)
+    m = _check_index("m", m, 1)
+    _check_scale("sigma0", sigma0)
     seed = _check_index("master_seed", master_seed)
     trial = _check_index("trial_index", trial_index)
     triangles = _orbit_triangles(seed, trial, orbits, m, sigma0)
@@ -303,9 +282,7 @@ def _chunked_tally(chunk_minima, trials: int, row_elements: int,
     them, and chunks are spread over ``threads`` workers, ``threads``
     chunks at a time.  Each chunk is summed as it finishes, so memory
     does not grow with ``trials``.  The result depends on neither."""
-    threads = _check_index("threads", threads)
-    if threads < 1:
-        raise InvalidInputError(f"threads must be >= 1, got {threads}")
+    threads = _check_index("threads", threads, 1)
     size = max(1, _CHUNK_ELEMENTS // row_elements)
 
     def worker(chunk):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from stream_oracle import Stream
@@ -80,9 +82,16 @@ class TestBuildGroup:
         with pytest.raises(InvalidInputError):
             build_group("tetra", 5)
 
+    @pytest.mark.parametrize("kind", [5, None, ("tetra",)])
+    def test_non_string_kind_rejected(self, kind):
+        message = f"unknown group kind {kind!r}"
+        with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
+            build_group(kind)
+
     @pytest.mark.parametrize("n", [2.5, 6.0, "6", None])
     def test_non_integer_ring_size_rejected(self, n):
-        with pytest.raises(InvalidInputError, match="cyclic group needs an integer n"):
+        message = f"cyclic group n must be an integer, got {n!r}"
+        with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
             build_group("cyclic", n)
 
     def test_integer_like_ring_size_accepted(self):
@@ -95,7 +104,8 @@ class TestBuildGroup:
 
         monkeypatch.setattr(groups, "_closure", no_closure)
         for n in (10**6, groups._MAX_ORDER + 1):
-            with pytest.raises(InvalidInputError, match=f"cyclic group order {n} exceeds"):
+            message = f"cyclic group n must be in [2, {groups._MAX_ORDER}], got {n}"
+            with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
                 build_group("cyclic", n)
 
     def test_non_transitive_action_rejected(self):
@@ -103,6 +113,11 @@ class TestBuildGroup:
         for sites, gen in [(4, (1, 0, 3, 2)), (3, (0, 2, 1)), (3, (1, 0, 2))]:
             with pytest.raises(InvalidInputError, match="site action is not transitive"):
                 PointGroup.from_generators("split", sites, [gen])
+
+    @pytest.mark.parametrize("sites, generators", [(0, [()]), (-1, [])])
+    def test_site_count_below_one_rejected(self, sites, generators):
+        with pytest.raises(InvalidInputError, match=f"^sites must be >= 1, got {sites}$"):
+            PointGroup.from_generators("x", sites, generators)
 
     @pytest.mark.parametrize("sites, gen, message", [
         (3, (1.0, 2.0, 0.0), "site label must be an integer, got 1.0"),

@@ -1,4 +1,5 @@
 import importlib
+import pathlib
 import pkgutil
 
 import pytest
@@ -35,3 +36,12 @@ def test_dir_lists_every_export_and_unknown_names_raise():
     assert set(irreplab.__all__) <= set(dir(irreplab))
     with pytest.raises(AttributeError, match="no_such_name"):
         irreplab.no_such_name
+
+
+def test_one_rule_per_argument_kind():
+    # an integer is read by operator.index, and a scale tested as a
+    # numbers.Real, in errors.py alone; every other module calls its rule
+    source = {path.name: path.read_text(encoding="utf-8")
+              for path in pathlib.Path(irreplab.__file__).parent.glob("*.py")}
+    for token in ("operator.index", "numbers.Real", "def _check_index", "def _check_scale"):
+        assert [name for name, text in source.items() if token in text] == ["errors.py"], token

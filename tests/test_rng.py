@@ -143,7 +143,7 @@ class TestSymBlock:
         assert np.max(np.abs(v / 2.25 - 1.0)) < 0.05
 
     def test_zero_size_rejected(self):
-        with pytest.raises(InvalidInputError, match="block size m must be >= 1"):
+        with pytest.raises(InvalidInputError, match="^m must be >= 1, got 0$"):
             draw_label_blocks(1, 0, 1, 0)
 
 

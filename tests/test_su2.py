@@ -269,8 +269,10 @@ class TestDimensionTable:
         with pytest.raises(InvalidInputError):
             DimensionTable(((-2, 5),))
         # a float is rejected, not truncated; numpy integers pass
-        for entries in (((2.7, 3.9), (0, 1)), ((2.0, 3),), ((2, 3.0),)):
-            with pytest.raises(InvalidInputError, match="two_j and dim must be integers"):
+        for entries, message in [(((2.7, 3.9), (0, 1)), "two_j must be an integer, got 2.7"),
+                                 (((2.0, 3),), "two_j must be an integer, got 2.0"),
+                                 (((2, 3.0),), "dim must be an integer, got 3.0")]:
+            with pytest.raises(InvalidInputError, match=f"^{message}$"):
                 DimensionTable(entries)
         assert DimensionTable(((np.int64(2), np.int32(3)),)).entries == ((2, 3),)
 
