@@ -17,7 +17,17 @@ import math
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from irreplab import effective_width, legendre, width_table
+from irreplab import effective_width, width_table
+
+
+def legendre(j, x):
+    """P_j at the entries of ``x`` by the three-term recurrence."""
+    prev, cur = np.ones_like(x), x
+    if j == 0:
+        return prev
+    for k in range(1, j):
+        prev, cur = cur, ((2 * k + 1) * x * cur - k * prev) / (k + 1)
+    return cur
 
 
 def quadrature(j, nodes):

@@ -19,14 +19,13 @@ _EXPORTS = {
     "errors": ("InvalidInputError", "NumericFailureError"),
     "linalg": ("SymMatrix", "Spectrum", "eigensolve", "multiset_deviation",
                "write_matrix_text", "read_matrix_text"),
-    "rng": ("EnsembleConfig", "SubStream", "substream", "draw_label_blocks"),
+    "rng": ("EnsembleConfig", "draw_label_blocks"),
     "groups": ("PointGroup", "build_group", "relabel", "build_invariant",
                "check_invariance"),
     "irreps": ("IrrepBlockSpec", "decompose", "block_spectra", "sample_invariant",
                "CensusRow", "CensusResult", "ground_state_irrep_census"),
-    "su2": ("legendre", "sigma_j_sq", "effective_width", "width_table",
-            "DimensionTable", "GsDistribution", "f_space", "gs_distribution",
-            "example_dimension_table"),
+    "su2": ("sigma_j_sq", "effective_width", "width_table", "DimensionTable",
+            "GsDistribution", "f_space", "gs_distribution", "example_dimension_table"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -9,7 +9,9 @@ the command, every parsed flag but ``--threads`` under its flag name
 version and the output paths.  Re-running with the same configuration
 reproduces every output byte for byte, regardless of ``--threads``.
 
-Exit codes: 0 success, 2 usage or input error, 3 numeric failure.
+Exit codes: 0 success, 2 usage or input error (a size past the
+library's ceilings, or one this host cannot allocate, included), 3
+numeric failure.
 
 numpy runs on one BLAS thread unless ``OPENBLAS_NUM_THREADS`` or
 ``OMP_NUM_THREADS`` is set, or numpy loaded before this module did:
@@ -241,8 +243,8 @@ def main(argv=None) -> int:
             raise InvalidInputError(f"--n only applies to --group cyclic, not {args.group}")
         resolved, summary = args.func(args)
         _write_manifest(args.out, args.command, {**config, **resolved}, [args.out])
-    except (InvalidInputError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (InvalidInputError, OSError, MemoryError) as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return USAGE_ERROR
     except NumericFailureError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)

@@ -53,8 +53,9 @@ def _compose(outer: Perm, inner: Perm) -> Perm:
     return tuple(outer[inner[i]] for i in range(len(inner)))
 
 
-# the largest group order built; a cyclic ring larger than this is
-# rejected before any permutation is stored
+# the largest group order built; a ring, or any action, on more sites
+# than this is rejected before any permutation is stored (a transitive
+# action cannot close under the cap on more sites than the cap)
 _MAX_ORDER = 10000
 
 
@@ -79,10 +80,15 @@ def _closure(generators, sites: int) -> tuple[Perm, ...]:
 def _pair_orbit_index(n: int, elements) -> np.ndarray:
     """Read-only n x n array of the orbit number of each site pair.
 
-    Under a transitive action every orbit holds a pair (0, j), and
+    The action must be transitive, or InvalidInputError, checked before
+    the index is allocated.  Then every orbit holds a pair (0, j), and
     scanning j upward meets each orbit first at its smallest pair: one
     pass numbers the diagonal 0 and the others ascending by that pair.
     """
+    reached = len({g[0] for g in elements})
+    if reached != n:
+        raise InvalidInputError(
+            f"site action is not transitive: site 0 reaches {reached} of {n} sites")
     e = np.array(elements)
     index = np.full((n, n), -1, dtype=np.int64)
     count = 0
@@ -91,11 +97,6 @@ def _pair_orbit_index(n: int, elements) -> np.ndarray:
             index[e[:, 0], e[:, j]] = count
             index[e[:, j], e[:, 0]] = count
             count += 1
-    if index.min() < 0:
-        raise InvalidInputError(
-            "site action is not transitive: site 0 reaches "
-            f"{np.unique(e[:, 0]).size} of {n} sites"
-        )
     index.flags.writeable = False
     return index
 
@@ -129,11 +130,6 @@ class PointGroup:
     def orbit_count(self) -> int:
         return int(self.orbit_index.max()) + 1
 
-    def pairs_of(self, orbit: int) -> list[tuple[int, int]]:
-        orbit = _check_index("orbit", orbit)
-        ii, jj = np.nonzero(np.triu(self.orbit_index == orbit))
-        return [(int(i), int(j)) for i, j in zip(ii, jj)]
-
     def orbit_sizes(self) -> list[int]:
         """Number of pairs in each orbit, indexed by orbit."""
         upper = self.orbit_index[np.triu_indices(self.sites)]
@@ -142,7 +138,7 @@ class PointGroup:
     @classmethod
     def from_generators(cls, kind: str, sites: int, generators) -> "PointGroup":
         """Close the generators; rejects a site action that is not transitive."""
-        sites = _check_index("sites", sites, 1)
+        sites = _check_index("sites", sites, 1, _MAX_ORDER)
         gens = tuple(tuple(_check_index("site label", i) for i in g) for g in generators)
         for g in gens:
             if sorted(g) != list(range(sites)):
@@ -255,20 +251,17 @@ def _orbit_blocks(h: SymMatrix, group: PointGroup, m: int) -> list[np.ndarray]:
     return blocks
 
 
-def check_invariance(h, group: PointGroup, m: int | None = None) -> float:
-    """Largest violation of ``H = (P (x) I) H (P (x) I)^T`` over the generators.
+def check_invariance(h, group: PointGroup, m: int) -> float:
+    """Largest violation of ``H = (P (x) I) H (P (x) I)^T`` over the generators,
+    for H of size ``group.sites * m``, m x m blocks per site pair.
 
     Zero, exactly, when H commutes with every group element, as matrices
     assembled by `build_invariant` do; NaN when a non-finite entry makes
     a difference NaN.  Compared one site's row of blocks at a time.
     """
     h = h.values if isinstance(h, SymMatrix) else np.asarray(h, dtype=np.float64)
-    dim, n = h.shape[0], group.sites
-    if m is None:
-        if dim % n != 0:
-            raise InvalidInputError(f"matrix dim {dim} is not a multiple of {n} sites")
-        m = dim // n
-    elif dim != n * (m := _check_index("m", m, 1)):
+    dim, n, m = h.shape[0], group.sites, _check_index("m", m, 1)
+    if dim != n * m:
         raise InvalidInputError(f"matrix dim {dim} does not equal sites*m = {n * m}")
     blocks = h.reshape(n, m, n, m)
     worst = 0.0

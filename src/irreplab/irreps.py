@@ -185,7 +185,9 @@ def _block_eigenvalues(specs: Sequence[IrrepBlockSpec], coeffs: np.ndarray,
     the (orbits, rows, m(m+1)/2) packed orbit ``triangles`` by the specs'
     stacked ``coeffs``.  Ascending orbits, one multiply-add each into
     every spec that names the orbit (not NaN): the bits of
-    `IrrepBlockSpec.combination`.  A non-finite block raises ``NumericFailureError``."""
+    `IrrepBlockSpec.combination`.  Every block goes through one batched
+    eigvalsh, whose 1 x 1 case returns the entry's bits.  A non-finite
+    block raises ``NumericFailureError``."""
     # -0.0 is the exact additive identity: the first term keeps its bits
     combos = np.full((len(coeffs),) + triangles.shape[1:], -0.0)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -194,8 +196,6 @@ def _block_eigenvalues(specs: Sequence[IrrepBlockSpec], coeffs: np.ndarray,
     bad = ~np.isfinite(combos).all(axis=(1, 2))
     if bad.any():
         raise NumericFailureError(f"{specs[bad.argmax()].label} block overflows the float range")
-    if m == 1:
-        return combos
     try:
         return np.linalg.eigvalsh(_sym_blocks(combos, m))
     except np.linalg.LinAlgError as exc:

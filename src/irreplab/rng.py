@@ -27,9 +27,11 @@ reproduced from that text alone:
 Each step has one implementation: ``_mix64_array`` is the finalizer,
 ``_stream_states`` the derivation and ``_polar_pairs`` the normal
 generator, which scans the polar acceptance of any array of stream
-states at once: ``SubStream.normals`` runs it on its own state, the J
-distribution and ``_orbit_triangles``, the one draw path of orbit blocks,
-on a chunk of trials (one trial for ``draw_label_blocks``).
+states at once: the J distribution and ``_orbit_triangles``, the one
+draw path of orbit blocks, run it on a chunk of trials (one trial for
+``draw_label_blocks``).  ``substream(seed, trial, tag).normals(count)``
+draws one stream on demand; no computation of the package calls it, so
+it is not exported.
 Each row keeps its stream's accepted pairs in order, so batching,
 chunking and threads change no draw; the tests check every path, bit
 for bit, against a one-deviate-at-a-time reference written from
@@ -47,8 +49,6 @@ from .errors import InvalidInputError, NumericFailureError, _check_index, _check
 
 __all__ = [
     "EnsembleConfig",
-    "SubStream",
-    "substream",
     "draw_label_blocks",
 ]
 
@@ -67,6 +67,11 @@ _TO_UNIT = 2.0 ** -53
 # array elements one chunk of the trial kernel holds at once; sets how
 # many trials share a chunk, and so bounds its scratch memory
 _CHUNK_ELEMENTS = 1 << 15
+# the largest block size and orbit count (a transitive action on at most
+# 10,000 sites has at most that many pair orbits): every array a trial
+# holds then stays inside numpy's size limit
+_MAX_M = 1 << 16
+_MAX_ORBITS = 10000
 
 
 def _mix64_array(z: np.ndarray) -> np.ndarray:
@@ -80,6 +85,7 @@ def _mix64_array(z: np.ndarray) -> np.ndarray:
     return z
 
 
+# kept for perfbench's tracer, which patches SubStream.normals (ROADMAP item 1)
 class SubStream:
     """One private deviate stream; see the module docstring for the scheme."""
 
@@ -216,7 +222,8 @@ class EnsembleConfig:
 
     ``group`` is one of "cyclic", "tetra", "octa", "cube" (with ``n``
     for the cyclic family) for irrep censuses, and may be left None for
-    experiments that do not involve a point group.
+    experiments that do not involve a point group.  ``m``, the block
+    size per site, lies in [1, 65536].
     """
 
     master_seed: int
@@ -228,7 +235,7 @@ class EnsembleConfig:
 
     def __post_init__(self):
         for name, low, high in (("master_seed", 0, _MASK), ("trials", 1, None),
-                                ("m", 1, None), ("n", None, None)):
+                                ("m", 1, _MAX_M), ("n", None, None)):
             value = getattr(self, name)
             if name != "n" or value is not None:
                 object.__setattr__(self, name, _check_index(name, value, low, high))
@@ -253,8 +260,8 @@ def draw_label_blocks(
     orbit k is k, so draws for existing orbits never move when further
     orbits are added.  These are the census's blocks for that trial.
     """
-    orbits = _check_index("orbits", orbits, 0)
-    m = _check_index("m", m, 1)
+    orbits = _check_index("orbits", orbits, 0, _MAX_ORBITS)
+    m = _check_index("m", m, 1, _MAX_M)
     _check_scale("sigma0", sigma0)
     seed = _check_index("master_seed", master_seed)
     trial = _check_index("trial_index", trial_index)

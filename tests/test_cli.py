@@ -313,10 +313,33 @@ class TestCensus:
         assert "cyclic group n must be in [2, 10000], got 1000000" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("command, m", [("census", "100000"), ("census", "4294967296"),
+                                            ("build", "100000")])
+    def test_oversized_block_exits_2(self, tmp_path, capsys, command, m):
+        trials = ["--trials", "1"] if command == "census" else []
+        assert run(command, "--group", "tetra", "--m", m, *trials,
+                   "--out", tmp_path / "c.csv") == 2
+        assert capsys.readouterr().err == f"error: m must be in [1, 65536], got {m}\n"
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("threads", ["0", "-3"])
     def test_threads_below_one_rejected(self, tmp_path, threads):
         assert run("census", "--group", "tetra", "--trials", "10",
                    "--threads", threads, "--out", tmp_path / "c.csv") == 2
+
+
+@pytest.mark.parametrize("message, shown", [
+    ("Unable to allocate 16.0 GiB for an array", "Unable to allocate 16.0 GiB for an array"),
+    ("", "out of memory"),
+])
+def test_memory_error_exits_2(tmp_path, capsys, monkeypatch, message, shown):
+    def exhausted(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(irreps, "ground_state_irrep_census", exhausted)
+    assert run("census", "--group", "tetra", "--trials", "1", "--out", tmp_path / "c.csv") == 2
+    assert capsys.readouterr().err == f"error: {shown}\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("argv", [
@@ -401,6 +424,15 @@ class TestGsDist:
         assert run("gsdist", "--dims", dims, "--trials", "10",
                    "--out", tmp_path / "d.csv") == 2
         assert f"{dims}:3: twoJ and dim must be integers" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [dims]
+
+    def test_dimension_past_the_ceiling_exits_2(self, tmp_path, capsys):
+        dims = tmp_path / "dims.csv"
+        dims.write_text("twoJ,dim\n0,3\n2,9999999999999999999\n")
+        assert run("gsdist", "--dims", dims, "--trials", "1",
+                   "--out", tmp_path / "d.csv") == 2
+        assert capsys.readouterr().err == (
+            "error: dim must be in [1, 4294967296], got 9999999999999999999\n")
         assert list(tmp_path.iterdir()) == [dims]
 
     def test_two_j_past_the_ceiling_exits_2(self, tmp_path, capsys):

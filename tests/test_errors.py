@@ -23,12 +23,11 @@ from irreplab import (
     draw_label_blocks,
     effective_width,
     gs_distribution,
-    legendre,
     sigma_j_sq,
-    substream,
     width_table,
 )
-from irreplab import groups, su2
+from irreplab import groups, rng, su2
+from irreplab.rng import substream
 
 
 class _Reached(Exception):
@@ -50,22 +49,23 @@ BOUNDED = {
     "EnsembleConfig master_seed": (lambda v: EnsembleConfig(v, 1), "master_seed",
                                    0, 2**64 - 1, None),
     "EnsembleConfig trials": (lambda v: EnsembleConfig(0, v), "trials", 1, None, None),
-    "EnsembleConfig m": (lambda v: EnsembleConfig(0, 1, m=v), "m", 1, None, None),
-    "draw_label_blocks orbits": (lambda v: draw_label_blocks(v, 1, 0, 0), "orbits", 0, None, None),
-    "draw_label_blocks m": (lambda v: draw_label_blocks(1, v, 0, 0), "m", 1, None, None),
+    "EnsembleConfig m": (lambda v: EnsembleConfig(0, 1, m=v), "m", 1, 65536, None),
+    "draw_label_blocks orbits": (lambda v: draw_label_blocks(v, 1, 0, 0), "orbits", 0, 10000,
+                                 (rng, "_orbit_triangles")),
+    "draw_label_blocks m": (lambda v: draw_label_blocks(1, v, 0, 0), "m", 1, 65536,
+                            (rng, "_orbit_triangles")),
     "threads": (_threads, "threads", 1, None, None),
     "build_group cyclic n": (lambda v: build_group("cyclic", v), "cyclic group n", 2, 10000,
                              (groups, "_closure")),
     "check_invariance m": (lambda v: check_invariance(np.eye(4), build_group("tetra"), v),
                            "m", 1, None, None),
-    "from_generators sites": (lambda v: PointGroup.from_generators("x", v, []), "sites", 1, None,
-                              None),
-    "legendre degree": (lambda v: legendre(v, 0.5), "degree", 0, None, None),
+    "from_generators sites": (lambda v: PointGroup.from_generators("x", v, []), "sites", 1, 10000,
+                              (groups, "_closure")),
     "sigma_j_sq J": (sigma_j_sq, "J", 0, 1020, None),
     "effective_width n_j": (lambda v: effective_width(0, v), "subspace dimension", 1, None, None),
     "width_table j_max": (width_table, "j_max", 0, 1020, (su2, "sigma_j_sq")),
     "DimensionTable two_j": (lambda v: DimensionTable(((v, 1),)), "two_j", 0, None, None),
-    "DimensionTable dim": (lambda v: DimensionTable(((0, v),)), "dim", 1, None, None),
+    "DimensionTable dim": (lambda v: DimensionTable(((0, v),)), "dim", 1, 2**32, None),
 }
 
 
@@ -87,8 +87,7 @@ def test_bounded_argument(case, monkeypatch):
                 call(bound)
             except _Reached:
                 pass
-    # None asks check_invariance to infer m from the matrix
-    for value in (2.5,) if case == "check_invariance m" else (2.5, None):
+    for value in (2.5, None):
         message = f"{name} must be an integer, got {value!r}"
         with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
             call(value)

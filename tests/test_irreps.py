@@ -21,16 +21,17 @@ from irreplab import (
     multiset_deviation,
     relabel,
     sample_invariant,
-    substream,
 )
 from irreplab import irreps, rng
 from irreplab.cli import main
 from irreplab.irreps import (
     IrrepBlockSpec,
+    _block_eigenvalues,
     _census_from_specs,
     _census_minima,
     _spectrum_eigenvalues,
 )
+from irreplab.rng import substream
 
 from test_groups import ALL_GROUPS, perm_from_stream
 
@@ -43,7 +44,7 @@ def named(coefficients):
 def moved_orbits(g, h, perm):
     """Orbit numbers of ``h = relabel(g, perm)``, indexed by g's orbits."""
     return [int(h.orbit_index[perm[i], perm[j]]) for i, j in
-            (g.pairs_of(k)[0] for k in range(g.orbit_count))]
+            (np.argwhere(g.orbit_index == k)[0] for k in range(g.orbit_count))]
 
 
 class TestPolyhedralDecomposition:
@@ -575,6 +576,23 @@ class TestCensusKernel:
                                                     for spec, ev in zip(specs, full)]))
                     assert np.array_equal(bits(block_spectra(group, blocks).eigenvalues),
                                           bits(union))
+
+    def test_one_by_one_blocks_keep_every_bit(self):
+        # at m = 1 a block's eigenvalue is its one entry, bit for bit:
+        # signed zeros, subnormals and entries at the edge of the range
+        edge = [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1e-310,
+                1.7976931348623157e308, -1.7976931348623157e308, math.exp(300), -math.exp(300)]
+        triangles = np.array([edge, edge[::-1]])[:, :, None]
+        specs = [IrrepBlockSpec(str(i), 1, np.array(c))
+                 for i, c in enumerate([[1.0, np.nan], [np.nan, -1.0], [0.5, 0.25]])]
+        coeffs = np.stack([s.coefficients for s in specs])
+        values = _block_eigenvalues(specs, coeffs, triangles, 1)
+        assert values.shape == (3, len(edge), 1)
+        assert np.array_equal(bits(values[0, :, 0]), bits(edge))
+        assert np.array_equal(bits(values[1, :, 0]), bits([-x for x in edge[::-1]]))
+        for spec, got in zip(specs, values):
+            assert np.array_equal(bits(got), bits([spec.combination([[[x]], [[y]]])[0]
+                                                   for x, y in zip(edge, edge[::-1])]))
 
     def test_no_library_path_calls_combination(self, tmp_path, monkeypatch):
         # the census and `spectrum` run through the one block kernel, and

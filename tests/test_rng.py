@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -11,7 +12,6 @@ from irreplab import (
     EnsembleConfig,
     InvalidInputError,
     draw_label_blocks,
-    substream,
 )
 from irreplab import rng
 from irreplab.errors import NumericFailureError
@@ -22,6 +22,7 @@ from irreplab.rng import (
     _orbit_triangles,
     _sym_blocks,
     _tally,
+    substream,
 )
 
 # Frozen at first build: the very first outputs of the stream (1, 0, 0).
@@ -127,9 +128,9 @@ class TestDistribution:
 
 
 class TestSymBlock:
-    # one trial's blocks, one stream per orbit
+    # one stream per orbit; two trials, as one holds at most 10,000 orbits
     def test_scalar_case(self):
-        draws = np.array(draw_label_blocks(20000, 1, 3, 0, 2.0))
+        draws = np.concatenate([draw_label_blocks(10000, 1, 3, t, 2.0) for t in (0, 1)])
         assert draws.shape == (20000, 1, 1)
         assert abs(draws.var(ddof=1) / 4.0 - 1.0) < 0.05
 
@@ -143,7 +144,7 @@ class TestSymBlock:
         assert np.max(np.abs(v / 2.25 - 1.0)) < 0.05
 
     def test_zero_size_rejected(self):
-        with pytest.raises(InvalidInputError, match="^m must be >= 1, got 0$"):
+        with pytest.raises(InvalidInputError, match=r"^m must be in \[1, 65536\], got 0$"):
             draw_label_blocks(1, 0, 1, 0)
 
 
@@ -170,7 +171,7 @@ class TestLabelBlocks:
         assert draw_label_blocks(0, m, 7, 0) == []
 
     @pytest.mark.parametrize("args, message", [
-        ((-1, 2, 1, 0), "orbits must be >= 0, got -1"),
+        ((-1, 2, 1, 0), "orbits must be in [0, 10000], got -1"),
         ((2.5, 2, 1, 0), "orbits must be an integer, got 2.5"),
         ((2, 2.0, 1, 0), "m must be an integer, got 2.0"),
         ((2, 2, 1.5, 0), "master_seed must be an integer, got 1.5"),
@@ -179,7 +180,7 @@ class TestLabelBlocks:
         ((3, 2, 7, 1.9), "trial_index must be an integer, got 1.9"),
     ])
     def test_non_integer_or_negative_arguments_rejected(self, args, message):
-        with pytest.raises(InvalidInputError, match=f"^{message}$"):
+        with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
             draw_label_blocks(*args)
 
     def test_numpy_integers_accepted(self):
