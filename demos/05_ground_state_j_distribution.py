@@ -20,6 +20,7 @@ print(f"bundled dimension table: {len(dims.entries)} J values, "
 cfg = EnsembleConfig(master_seed=11, trials=10000)
 dist = gs_distribution(dims, cfg)
 space = dict(f_space(dims))
+sizes = dict(dims.entries)
 
 print(f"\n{cfg.trials} seeded trials; ties observed: {dist.tie_count}")
 print(f"   {'J':>3s} {'N_J':>5s} {'f_space':>9s} {'f_RM':>9s}")
@@ -27,7 +28,7 @@ for two_j, frac in dist.entries:
     j = two_j // 2
     bar_space = "." * round(50 * space[two_j])
     bar_rm = "#" * round(50 * frac)
-    print(f"   {j:3d} {dims.dim_of(two_j):5d} {space[two_j]:9.4f} {frac:9.4f}"
+    print(f"   {j:3d} {sizes[two_j]:5d} {space[two_j]:9.4f} {frac:9.4f}"
           f"   |{bar_rm}\n   {'':3s} {'':5s} {'':9s} {'':9s}   |{bar_space}")
 
 enh = dist.fraction(0) / space[0]

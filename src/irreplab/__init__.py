@@ -20,8 +20,7 @@ _EXPORTS = {
     "linalg": ("SymMatrix", "Spectrum", "eigensolve", "multiset_deviation",
                "write_matrix_text", "read_matrix_text"),
     "rng": ("EnsembleConfig", "draw_label_blocks"),
-    "groups": ("PointGroup", "build_group", "relabel", "build_invariant",
-               "check_invariance"),
+    "groups": ("PointGroup", "build_group", "build_invariant", "check_invariance"),
     "irreps": ("IrrepBlockSpec", "decompose", "block_spectra", "sample_invariant",
                "CensusRow", "CensusResult", "ground_state_irrep_census"),
     "su2": ("sigma_j_sq", "effective_width", "width_table", "DimensionTable",

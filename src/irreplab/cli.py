@@ -84,7 +84,7 @@ def _cmd_build(args):
 
     group = build_group(args.group, args.n)
     cfg = EnsembleConfig(args.seed, 1, args.sigma0, args.group, args.n, args.m)
-    h, _ = sample_invariant(group, cfg, trial_index=0)
+    h, _ = sample_invariant(group, cfg)
     write_matrix_text(h, args.out)
     violation = check_invariance(h, group, args.m)
     return {}, (f"wrote {h.dim}x{h.dim} invariant matrix to {args.out} "

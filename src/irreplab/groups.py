@@ -11,7 +11,7 @@ orbit is 0, the others follow ascending by each orbit's smallest pair.
 `_orbit_blocks`, its inverse, reads them back for ``spectrum``.
 
 Vertex numbering conventions (any consistent relabeling gives the same
-physics; see `relabel` and the relabeling tests):
+physics; see the relabeling tests):
 
 * cyclic(n): sites 0..n-1 around the circle, generator i -> i+1 mod n.
 * tetrahedron: vertices 0..3, generated by the 3-cycles (0 1 2), (1 2 3).
@@ -34,7 +34,6 @@ from .linalg import SymMatrix
 __all__ = [
     "PointGroup",
     "build_group",
-    "relabel",
     "build_invariant",
     "check_invariance",
 ]
@@ -173,23 +172,6 @@ def build_group(kind: str, n: int | None = None) -> PointGroup:
             f"{kind}: closure produced order {group.order}, expected {expected}"
         )
     return group
-
-
-def relabel(group: PointGroup, perm) -> PointGroup:
-    """The same group acting through relabeled sites.
-
-    ``perm[i]`` is the new name of old site ``i``; generators are
-    conjugated accordingly.
-    """
-    perm = tuple(_check_index("site label", i) for i in perm)
-    if sorted(perm) != list(range(group.sites)):
-        raise InvalidInputError("relabeling must be a permutation of the sites")
-    inverse = tuple(np.argsort(perm))
-    gens = [
-        tuple(perm[g[inverse[i]]] for i in range(group.sites))
-        for g in group.generators
-    ]
-    return PointGroup.from_generators(group.kind, group.sites, gens)
 
 
 def _coerce_blocks(group: PointGroup, blocks) -> list[np.ndarray]:

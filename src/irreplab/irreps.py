@@ -225,8 +225,8 @@ def block_spectra(group: PointGroup, blocks: Sequence[np.ndarray]) -> Spectrum:
     return Spectrum(np.sort(np.repeat(values, [s.copies for s in specs], axis=0), axis=None))
 
 
-def sample_invariant(group: PointGroup, cfg: EnsembleConfig, trial_index: int = 0):
-    """Draw one invariant matrix; returns (matrix, blocks used).
+def sample_invariant(group: PointGroup, cfg: EnsembleConfig):
+    """Draw trial 0's invariant matrix; returns (matrix, blocks used).
 
     A non-finite entry (``cfg.sigma0`` too large) raises
     ``NumericFailureError``; a ``cfg.group`` or ``cfg.n`` naming another
@@ -237,8 +237,7 @@ def sample_invariant(group: PointGroup, cfg: EnsembleConfig, trial_index: int = 
         raise InvalidInputError(f"config names group {cfg.group!r} with n={cfg.n}, "
                                 f"not {group.name}")
     with np.errstate(over="ignore"):
-        blocks = draw_label_blocks(group.orbit_count, cfg.m, cfg.master_seed,
-                                   trial_index, cfg.sigma0)
+        blocks = draw_label_blocks(group.orbit_count, cfg.m, cfg.master_seed, 0, cfg.sigma0)
     if not np.isfinite(blocks).all():
         raise NumericFailureError("non-finite entry in the sampled matrix")
     return build_invariant(group, blocks), blocks
@@ -270,7 +269,6 @@ class CensusResult:
     rows: tuple[CensusRow, ...]
     trials: int
     tie_count: int
-    config: EnsembleConfig
 
     def fraction(self, label: str) -> float:
         for row in self.rows:
@@ -300,7 +298,7 @@ def _census_from_specs(specs: Sequence[IrrepBlockSpec], sites: int, cfg: Ensembl
                                   cfg.trials, row_elements, threads)
     rows = tuple(CensusRow(spec.label, spec.copies, m, spec.variance_factor, int(count),
                            cfg.trials, sites) for spec, count in zip(specs, counts))
-    return CensusResult(rows, cfg.trials, ties, cfg)
+    return CensusResult(rows, cfg.trials, ties)
 
 
 def ground_state_irrep_census(cfg: EnsembleConfig, threads: int = 1) -> CensusResult:

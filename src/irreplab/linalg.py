@@ -135,10 +135,6 @@ class Spectrum:
             vec.flags.writeable = False
             object.__setattr__(self, "eigenvectors", vec)
 
-    @property
-    def dim(self) -> int:
-        return self.eigenvalues.size
-
 
 def eigensolve(h, want_vectors: bool = False) -> Spectrum:
     """Full eigendecomposition of a symmetric matrix.

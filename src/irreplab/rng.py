@@ -72,6 +72,9 @@ _CHUNK_ELEMENTS = 1 << 15
 # holds then stays inside numpy's size limit
 _MAX_M = 1 << 16
 _MAX_ORBITS = 10000
+# the most normals one stream draws at once (one row of the polar grid),
+# also the largest `gsdist` subspace dimension
+_MAX_NORMALS = 1 << 32
 
 
 def _mix64_array(z: np.ndarray) -> np.ndarray:
@@ -96,9 +99,9 @@ class SubStream:
         self._pending = None
 
     def normals(self, count: int) -> np.ndarray:
-        """Next ``count`` standard normals; the same bits however the
+        """Next ``count`` (at most 2^32) standard normals; the same bits however the
         requests are batched."""
-        count = _check_index("count", count, 0)
+        count = _check_index("count", count, 0, _MAX_NORMALS)
         head = [] if self._pending is None else [self._pending]
         pairs, ends = _polar_pairs(np.array([self._state], dtype=np.uint64),
                                    (count - len(head) + 1) // 2)

@@ -32,7 +32,7 @@ from importlib import resources
 import numpy as np
 
 from .errors import InvalidInputError, _check_index, _check_scale
-from .rng import EnsembleConfig, _chunked_tally, _normals_rows, _row_uniforms
+from .rng import _MAX_NORMALS, EnsembleConfig, _chunked_tally, _normals_rows, _row_uniforms
 from .rng import substream  # noqa: F401  (kept importable here; perfbench's tracer test looks it up)
 
 __all__ = [
@@ -48,9 +48,6 @@ __all__ = [
 
 # the exact sum for one J costs O(J) products of O(J)-bit integers
 _MAX_J = 1020
-# the largest subspace dimension: one row of its normals stays inside
-# numpy's array size limit
-_MAX_DIM = 1 << 32
 
 
 def sigma_j_sq(j: int) -> float:
@@ -116,7 +113,7 @@ class DimensionTable:
         norm = []
         for two_j, dim in self.entries:
             two_j = _check_index("two_j", two_j, 0)
-            dim = _check_index("dim", dim, 1, _MAX_DIM)
+            dim = _check_index("dim", dim, 1, _MAX_NORMALS)
             if two_j in seen:
                 raise InvalidInputError(f"duplicate two_j value {two_j}")
             seen.add(two_j)
@@ -127,12 +124,6 @@ class DimensionTable:
     @property
     def n_tot(self) -> int:
         return sum(dim for _, dim in self.entries)
-
-    def dim_of(self, two_j: int) -> int:
-        for tj, dim in self.entries:
-            if tj == two_j:
-                return dim
-        raise KeyError(two_j)
 
     @classmethod
     def from_csv(cls, path) -> "DimensionTable":

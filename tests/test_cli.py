@@ -232,6 +232,25 @@ class TestSpectrum:
         assert "numeric failure: k=0 block overflows" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == [hfile]
 
+    @pytest.mark.parametrize("size, flags, message", [
+        (5, ["--group", "tetra", "--m", "2"], "matrix dim 5 is not a multiple of m=2"),
+        (6, ["--group", "cyclic", "--n", "7"], "--n 7 disagrees with file (6 sites)")])
+    def test_file_size_disagreeing_with_flags_exits_2(self, tmp_path, capsys, size, flags,
+                                                       message):
+        hfile = tmp_path / "h.txt"
+        write_matrix_text(np.eye(size), hfile)
+        assert run("spectrum", "--in", hfile, *flags, "--out", tmp_path / "o.csv") == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert list(tmp_path.iterdir()) == [hfile]
+
+    def test_zero_dimension_header_exits_2(self, tmp_path, capsys):
+        hfile = tmp_path / "h.txt"
+        hfile.write_text("0\n")
+        assert run("spectrum", "--in", hfile, "--group", "tetra",
+                   "--out", tmp_path / "o.csv") == 2
+        assert capsys.readouterr().err == f"error: {hfile}: dimension must be >= 1\n"
+        assert list(tmp_path.iterdir()) == [hfile]
+
     @pytest.mark.parametrize("m", ["0", "-2"])
     def test_block_size_below_one_exits_2(self, tmp_path, capsys, m):
         hfile = tmp_path / "h.txt"
@@ -449,6 +468,14 @@ class TestGsDist:
         dims.write_text("twoJ,dim\n0,5\n")
         assert run("gsdist", "--dims", dims, "--trials", "10", "--threads", threads,
                    "--out", tmp_path / "d.csv") == 2
+
+    def test_jmax_removing_every_row_exits_2(self, tmp_path, capsys):
+        dims = tmp_path / "dims.csv"
+        dims.write_text("twoJ,dim\n2,5\n4,5\n")
+        assert run("gsdist", "--dims", dims, "--trials", "10", "--jmax", "0",
+                   "--out", tmp_path / "d.csv") == 2
+        assert capsys.readouterr().err == "error: --jmax 0 removes every table row\n"
+        assert list(tmp_path.iterdir()) == [dims]
 
     def test_jmax_truncates(self, tmp_path):
         dims = tmp_path / "dims.csv"

@@ -45,7 +45,8 @@ def _threads(threads):
 # (call, name, low, high, the module attribute stubbed so that a call
 # at a costly bound stops when its work begins)
 BOUNDED = {
-    "SubStream.normals count": (lambda v: substream(1, 0, 0).normals(v), "count", 0, None, None),
+    "SubStream.normals count": (lambda v: substream(1, 0, 0).normals(v), "count", 0, 2**32,
+                                (rng, "_polar_pairs")),
     "EnsembleConfig master_seed": (lambda v: EnsembleConfig(v, 1), "master_seed",
                                    0, 2**64 - 1, None),
     "EnsembleConfig trials": (lambda v: EnsembleConfig(0, v), "trials", 1, None, None),

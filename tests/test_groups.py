@@ -14,7 +14,6 @@ from irreplab import (
     check_invariance,
     draw_label_blocks,
     eigensolve,
-    relabel,
     write_matrix_text,
 )
 from irreplab import groups
@@ -41,6 +40,14 @@ def perm_from_stream(sites, seed):
         j = int(s.uniform() * (i + 1))
         p[i], p[j] = p[j], p[i]
     return tuple(p)
+
+
+def relabel(group, perm):
+    # the same group acting through relabeled sites: perm[i] is the new
+    # name of old site i, and the generators are conjugated accordingly
+    inverse = np.argsort(perm)
+    gens = [tuple(perm[g[inverse[i]]] for i in range(group.sites)) for g in group.generators]
+    return PointGroup.from_generators(group.kind, group.sites, gens)
 
 
 class TestBuildGroup:
@@ -126,6 +133,17 @@ class TestBuildGroup:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
+
+    def test_generator_not_a_permutation_rejected(self):
+        message = "(0, 0, 1) is not a permutation of 3 sites"
+        with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
+            PointGroup.from_generators("x", 3, [(0, 0, 1)])
+
+    def test_closure_past_the_order_cap_rejected(self):
+        # S_8, of order 40,320, on 8 sites: far fewer sites than the cap
+        swap, ring = (1, 0, 2, 3, 4, 5, 6, 7), (1, 2, 3, 4, 5, 6, 7, 0)
+        with pytest.raises(InvalidInputError, match="^group closure exceeds supported size$"):
+            PointGroup.from_generators("s8", 8, [swap, ring])
 
     @pytest.mark.parametrize("sites, generators", [(0, [()]), (-1, [])])
     def test_site_count_below_one_rejected(self, sites, generators):
@@ -417,12 +435,6 @@ class TestRelabeling:
         ev = eigensolve(h).eigenvalues
         ev2 = eigensolve(h2).eigenvalues
         assert np.max(np.abs(ev - ev2)) < 1e-12
-
-    def test_non_integer_relabeling_rejected(self):
-        g = build_group("tetra")
-        with pytest.raises(InvalidInputError, match="^site label must be an integer, got 1.0$"):
-            relabel(g, [1.0, 0.0, 2.0, 3.0])
-        assert relabel(g, np.array([1, 0, 2, 3])) == relabel(g, [1, 0, 2, 3])
 
     def test_group_element_relabeling_is_symmetry(self):
         g = build_group("octa")

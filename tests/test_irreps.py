@@ -19,7 +19,6 @@ from irreplab import (
     eigensolve,
     ground_state_irrep_census,
     multiset_deviation,
-    relabel,
     sample_invariant,
 )
 from irreplab import irreps, rng
@@ -33,7 +32,7 @@ from irreplab.irreps import (
 )
 from irreplab.rng import substream
 
-from test_groups import ALL_GROUPS, perm_from_stream
+from test_groups import ALL_GROUPS, perm_from_stream, relabel
 
 
 def named(coefficients):
@@ -471,6 +470,11 @@ class TestCensus:
         assert res.tie_count == 0
         assert sum(r.gs_count for r in res.rows) == cfg.trials
 
+    def test_unknown_label_raises_key_error(self):
+        res = ground_state_irrep_census(EnsembleConfig(3, 10, group="tetra"))
+        with pytest.raises(KeyError, match="k=0"):
+            res.fraction("k=0")
+
     def test_single_block_degenerate_census(self):
         specs = [IrrepBlockSpec("only", 1, np.array([1.0]))]
         cfg = EnsembleConfig(1, 50, m=2)
@@ -683,6 +687,11 @@ class TestSampleInvariant:
         assert check_invariance(h1, g, 2) == 0.0
         assert len(blocks1) == 4
 
+    def test_draws_trial_zero(self):
+        g = build_group("octa")
+        _, blocks = sample_invariant(g, EnsembleConfig(23, 5, 0.5, m=3))
+        assert np.array_equal(blocks, draw_label_blocks(g.orbit_count, 3, 23, 0, 0.5))
+
     @pytest.mark.parametrize("kind, n, cfg_group, cfg_n", [
         ("tetra", None, "cube", None), ("tetra", None, None, 8), ("cube", None, "cube", 6),
         ("cyclic", 6, "cyclic", 5), ("cyclic", 6, "tetra", None)])
@@ -690,12 +699,6 @@ class TestSampleInvariant:
         cfg = EnsembleConfig(1, 1, group=cfg_group, n=cfg_n, m=2)
         with pytest.raises(InvalidInputError, match="config names group"):
             sample_invariant(build_group(kind, n), cfg)
-
-    def test_non_integer_trial_rejected(self):
-        # not truncated to trial 1's matrix
-        cfg = EnsembleConfig(3, 1, group="cube", m=2)
-        with pytest.raises(InvalidInputError, match="^trial_index must be an integer"):
-            sample_invariant(build_group("cube"), cfg, trial_index=1.5)
 
     def test_config_naming_the_group_accepted(self):
         g = build_group("cyclic", 6)

@@ -156,6 +156,10 @@ class TestSymMatrix:
         with pytest.raises(InvalidInputError):
             SymMatrix(np.zeros((2, 3)))
 
+    def test_empty_matrix_rejected(self):
+        with pytest.raises(InvalidInputError, match="^matrix dimension must be >= 1$"):
+            SymMatrix(np.empty((0, 0)))
+
     def test_scalar_becomes_1x1(self):
         assert SymMatrix(4.0).dim == 1
 

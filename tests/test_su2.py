@@ -325,6 +325,8 @@ class TestGsDistribution:
         t = DimensionTable(((4, 10),))
         dist = gs_distribution(t, EnsembleConfig(1, 200))
         assert dist.fraction(4) == 1.0
+        with pytest.raises(KeyError, match="2"):
+            dist.fraction(2)
 
     def test_symmetric_pair_with_forced_equal_widths(self):
         t = DimensionTable(((0, 12), (4, 12)))
