@@ -17,8 +17,8 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     "errors": ("InvalidInputError", "NumericFailureError"),
-    "linalg": ("SymMatrix", "Spectrum", "eigensolve", "multiset_deviation",
-               "write_matrix_text", "read_matrix_text"),
+    "linalg": ("SymMatrix", "eigensolve", "multiset_deviation", "write_matrix_text",
+               "read_matrix_text"),
     "rng": ("EnsembleConfig", "draw_label_blocks"),
     "groups": ("PointGroup", "build_group", "build_invariant", "check_invariance"),
     "irreps": ("IrrepBlockSpec", "decompose", "block_spectra", "sample_invariant",

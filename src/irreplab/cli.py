@@ -114,7 +114,7 @@ def _cmd_spectrum(args):
     specs, values = _spectrum_eigenvalues(group, blocks)
     rows = [(spec.label, float(v)) for spec, ev in zip(specs, values)
             for _ in range(spec.copies) for v in ev]
-    dense = eigensolve(h).eigenvalues
+    dense = eigensolve(h)
     deviation = multiset_deviation(sorted(v for _, v in rows), dense)
     if not math.isfinite(deviation):
         raise NumericFailureError("block and dense eigenvalues differ beyond the float range")

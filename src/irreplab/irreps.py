@@ -37,7 +37,6 @@ import numpy as np
 
 from .errors import InvalidInputError, NumericFailureError
 from .groups import PointGroup, _coerce_blocks, build_group, build_invariant
-from .linalg import Spectrum, eigensolve
 from .rng import (
     EnsembleConfig,
     _chunked_tally,
@@ -95,13 +94,20 @@ def _decompose_by_orbit_algebra(group: PointGroup) -> tuple[list[str], list[int]
     Ito, *Algebraic Combinatorics I*, 1984).  Each eigenvector v of one
     fixed combination of the A_k has the integer coefficients
     ``v^T A_k v``; identical rows make up one irrep, one copy per row.
+    The eigenvectors must be orthonormal: the residual check on the
+    coefficients passes a scaled or repeated one.
     """
     adj = np.array([group.orbit_index == k for k in range(group.orbit_count)], dtype=np.int64)
     products = adj[:, None] @ adj[None, :]
     if not np.array_equal(products, products.transpose(1, 0, 2, 3)):
         raise InvalidInputError(f"{group.name}: pair-orbit matrices do not commute")
     mix = sum(a / (k + math.pi) for k, a in enumerate(adj))
-    vectors = eigensolve(mix, want_vectors=True).eigenvectors
+    try:
+        vectors = np.linalg.eigh(mix)[1]
+    except np.linalg.LinAlgError as exc:
+        raise NumericFailureError(f"{group.name}: eigensolve failed: {exc}") from exc
+    if np.max(np.abs(vectors.T @ vectors - np.eye(group.sites))) > 1e-8 * group.sites:
+        raise NumericFailureError(f"{group.name}: eigenvectors are not orthonormal")
     coeffs = np.rint(np.einsum("ji,kjl,li->ik", vectors, adj, vectors))
     if np.linalg.norm(adj @ vectors - vectors[None] * coeffs.T[:, None]) > 1e-8:
         raise InvalidInputError(f"{group.name}: pair-orbit coefficients are not integers")
@@ -212,17 +218,19 @@ def _spectrum_eigenvalues(group: PointGroup, blocks: Sequence[np.ndarray]):
     return specs, _block_eigenvalues(specs, coeffs, np.stack(blocks)[:, None, rows, cols], m)[:, 0]
 
 
-def block_spectra(group: PointGroup, blocks: Sequence[np.ndarray]) -> Spectrum:
-    """Spectrum of the invariant matrix computed block by block.
+def block_spectra(group: PointGroup, blocks: Sequence[np.ndarray]) -> np.ndarray:
+    """Eigenvalues of the invariant matrix computed block by block.
 
     ``blocks[k]`` is the block of orbit k, one per orbit.  Concatenates
     the eigenvalues of every combination block, repeated by
-    multiplicity, and sorts: equal (to 1e-8 and usually much better) to
-    the dense spectrum of ``build_invariant(group, blocks)``.  Blocks
-    are checked as `build_invariant` checks them.
+    multiplicity, and sorts into a read-only array: equal (to 1e-8 and
+    usually much better) to ``eigensolve(build_invariant(group, blocks))``.
+    Blocks are checked as `build_invariant` checks them.
     """
     specs, values = _spectrum_eigenvalues(group, _coerce_blocks(group, blocks))
-    return Spectrum(np.sort(np.repeat(values, [s.copies for s in specs], axis=0), axis=None))
+    union = np.sort(np.repeat(values, [s.copies for s in specs], axis=0), axis=None)
+    union.flags.writeable = False
+    return union
 
 
 def sample_invariant(group: PointGroup, cfg: EnsembleConfig):

@@ -1,9 +1,9 @@
-"""Dense real symmetric matrices and their eigendecomposition.
+"""Dense real symmetric matrices and their eigenvalues.
 
 `SymMatrix` is the numeric carrier used everywhere else in the package;
 it enforces exact (bitwise) symmetry at construction.  `eigensolve`
-runs LAPACK (`numpy.linalg.eigh` / `eigvalsh`) and checks every
-eigenvector decomposition it returns against the matrix.
+returns its ascending eigenvalues from LAPACK (`numpy.linalg.eigvalsh`)
+as a read-only float64 array, the one spectrum type of the package.
 
 A plain text matrix format is defined for interchange: first line the
 dimension, then one row of space-separated decimals per line.  Up to
@@ -15,7 +15,6 @@ largest asymmetry it had to repair.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,7 +22,6 @@ from .errors import InvalidInputError, NumericFailureError
 
 __all__ = [
     "SymMatrix",
-    "Spectrum",
     "eigensolve",
     "multiset_deviation",
     "write_matrix_text",
@@ -100,78 +98,34 @@ class SymMatrix:
         return f"SymMatrix(dim={self.dim})"
 
 
-# eigenvector residual bound, per unit of dim * max(1, ||H||_max)
-_RESIDUAL_SCALE = 1e-8
-
-
 def _as_sym(h) -> SymMatrix:
     return h if isinstance(h, SymMatrix) else SymMatrix(h)
 
 
-@dataclass(frozen=True)
-class Spectrum:
-    """Eigenvalues in ascending order, optionally with eigenvectors.
-
-    When present, ``eigenvectors`` holds one orthonormal eigenvector per
-    column, aligned with ``eigenvalues``.
-    """
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray | None = None
-
-    def __post_init__(self):
-        ev = np.asarray(self.eigenvalues, dtype=np.float64)
-        if ev.ndim != 1:
-            raise InvalidInputError("eigenvalues must be a 1-d sequence")
-        if np.any(ev[1:] < ev[:-1]):
-            raise InvalidInputError("eigenvalues must be sorted ascending")
-        ev = ev.copy()
-        ev.flags.writeable = False
-        object.__setattr__(self, "eigenvalues", ev)
-        if self.eigenvectors is not None:
-            vec = np.array(self.eigenvectors, dtype=np.float64)
-            if vec.shape != (ev.size, ev.size):
-                raise InvalidInputError("eigenvector matrix has wrong shape")
-            vec.flags.writeable = False
-            object.__setattr__(self, "eigenvectors", vec)
-
-
-def eigensolve(h, want_vectors: bool = False) -> Spectrum:
-    """Full eigendecomposition of a symmetric matrix.
+def eigensolve(h) -> np.ndarray:
+    """Ascending eigenvalues of a symmetric matrix, in a read-only float64 array.
 
     Parameters
     ----------
     h : SymMatrix or array_like
-        Matrix to decompose; arrays must be exactly symmetric.
-    want_vectors : bool
-        Also return the orthogonal eigenvector matrix (one per column).
+        Matrix to solve; arrays must be exactly symmetric.
 
     Raises
     ------
     InvalidInputError
         Non-finite entries.
     NumericFailureError
-        LAPACK failed, or the reconstruction ``V diag(w) V^T`` misses
-        ``h`` by more than ``1e-8 * dim * max(1, ||h||_max)``.
+        LAPACK failed.
     """
     h = _as_sym(h)
     if not np.all(np.isfinite(h.values)):
         raise InvalidInputError("matrix entries must be finite")
     try:
-        if want_vectors:
-            eigenvalues, vectors = np.linalg.eigh(h.values)
-        else:
-            eigenvalues, vectors = np.linalg.eigvalsh(h.values), None
+        eigenvalues = np.linalg.eigvalsh(h.values)
     except np.linalg.LinAlgError as exc:
         raise NumericFailureError(f"LAPACK eigensolver failed: {exc}") from exc
-    if want_vectors:
-        resid = np.max(np.abs((vectors * eigenvalues) @ vectors.T - h.values))
-        bound = _RESIDUAL_SCALE * h.dim * max(1.0, h.max_abs())
-        if resid > bound:
-            raise NumericFailureError(
-                f"eigendecomposition residual {resid:.3e} exceeds bound {bound:.3e}"
-            )
-    return Spectrum(eigenvalues, vectors)
+    eigenvalues.flags.writeable = False
+    return eigenvalues
 
 
 def multiset_deviation(a, b) -> float:

@@ -326,6 +326,18 @@ class TestCensus:
         assert capsys.readouterr().err.count("sigma0 must be positive and finite") == 3
         assert list(tmp_path.iterdir()) == [dims]
 
+    def test_lapack_failure_exits_3(self, tmp_path, capsys, monkeypatch):
+        def fail(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+        assert run("census", "--group", "cube", "--m", "3", "--trials", "4",
+                   "--out", tmp_path / "c.csv") == 3
+        err = capsys.readouterr().err
+        assert [line for line in err.splitlines() if line.startswith("numeric failure:")] == [
+            "numeric failure: eigensolve failed: Eigenvalues did not converge"]
+        assert list(tmp_path.iterdir()) == []
+
     def test_oversized_ring_exits_2(self, tmp_path, capsys):
         assert run("census", "--group", "cyclic", "--n", "1000000", "--trials", "1",
                    "--out", tmp_path / "c.csv") == 2

@@ -10,6 +10,7 @@ from scipy.stats import multivariate_normal
 from irreplab import (
     EnsembleConfig,
     InvalidInputError,
+    NumericFailureError,
     PointGroup,
     block_spectra,
     build_group,
@@ -120,6 +121,34 @@ class TestPolyhedralDecomposition:
         with pytest.raises(InvalidInputError, match="s3: pair-orbit matrices do not commute"):
             decompose(g)
 
+    @pytest.mark.parametrize("bend", ["column 0 scaled", "column 1 repeats column 0"])
+    @pytest.mark.parametrize("kind", ["tetra", "octa", "cube"])
+    def test_eigenvectors_must_be_orthonormal(self, kind, bend, monkeypatch):
+        # the residual check on the integer coefficients passes some of these
+        eigh = np.linalg.eigh
+
+        def bent(a):
+            w, v = eigh(a)
+            if bend == "column 0 scaled":
+                v[:, 0] *= 1.2
+            else:
+                v[:, 1] = v[:, 0]
+            return w, v
+
+        group = build_group(kind)
+        monkeypatch.setattr(np.linalg, "eigh", bent)
+        with pytest.raises(NumericFailureError):
+            decompose(group)
+
+    def test_lapack_failure_is_numeric_failure(self, monkeypatch):
+        def fail(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        group = build_group("octa")
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        with pytest.raises(NumericFailureError, match="Eigenvalues did not converge"):
+            decompose(group)
+
     def test_unnameable_blocks_rejected(self):
         # the Klein four-group acting on itself has four 1-dim irreps,
         # more than the +/- rule can name
@@ -154,8 +183,8 @@ class TestPolyhedralDecomposition:
     def test_relabeled_cyclic_group_decomposes(self):
         g = relabel(build_group("cyclic", 6), perm_from_stream(6, 14))
         blocks = draw_label_blocks(g.orbit_count, 2, 44, 0)
-        dense = eigensolve(build_invariant(g, blocks)).eigenvalues
-        assert multiset_deviation(dense, block_spectra(g, blocks).eigenvalues) < 1e-10
+        dense = eigensolve(build_invariant(g, blocks))
+        assert multiset_deviation(dense, block_spectra(g, blocks)) < 1e-10
 
     @pytest.mark.parametrize("kind", ["tetra", "octa", "cube"])
     def test_relabeled_group_same_factors(self, kind):
@@ -166,27 +195,36 @@ class TestPolyhedralDecomposition:
                     "cube": [4.0, 4.0, 20.0, 20.0]}[kind]
         assert factors == expected
         blocks = draw_label_blocks(g.orbit_count, 2, 55, 0)
-        dense = eigensolve(build_invariant(g, blocks)).eigenvalues
-        assert multiset_deviation(dense, block_spectra(g, blocks).eigenvalues) < 1e-10
+        dense = eigensolve(build_invariant(g, blocks))
+        assert multiset_deviation(dense, block_spectra(g, blocks)) < 1e-10
 
 
 class TestBlockSpectra:
     def test_complete_graph(self):
         g = build_group("tetra")
-        ev = block_spectra(g, [np.zeros((1, 1)), np.ones((1, 1))]).eigenvalues
+        ev = block_spectra(g, [np.zeros((1, 1)), np.ones((1, 1))])
         assert np.allclose(ev, [-1, -1, -1, 3], atol=1e-14)
 
     def test_cube_graph(self):
         g = build_group("cube")
         blocks = [np.zeros((1, 1)), np.ones((1, 1)), np.zeros((1, 1)), np.zeros((1, 1))]
-        ev = block_spectra(g, blocks).eigenvalues
+        ev = block_spectra(g, blocks)
         assert np.allclose(ev, [-3, -1, -1, -1, 1, 1, 1, 3], atol=1e-14)
+
+    @pytest.mark.parametrize("kind,n", [("cyclic", 2), ("cyclic", 7), ("tetra", None),
+                                        ("octa", None), ("cube", None)])
+    def test_returns_read_only_ascending_float64(self, kind, n):
+        g = build_group(kind, n)
+        ev = block_spectra(g, draw_label_blocks(g.orbit_count, 2, 23, 0))
+        assert type(ev) is np.ndarray and ev.dtype == np.float64 and ev.shape == (2 * g.sites,)
+        assert np.all(ev[1:] >= ev[:-1])
+        assert not ev.flags.writeable
 
     def test_octa_random_blocks_match_dense(self):
         g = build_group("octa")
         blocks = draw_label_blocks(g.orbit_count, 3, 4, 0)
-        dense = eigensolve(build_invariant(g, blocks)).eigenvalues
-        assert multiset_deviation(dense, block_spectra(g, blocks).eigenvalues) < 1e-8
+        dense = eigensolve(build_invariant(g, blocks))
+        assert multiset_deviation(dense, block_spectra(g, blocks)) < 1e-8
 
     def test_too_few_blocks_rejected(self):
         g = build_group("cyclic", 6)
@@ -213,8 +251,8 @@ class TestBlockSpectra:
         g = build_group(*group)
         g = relabel(g, data.draw(st.permutations(range(g.sites)), label="perm"))
         blocks = draw_label_blocks(g.orbit_count, m, seed, trial)
-        dense = eigensolve(build_invariant(g, blocks)).eigenvalues
-        assert multiset_deviation(dense, block_spectra(g, blocks).eigenvalues) < 1e-8
+        dense = eigensolve(build_invariant(g, blocks))
+        assert multiset_deviation(dense, block_spectra(g, blocks)) < 1e-8
 
     @pytest.mark.parametrize("kind,n", ALL_GROUPS)
     def test_union_equals_dense_all_groups(self, kind, n):
@@ -222,8 +260,8 @@ class TestBlockSpectra:
         orbits = g.orbit_count
         for m, seed in [(1, 0), (2, 1), (5, 2)]:
             blocks = draw_label_blocks(orbits, m, 37 + seed, seed)
-            dense = eigensolve(build_invariant(g, blocks)).eigenvalues
-            union = block_spectra(g, blocks).eigenvalues
+            dense = eigensolve(build_invariant(g, blocks))
+            union = block_spectra(g, blocks)
             assert multiset_deviation(dense, union) < 1e-8
 
 
@@ -325,11 +363,11 @@ class TestCyclicBlocks:
     def test_union_of_blocks_is_dense_spectrum(self, n):
         fs = draw_label_blocks(n // 2 + 1, 2, 60 + n, 0)
         union = np.sort(np.concatenate(
-            [eigensolve(b).eigenvalues for spec, b in cyclic_blocks(n, fs)
+            [eigensolve(b) for spec, b in cyclic_blocks(n, fs)
              for _ in range(spec.copies)]
         ))
         g = build_group("cyclic", n)
-        dense = eigensolve(build_invariant(g, fs)).eigenvalues
+        dense = eigensolve(build_invariant(g, fs))
         assert multiset_deviation(dense, union) < 1e-8
 
     @pytest.mark.parametrize("n", [4, 5, 6, 7, 12])
@@ -578,7 +616,7 @@ class TestCensusKernel:
                     assert np.array_equal(bits(values), bits(full))
                     union = np.sort(np.concatenate([np.repeat(ev, spec.copies)
                                                     for spec, ev in zip(specs, full)]))
-                    assert np.array_equal(bits(block_spectra(group, blocks).eigenvalues),
+                    assert np.array_equal(bits(block_spectra(group, blocks)),
                                           bits(union))
 
     def test_one_by_one_blocks_keep_every_bit(self):

@@ -10,7 +10,6 @@ from stream_oracle import Stream
 from irreplab import (
     InvalidInputError,
     NumericFailureError,
-    Spectrum,
     SymMatrix,
     build_group,
     draw_label_blocks,
@@ -63,7 +62,8 @@ class JacobiSweepCapError(NumericFailureError):
 def jacobi_eigensolve(h, want_vectors=False, tol=1e-12, max_sweeps=100):
     """Oracle: cyclic Jacobi sweeps until the off-diagonal Frobenius norm
     drops below ``tol * ||H||_F`` (rotation invariant, so the threshold is
-    fixed once per matrix).  Shares no code with LAPACK."""
+    fixed once per matrix).  Shares no code with LAPACK.  Returns the
+    ascending eigenvalues, or (eigenvalues, eigenvectors by column)."""
     h = h if isinstance(h, SymMatrix) else SymMatrix(h)
     a = h.values.copy()
     n = a.shape[0]
@@ -88,7 +88,7 @@ def jacobi_eigensolve(h, want_vectors=False, tol=1e-12, max_sweeps=100):
         sweeps += 1
     eigenvalues = np.diag(a).copy()
     order = np.argsort(eigenvalues, kind="stable")
-    return Spectrum(eigenvalues[order], v[:, order] if want_vectors else None)
+    return (eigenvalues[order], v[:, order]) if want_vectors else eigenvalues[order]
 
 
 # the library solver and the Jacobi oracle, run through the same tests
@@ -173,17 +173,17 @@ class TestEigensolve:
     @pytest.mark.parametrize("options", ENGINES)
     def test_diagonal(self, options):
         spec = options["solve"](np.diag([2.0, 3.0]))
-        assert np.allclose(spec.eigenvalues, [2.0, 3.0], atol=0)
+        assert np.allclose(spec, [2.0, 3.0], atol=0)
 
     @pytest.mark.parametrize("options", ENGINES)
     def test_exchange(self, options):
         spec = options["solve"]([[0.0, 1.0], [1.0, 0.0]])
-        assert np.allclose(spec.eigenvalues, [-1.0, 1.0], atol=1e-15)
+        assert np.allclose(spec, [-1.0, 1.0], atol=1e-15)
 
     @pytest.mark.parametrize("options", ENGINES)
     def test_already_diagonal_sorted(self, options):
         spec = options["solve"](np.diag([5.0, -1.0, 2.0]))
-        assert list(spec.eigenvalues) == [-1.0, 2.0, 5.0]
+        assert list(spec) == [-1.0, 2.0, 5.0]
 
     @pytest.mark.parametrize("options", ENGINES)
     def test_seeded_5x5_vs_charpoly_oracle(self, options):
@@ -191,7 +191,7 @@ class TestEigensolve:
         oracle = charpoly_bisection_eigs(h.values)
         assert np.max(np.abs(oracle - SEEDED_5X5_EIGS)) < 1e-10
         spec = options["solve"](h)
-        assert np.max(np.abs(spec.eigenvalues - oracle)) < 1e-9
+        assert np.max(np.abs(spec - oracle)) < 1e-9
 
     @pytest.mark.parametrize("options", ENGINES)
     @pytest.mark.parametrize("seed,dim", [(100, 3), (101, 5), (102, 9), (103, 16)])
@@ -199,26 +199,24 @@ class TestEigensolve:
         h = SymMatrix(draw_label_blocks(1, dim, seed, 0)[0])
         spec = options["solve"](h)
         tol = 1e-8 * dim * max(1.0, h.max_abs())
-        assert abs(np.sum(spec.eigenvalues) - np.trace(h.values)) < tol
-        assert abs(np.sum(spec.eigenvalues**2) - np.linalg.norm(h.values) ** 2) < tol
+        assert abs(np.sum(spec) - np.trace(h.values)) < tol
+        assert abs(np.sum(spec**2) - np.linalg.norm(h.values) ** 2) < tol
 
-    @pytest.mark.parametrize("options", ENGINES)
-    def test_vectors_orthonormal_and_reconstruct(self, options):
+    def test_vectors_orthonormal_and_reconstruct(self):
         h = seeded_5x5()
-        spec = options["solve"](h, want_vectors=True)
-        v = spec.eigenvectors
+        w, v = jacobi_eigensolve(h, want_vectors=True)
         assert np.max(np.abs(v.T @ v - np.eye(5))) < 1e-10
-        resid = np.max(np.abs((v * spec.eigenvalues) @ v.T - h.values))
+        resid = np.max(np.abs((v * w) @ v.T - h.values))
         assert resid < 1e-8 * 5 * max(1.0, h.max_abs())
         for k in range(5):
-            err = np.max(np.abs(h.values @ v[:, k] - spec.eigenvalues[k] * v[:, k]))
+            err = np.max(np.abs(h.values @ v[:, k] - w[k] * v[:, k]))
             assert err < 1e-8 * max(1.0, h.max_abs())
 
     def test_jacobi_matches_lapack(self):
         for seed, dim in [(200, 2), (201, 6), (202, 11), (203, 17)]:
             h = draw_label_blocks(1, dim, seed, 0)[0]
-            lap = eigensolve(h).eigenvalues
-            jac = jacobi_eigensolve(h).eigenvalues
+            lap = eigensolve(h)
+            jac = jacobi_eigensolve(h)
             assert np.max(np.abs(lap - jac)) < 1e-12 * max(1.0, np.max(np.abs(h)))
 
     def test_nonfinite_rejected(self):
@@ -227,21 +225,28 @@ class TestEigensolve:
         with pytest.raises(InvalidInputError):
             eigensolve([[np.inf, 0.0], [0.0, 1.0]])
 
+    @pytest.mark.parametrize("h", [np.diag([5.0, -1.0, 2.0]), np.array([[7.0]]),
+                                   seeded_5x5().values, draw_label_blocks(1, 9, 104, 0)[0]])
+    def test_returns_read_only_ascending_float64(self, h):
+        ev = eigensolve(h)
+        assert type(ev) is np.ndarray and ev.dtype == np.float64 and ev.shape == (len(h),)
+        assert np.all(ev[1:] >= ev[:-1])
+        assert not ev.flags.writeable
+
+    def test_lapack_failure_is_numeric_failure(self, monkeypatch):
+        def fail(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+        with pytest.raises(NumericFailureError, match="LAPACK eigensolver failed: "
+                                                      "Eigenvalues did not converge"):
+            eigensolve(np.diag([1.0, 2.0]))
+
     def test_jacobi_sweep_cap_reports_count(self):
         h = draw_label_blocks(1, 6, 7, 0)[0]
         with pytest.raises(NumericFailureError) as err:
             jacobi_eigensolve(h, max_sweeps=0)
         assert err.value.sweeps == 0
-
-
-class TestSpectrumType:
-    def test_requires_ascending(self):
-        with pytest.raises(InvalidInputError):
-            Spectrum(np.array([2.0, 1.0]))
-
-    def test_vector_shape_checked(self):
-        with pytest.raises(InvalidInputError):
-            Spectrum(np.array([1.0, 2.0]), np.eye(3))
 
 
 def random_givens_orthogonal(dim, seed, rotations=None):
@@ -300,8 +305,8 @@ class TestSimilarity:
     def test_spectrum_preserved_under_givens_rotation(self, dim):
         h = draw_label_blocks(1, dim, 42 + dim, 0)[0]
         p = random_givens_orthogonal(dim, seed=dim)
-        before = eigensolve(h).eigenvalues
-        after = eigensolve(similarity(h, p)).eigenvalues
+        before = eigensolve(h)
+        after = eigensolve(similarity(h, p))
         tol = 1e-9 if dim == 64 else 1e-10
         assert np.max(np.abs(before - after)) < tol
 
