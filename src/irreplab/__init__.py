@@ -21,8 +21,8 @@ _EXPORTS = {
                "read_matrix_text"),
     "rng": ("EnsembleConfig", "draw_label_blocks"),
     "groups": ("PointGroup", "build_group", "build_invariant", "check_invariance"),
-    "irreps": ("IrrepBlockSpec", "decompose", "block_spectra", "sample_invariant",
-               "CensusRow", "CensusResult", "ground_state_irrep_census"),
+    "irreps": ("IrrepBlockSpec", "decompose", "block_spectra", "CensusRow", "CensusResult",
+               "ground_state_irrep_census"),
     "su2": ("sigma_j_sq", "effective_width", "width_table", "DimensionTable",
             "GsDistribution", "f_space", "gs_distribution", "example_dimension_table"),
 }

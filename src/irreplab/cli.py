@@ -77,14 +77,15 @@ def _warn_ties(result) -> None:
 
 
 def _cmd_build(args):
-    from .groups import build_group, check_invariance
-    from .irreps import sample_invariant
+    from .groups import build_group, build_invariant, check_invariance
     from .linalg import write_matrix_text
-    from .rng import EnsembleConfig
+    from .rng import EnsembleConfig, draw_label_blocks
 
     group = build_group(args.group, args.n)
-    cfg = EnsembleConfig(args.seed, 1, args.sigma0, args.group, args.n, args.m)
-    h, _ = sample_invariant(group, cfg)
+    # checks --seed, --sigma0 and --m as a census run does, with its messages
+    cfg = EnsembleConfig(args.seed, 1, args.sigma0, m=args.m)
+    h = build_invariant(group, draw_label_blocks(group.orbit_count, cfg.m, cfg.master_seed,
+                                                 0, cfg.sigma0))
     write_matrix_text(h, args.out)
     violation = check_invariance(h, group, args.m)
     return {}, (f"wrote {h.dim}x{h.dim} invariant matrix to {args.out} "

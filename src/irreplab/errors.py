@@ -18,8 +18,8 @@ class InvalidInputError(ValueError):
 
 class NumericFailureError(RuntimeError):
     """Raised when a computation leaves the float range or LAPACK fails:
-    an overflowed combination block, a non-finite minimum or energy, or
-    an eigensolver error."""
+    an overflowed draw or combination block, a non-finite minimum or
+    energy, or an eigensolver error."""
 
 
 def _check_index(name: str, value, low: int | None = None, high: int | None = None) -> int:

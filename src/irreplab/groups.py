@@ -199,7 +199,9 @@ def build_invariant(group: PointGroup, blocks: Sequence) -> SymMatrix:
     """Assemble the group-invariant matrix of symmetric per-orbit blocks.
 
     ``blocks[k]`` is the symmetric m x m block (or a scalar, taken as
-    1 x 1) of orbit k, one per orbit.  Block (i, j) of the result is the
+    1 x 1) of orbit k, one per orbit; each is checked as `SymMatrix`
+    checks a matrix, so a non-finite or asymmetric block raises
+    ``InvalidInputError``.  Block (i, j) of the result is the
     block of the orbit of (i, j), so the matrix commutes with every
     group element lifted as permutation (x) identity.  Each site's row of
     blocks is gathered through ``orbit_index`` into the one dense array,
@@ -238,8 +240,9 @@ def check_invariance(h, group: PointGroup, m: int) -> float:
     for H of size ``group.sites * m``, m x m blocks per site pair.
 
     Zero, exactly, when H commutes with every group element, as matrices
-    assembled by `build_invariant` do; NaN when a non-finite entry makes
-    a difference NaN.  Compared one site's row of blocks at a time.
+    assembled by `build_invariant` do.  A `SymMatrix` is finite, so only
+    an array ``h`` can read NaN, when a non-finite entry makes a
+    difference NaN.  Compared one site's row of blocks at a time.
     """
     h = h.values if isinstance(h, SymMatrix) else np.asarray(h, dtype=np.float64)
     dim, n, m = h.shape[0], group.sites, _check_index("m", m, 1)

@@ -36,21 +36,13 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InvalidInputError, NumericFailureError
-from .groups import PointGroup, _coerce_blocks, build_group, build_invariant
-from .rng import (
-    EnsembleConfig,
-    _chunked_tally,
-    _orbit_triangles,
-    _row_uniforms,
-    _sym_blocks,
-    draw_label_blocks,
-)
+from .groups import PointGroup, _coerce_blocks, build_group
+from .rng import EnsembleConfig, _chunked_tally, _orbit_triangles, _row_uniforms, _sym_blocks
 
 __all__ = [
     "IrrepBlockSpec",
     "decompose",
     "block_spectra",
-    "sample_invariant",
     "CensusRow",
     "CensusResult",
     "ground_state_irrep_census",
@@ -225,30 +217,13 @@ def block_spectra(group: PointGroup, blocks: Sequence[np.ndarray]) -> np.ndarray
     the eigenvalues of every combination block, repeated by
     multiplicity, and sorts into a read-only array: equal (to 1e-8 and
     usually much better) to ``eigensolve(build_invariant(group, blocks))``.
-    Blocks are checked as `build_invariant` checks them.
+    Blocks are checked as `build_invariant` checks them: a non-finite
+    one raises ``InvalidInputError``.
     """
     specs, values = _spectrum_eigenvalues(group, _coerce_blocks(group, blocks))
     union = np.sort(np.repeat(values, [s.copies for s in specs], axis=0), axis=None)
     union.flags.writeable = False
     return union
-
-
-def sample_invariant(group: PointGroup, cfg: EnsembleConfig):
-    """Draw trial 0's invariant matrix; returns (matrix, blocks used).
-
-    A non-finite entry (``cfg.sigma0`` too large) raises
-    ``NumericFailureError``; a ``cfg.group`` or ``cfg.n`` naming another
-    group raises ``InvalidInputError``.
-    """
-    if ((cfg.group is not None and cfg.group.lower() != group.kind)
-            or cfg.n not in (None, group.sites)):
-        raise InvalidInputError(f"config names group {cfg.group!r} with n={cfg.n}, "
-                                f"not {group.name}")
-    with np.errstate(over="ignore"):
-        blocks = draw_label_blocks(group.orbit_count, cfg.m, cfg.master_seed, 0, cfg.sigma0)
-    if not np.isfinite(blocks).all():
-        raise NumericFailureError("non-finite entry in the sampled matrix")
-    return build_invariant(group, blocks), blocks
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,10 @@
 """Dense real symmetric matrices and their eigenvalues.
 
 `SymMatrix` is the numeric carrier used everywhere else in the package;
-it enforces exact (bitwise) symmetry at construction.  `eigensolve`
-returns its ascending eigenvalues from LAPACK (`numpy.linalg.eigvalsh`)
-as a read-only float64 array, the one spectrum type of the package.
+it enforces finite entries and exact (bitwise) symmetry at construction.
+`eigensolve` returns its ascending eigenvalues from LAPACK
+(`numpy.linalg.eigvalsh`) as a read-only float64 array, the one
+spectrum type of the package.
 
 A plain text matrix format is defined for interchange: first line the
 dimension, then one row of space-separated decimals per line.  Up to
@@ -35,8 +36,9 @@ class SymMatrix:
     Parameters
     ----------
     values : array_like
-        Square matrix, symmetric to the bit.  Use :meth:`symmetrized`
-        when the data carries floating-point asymmetry.
+        Square matrix, finite and symmetric to the bit.  Use
+        :meth:`symmetrized` when the data carries floating-point asymmetry.
+        A NaN or infinite entry raises ``InvalidInputError``.
     """
 
     __slots__ = ("_values",)
@@ -58,6 +60,8 @@ class SymMatrix:
             raise InvalidInputError(f"expected a square matrix, got shape {arr.shape}")
         if arr.shape[0] < 1:
             raise InvalidInputError("matrix dimension must be >= 1")
+        if not np.isfinite(arr).all():
+            raise InvalidInputError("matrix entries must be finite")
         if symmetrize and not np.array_equal(arr.view(np.uint64), arr.T.view(np.uint64)):
             arr *= 0.5
             arr += arr.T
@@ -108,18 +112,16 @@ def eigensolve(h) -> np.ndarray:
     Parameters
     ----------
     h : SymMatrix or array_like
-        Matrix to solve; arrays must be exactly symmetric.
+        Matrix to solve; arrays must be finite and exactly symmetric.
 
     Raises
     ------
     InvalidInputError
-        Non-finite entries.
+        An array that `SymMatrix` rejects: non-finite or not symmetric.
     NumericFailureError
         LAPACK failed.
     """
     h = _as_sym(h)
-    if not np.all(np.isfinite(h.values)):
-        raise InvalidInputError("matrix entries must be finite")
     try:
         eigenvalues = np.linalg.eigvalsh(h.values)
     except np.linalg.LinAlgError as exc:
@@ -223,6 +225,7 @@ def read_matrix_text(path) -> tuple[SymMatrix, float]:
         raise InvalidInputError(f"{path}: expected {dim} rows, found {found}")
     if bad is not None:
         raise InvalidInputError(f"{path}: {bad[0]}") from bad[1]
+    # checked here, naming the file, before the asymmetry scan: inf - inf is NaN
     if not np.all(np.isfinite(m)):
         raise InvalidInputError(f"{path}: matrix entries must be finite")
     # |M - M^T| is symmetric: 64-row blocks right of the diagonal (narrower read slowly)

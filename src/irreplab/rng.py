@@ -262,13 +262,18 @@ def draw_label_blocks(
     strict lower triangle mirrors the upper bitwise.  The stream tag of
     orbit k is k, so draws for existing orbits never move when further
     orbits are added.  These are the census's blocks for that trial.
+    An entry that overflows (``sigma0`` too large) raises
+    ``NumericFailureError``.
     """
     orbits = _check_index("orbits", orbits, 0, _MAX_ORBITS)
     m = _check_index("m", m, 1, _MAX_M)
     _check_scale("sigma0", sigma0)
     seed = _check_index("master_seed", master_seed)
     trial = _check_index("trial_index", trial_index)
-    triangles = _orbit_triangles(seed, trial, orbits, m, sigma0)
+    with np.errstate(over="ignore"):
+        triangles = _orbit_triangles(seed, trial, orbits, m, sigma0)
+    if not np.isfinite(triangles).all():
+        raise NumericFailureError("non-finite entry in the sampled matrix")
     return list(_sym_blocks(triangles[:, 0], m))
 
 

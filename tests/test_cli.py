@@ -7,8 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from irreplab import (build_group, check_invariance, irreps, read_matrix_text, su2,
-                      write_matrix_text)
+from irreplab import (build_group, build_invariant, check_invariance, draw_label_blocks, irreps,
+                      read_matrix_text, su2, write_matrix_text)
 from irreplab.cli import _build_parser, main
 
 DIMS = Path(__file__).resolve().parent.parent / "src" / "irreplab" / "data" / "example_dims.csv"
@@ -44,6 +44,15 @@ class TestBuild:
             assert run("build", "--group", "octa", "--m", "3", "--seed", "9",
                        "--out", out) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_draws_trial_zero(self, tmp_path):
+        # the matrix of the blocks of trial 0 at the given seed and width
+        out = tmp_path / "h.txt"
+        assert run("build", "--group", "octa", "--m", "3", "--seed", "23", "--sigma0", "0.5",
+                   "--out", out) == 0
+        g = build_group("octa")
+        h = build_invariant(g, draw_label_blocks(g.orbit_count, 3, 23, 0, 0.5))
+        assert np.array_equal(read_matrix_text(out)[0].values, h.values)
 
     def test_cyclic_needs_n(self, tmp_path):
         assert run("build", "--group", "cyclic", "--out", tmp_path / "x") == 2

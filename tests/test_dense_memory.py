@@ -13,14 +13,13 @@ import tracemalloc
 import pytest
 
 from irreplab import (
-    EnsembleConfig,
     InvalidInputError,
     SymMatrix,
     build_group,
+    build_invariant,
     check_invariance,
     draw_label_blocks,
     read_matrix_text,
-    sample_invariant,
     write_matrix_text,
 )
 from irreplab.cli import main
@@ -54,14 +53,17 @@ def case(request, tmp_path_factory):
     _quiet_main(["build", "--group", kind, *ring, "--m", str(m), "--seed", "11",
                  "--out", path])
     _quiet_main(spectrum)  # imports and first-use caches stay out of the peaks
-    cfg = EnsembleConfig(11, 1, 1.0, kind, n, m)
-    return {"group": group, "m": m, "cfg": cfg, "path": path, "spectrum": spectrum,
-            "h": sample_invariant(group, cfg)[0], "dense": (group.sites * m) ** 2 * 8}
+
+    def sample():  # what `build` samples: trial 0's blocks, assembled
+        return build_invariant(group, draw_label_blocks(group.orbit_count, m, 11, 0))
+
+    return {"group": group, "m": m, "sample": sample, "path": path, "spectrum": spectrum,
+            "h": sample(), "dense": (group.sites * m) ** 2 * 8}
 
 
 def test_sample_invariant(case):
-    # the result, its symmetry check and one site's row of blocks
-    peak = _peak(lambda: sample_invariant(case["group"], case["cfg"]))
+    # the result, its finiteness and symmetry checks and one site's row of blocks
+    peak = _peak(case["sample"])
     assert peak <= 1.5 * case["dense"]
 
 

@@ -291,6 +291,10 @@ class TestBuildInvariant:
         with pytest.raises(InvalidInputError, match="got 2 blocks for 3 pair orbits"):
             build_invariant(g, [0.0, 1.0])
 
+    def test_infinite_block_rejected(self):
+        with pytest.raises(InvalidInputError, match="^matrix entries must be finite$"):
+            build_invariant(build_group("octa"), [0.0, np.inf, 1.0])
+
     def test_extra_block_rejected(self):
         g = build_group("octa")
         with pytest.raises(InvalidInputError, match="got 4 blocks for 3 pair orbits"):

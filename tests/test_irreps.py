@@ -20,7 +20,6 @@ from irreplab import (
     eigensolve,
     ground_state_irrep_census,
     multiset_deviation,
-    sample_invariant,
 )
 from irreplab import irreps, rng
 from irreplab.cli import main
@@ -243,6 +242,11 @@ class TestBlockSpectra:
     def test_asymmetric_block_rejected(self):
         with pytest.raises(InvalidInputError, match="exactly symmetric"):
             block_spectra(build_group("tetra"), [[[0, 1], [0, 0]], np.eye(2)])
+
+    def test_infinite_block_rejected(self):
+        # bad input, not an overflow of the combination blocks
+        with pytest.raises(InvalidInputError, match="^matrix entries must be finite$"):
+            block_spectra(build_group("tetra"), [np.eye(2), np.full((2, 2), np.inf)])
 
     @settings(max_examples=150, deadline=None)
     @given(data=st.data(), group=st.sampled_from(ALL_GROUPS), m=st.integers(1, 3),
@@ -711,38 +715,6 @@ class TestExactScalarCensus:
         window = 5 * np.sqrt(p * (1 - p) / cfg.trials) + 1e-4
         assert np.all(np.abs(f - p) <= window), (f, p)
         assert res.tie_count == 0
-
-
-class TestSampleInvariant:
-    def test_deterministic_and_invariant(self):
-        g = build_group("cube")
-        cfg = EnsembleConfig(23, 1, group="cube", m=2)
-        h1, blocks1 = sample_invariant(g, cfg)
-        h2, _ = sample_invariant(g, cfg)
-        assert np.array_equal(h1.values, h2.values)
-        from irreplab import check_invariance
-
-        assert check_invariance(h1, g, 2) == 0.0
-        assert len(blocks1) == 4
-
-    def test_draws_trial_zero(self):
-        g = build_group("octa")
-        _, blocks = sample_invariant(g, EnsembleConfig(23, 5, 0.5, m=3))
-        assert np.array_equal(blocks, draw_label_blocks(g.orbit_count, 3, 23, 0, 0.5))
-
-    @pytest.mark.parametrize("kind, n, cfg_group, cfg_n", [
-        ("tetra", None, "cube", None), ("tetra", None, None, 8), ("cube", None, "cube", 6),
-        ("cyclic", 6, "cyclic", 5), ("cyclic", 6, "tetra", None)])
-    def test_config_naming_another_group_rejected(self, kind, n, cfg_group, cfg_n):
-        cfg = EnsembleConfig(1, 1, group=cfg_group, n=cfg_n, m=2)
-        with pytest.raises(InvalidInputError, match="config names group"):
-            sample_invariant(build_group(kind, n), cfg)
-
-    def test_config_naming_the_group_accepted(self):
-        g = build_group("cyclic", 6)
-        for cfg_group, cfg_n in [(None, None), ("cyclic", 6), ("CYCLIC", None), (None, 6)]:
-            h, _ = sample_invariant(g, EnsembleConfig(1, 1, group=cfg_group, n=cfg_n, m=2))
-            assert h.dim == 12
 
 
 def test_census_of_a_boolean_m_writes_an_integer_block_dim():

@@ -160,6 +160,14 @@ class TestSymMatrix:
         with pytest.raises(InvalidInputError, match="^matrix dimension must be >= 1$"):
             SymMatrix(np.empty((0, 0)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("make", [SymMatrix, SymMatrix.symmetrized],
+                             ids=["exact", "symmetrized"])
+    def test_nonfinite_entry_rejected(self, make, bad):
+        # checked before the symmetry test, which a NaN always fails
+        with pytest.raises(InvalidInputError, match="^matrix entries must be finite$"):
+            make([[bad, 0.0], [0.0, 1.0]])
+
     def test_scalar_becomes_1x1(self):
         assert SymMatrix(4.0).dim == 1
 
@@ -220,9 +228,9 @@ class TestEigensolve:
             assert np.max(np.abs(lap - jac)) < 1e-12 * max(1.0, np.max(np.abs(h)))
 
     def test_nonfinite_rejected(self):
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(InvalidInputError, match="^matrix entries must be finite$"):
             eigensolve([[np.nan, 0.0], [0.0, 1.0]])
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(InvalidInputError, match="^matrix entries must be finite$"):
             eigensolve([[np.inf, 0.0], [0.0, 1.0]])
 
     @pytest.mark.parametrize("h", [np.diag([5.0, -1.0, 2.0]), np.array([[7.0]]),
@@ -362,6 +370,14 @@ class TestMatrixTextFormat:
         path.write_text(f"2\n1 {token}\n{token} 1\n")
         with pytest.raises(InvalidInputError, match="nf.txt: matrix entries must be finite"):
             read_matrix_text(path)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_nonfinite_matrix_not_written(self, tmp_path, bad):
+        # the reader refuses such a file, so the writer never makes one
+        path = tmp_path / "nf.txt"
+        with pytest.raises(InvalidInputError, match="^matrix entries must be finite$"):
+            write_matrix_text(np.array([[bad, 0.0], [0.0, 1.0]]), path)
+        assert not path.exists()
 
     def test_bit_symmetric_data_kept_exactly(self, tmp_path):
         # (x + x) / 2 would overflow for |x| >= 2**1023

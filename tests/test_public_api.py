@@ -3,6 +3,7 @@ import importlib
 import importlib.util
 import pathlib
 import pkgutil
+import sys
 
 import pytest
 
@@ -31,7 +32,7 @@ def test_package_exports_are_the_module_union():
 
 def test_package_exports_stay_few():
     # ratchet: lower the bound as names leave, never raise it
-    assert len(irreplab.__all__) <= 29
+    assert len(irreplab.__all__) <= 28
 
 
 def test_every_export_has_a_caller():
@@ -72,6 +73,24 @@ def test_benchmark_tracer_finds_what_it_patches():
         t.uninstall()
     assert patched[0] is not before[0] and patched[1] is not before[1]
     assert methods() == before
+
+
+def test_benchmark_references_run(monkeypatch):
+    # the benchmark checks each workload's counts against an in-process
+    # reference that calls the library directly, with paths relative to
+    # the checkout root; a library change that breaks one would fail it
+    # only when the benchmark runs
+    root = pathlib.Path(__file__).resolve().parent.parent
+    spec = importlib.util.spec_from_file_location("workloads", root / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclasses look it up
+    spec.loader.exec_module(workloads)
+    monkeypatch.chdir(root)
+    references = [w.reference for w in workloads.WORKLOADS.values() if w.reference]
+    assert references
+    for reference in references:
+        counts = reference(11, 3)
+        assert type(counts) is list and all(type(c) is int for c in counts) and sum(counts) == 3
 
 
 def test_dir_lists_every_export_and_unknown_names_raise():

@@ -159,6 +159,12 @@ class TestLabelBlocks:
         with pytest.raises(InvalidInputError):
             draw_label_blocks(2, m, 1, 0, sigma0)
 
+    def test_overflow_is_numeric_failure(self):
+        # the suite turns numpy's overflow RuntimeWarning into an error,
+        # so this also shows that none escapes
+        with pytest.raises(NumericFailureError, match="^non-finite entry in the sampled matrix$"):
+            draw_label_blocks(4, 2, 0, 0, sigma0=1.7e308)
+
     def test_underflow_to_zero_is_positive_zero(self):
         # sigma0 * z rounds to a signed zero for the tiniest width, and a
         # -0.0 would be written as "-0"
