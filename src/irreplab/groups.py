@@ -215,7 +215,7 @@ def build_invariant(group: PointGroup, blocks: Sequence) -> SymMatrix:
     rows = _orbit_rows(group, stacked)
     for i in range(n):
         h[i] = next(rows)  # held by no name, so freed before the symmetry check
-    return SymMatrix._adopting(h.reshape(n * m, n * m))
+    return SymMatrix._adopting(h.reshape(n * m, n * m), finite=True)  # finite blocks
 
 
 def _orbit_blocks(h: SymMatrix, group: PointGroup, m: int) -> list[np.ndarray]:

@@ -17,9 +17,17 @@ the larger sum over orbits of (orbit size x coefficient), a quantity
 that does not depend on how the sites are numbered, is ``<d>dim+`` and
 the other ``<d>dim-``.
 
-One kernel, ``_block_eigenvalues``, combines packed orbit triangles by
-a group's one (specs, orbits) coefficient array, NaN where a block does
-not combine an orbit, and solves the blocks, for census and spectra.
+``_combine`` folds packed orbit triangles by a group's one (specs,
+orbits) coefficient array, NaN where a block does not combine an orbit,
+and ``_block_eigenvalues``, the reference kernel, solves the blocks:
+every block for spectra, which print them all.  A census writes only
+winners, so it solves just the lead block (the first of the highest
+variance factor) for its lowest eigenvalue mu, and certifies each other
+block B by Cholesky: B loses if B - (mu + delta) I factors, and beats
+the lead if B - (mu - delta) I does not (delta: ``_census_tally``).  The
+reference kernel solves every block of a trial not decided so (a block
+uncertain, or two beating the lead, as in an exact tie), so counts and
+ties equal the reference's.
 
 The master consistency check, used throughout the tests: the sorted
 eigenvalues of the dense invariant matrix equal the multiset union of
@@ -34,10 +42,14 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .errors import InvalidInputError, NumericFailureError
 from .groups import PointGroup, _coerce_blocks, build_group
-from .rng import EnsembleConfig, _chunked_tally, _orbit_triangles, _row_uniforms, _sym_blocks
+from .rng import (EnsembleConfig, _chunked_tally, _grid_elements, _orbit_triangles, _sym_blocks,
+                  _tally)
+
+_UNIT = 2.0 ** -53  # float64 unit roundoff, in delta (see _census_tally)
 
 __all__ = [
     "IrrepBlockSpec",
@@ -177,20 +189,23 @@ def decompose(group: PointGroup) -> list[IrrepBlockSpec]:
     return [IrrepBlockSpec(*spec) for spec in zip(labels, copies, table)]
 
 
-def _block_eigenvalues(specs: Sequence[IrrepBlockSpec], coeffs: np.ndarray,
-                       triangles: np.ndarray, m: int) -> np.ndarray:
-    """(specs, rows, m) ascending eigenvalues of the combination blocks of
-    the (orbits, rows, m(m+1)/2) packed orbit ``triangles`` by the specs'
-    stacked ``coeffs``.  Ascending orbits, one multiply-add each into
-    every spec that names the orbit (not NaN): the bits of
-    `IrrepBlockSpec.combination`.  Every block goes through one batched
-    eigvalsh, whose 1 x 1 case returns the entry's bits.  A non-finite
-    block raises ``NumericFailureError``."""
-    # -0.0 is the exact additive identity: the first term keeps its bits
-    combos = np.full((len(coeffs),) + triangles.shape[1:], -0.0)
+def _combine(coeffs: np.ndarray, triangles) -> np.ndarray:
+    """(specs, rows, m(m+1)/2) combinations of the (rows, m(m+1)/2) orbit
+    ``triangles``, each folded in as it arrives (ascending orbits) by one
+    multiply-add per spec naming it (not NaN), as `IrrepBlockSpec.combination`."""
+    combos = None
     with np.errstate(over="ignore", invalid="ignore"):
         for c, tri in zip(coeffs.T[:, :, None, None], triangles):
+            if combos is None:  # -0.0 is the exact additive identity
+                combos = np.full((len(coeffs),) + tri.shape, -0.0)
             np.add(combos, c * tri, out=combos, where=~np.isnan(c))
+    return combos
+
+
+def _block_eigenvalues(specs: Sequence[IrrepBlockSpec], combos: np.ndarray, m: int) -> np.ndarray:
+    """The reference kernel: (specs, rows, m) ascending eigenvalues of the packed
+    ``combos`` by one batched eigvalsh, whose 1 x 1 case returns the entry's
+    bits.  A non-finite block raises ``NumericFailureError``."""
     bad = ~np.isfinite(combos).all(axis=(1, 2))
     if bad.any():
         raise NumericFailureError(f"{specs[bad.argmax()].label} block overflows the float range")
@@ -200,6 +215,17 @@ def _block_eigenvalues(specs: Sequence[IrrepBlockSpec], coeffs: np.ndarray,
         raise NumericFailureError(f"eigensolve failed: {exc}") from exc
 
 
+def _factors(packed: np.ndarray, shifts: np.ndarray, m: int) -> np.ndarray:
+    """Whether Cholesky, in floating point, factors B - shift I for each
+    symmetric block B of the ``packed`` triangles (any leading shape, one
+    shift each); the full blocks are factored in place."""
+    blocks = _sym_blocks(packed, m)
+    blocks.reshape(-1, m * m)[:, ::m + 1] -= shifts.reshape(-1, 1)
+    with np.errstate(invalid="ignore"):  # a block that does not factor comes back NaN
+        _umath_linalg.cholesky_lo(blocks, out=blocks)
+    return ~np.isnan(blocks[..., 0, 0])
+
+
 def _spectrum_eigenvalues(group: PointGroup, blocks: Sequence[np.ndarray]):
     """``decompose(group)`` and the (specs, m) eigenvalues of its
     combination blocks, for exactly symmetric per-orbit ``blocks``."""
@@ -207,7 +233,8 @@ def _spectrum_eigenvalues(group: PointGroup, blocks: Sequence[np.ndarray]):
     rows, cols = np.triu_indices(m)
     specs = decompose(group)
     coeffs = np.stack([s.coefficients for s in specs])
-    return specs, _block_eigenvalues(specs, coeffs, np.stack(blocks)[:, None, rows, cols], m)[:, 0]
+    combos = _combine(coeffs, np.stack(blocks)[:, None, rows, cols])
+    return specs, _block_eigenvalues(specs, combos, m)[:, 0]
 
 
 def block_spectra(group: PointGroup, blocks: Sequence[np.ndarray]) -> np.ndarray:
@@ -260,24 +287,53 @@ class CensusResult:
         raise KeyError(label)
 
 
-def _census_minima(specs: Sequence[IrrepBlockSpec], coeffs: np.ndarray, cfg: EnsembleConfig,
-                   trials: np.ndarray) -> np.ndarray:
-    """(len(trials), len(specs)) lowest eigenvalues of every combination
-    block of the given trials, computed on packed orbit triangles."""
-    triangles = _orbit_triangles(cfg.master_seed, trials, coeffs.shape[1], cfg.m, cfg.sigma0)
-    return _block_eigenvalues(specs, coeffs, triangles, cfg.m)[:, :, 0].T
+def _census_tally(specs: Sequence[IrrepBlockSpec], coeffs: np.ndarray, lead: int,
+                  cfg: EnsembleConfig, trials: np.ndarray) -> tuple[np.ndarray, int]:
+    """Winner counts and exact ties of the given trials, equal to the tally
+    of `_block_eigenvalues` on every block (see the module docstring).
+
+    Per block and trial, delta = 2^6 m (m + 1) (u (m max|b_ij| + |mu|) +
+    2^-1022), u = 2^-53: 2^6 times the first-order bound on how far a
+    Cholesky success or failure (Higham, *Accuracy and Stability of
+    Numerical Algorithms*, 2nd ed., Thm 10.7) and the solver's lowest
+    eigenvalue (Demmel, *Applied Numerical Linear Algebra*, sec. 5.2) sit
+    from the truth, as m max|b_ij| >= ||B||_2, plus 2^-1022 for gradual
+    underflow.  A trial whose delta (so mu) is not finite is undecided; a
+    chunk where some 4 m max|b_ij| overflows is solved whole."""
+    m = cfg.m
+    combos = _combine(coeffs, _orbit_triangles(cfg.master_seed, trials, coeffs.shape[1], m,
+                                               cfg.sigma0))
+    scale = m * np.max(np.abs(combos), axis=2)  # (specs, rows)
+    if not np.isfinite(4 * scale).all():  # a shifted block could overflow
+        return _tally(_block_eigenvalues(specs, combos, m)[:, :, 0].T)
+    mu = _block_eigenvalues(specs[lead:lead + 1], combos[lead:lead + 1], m)[0, :, 0]
+    rest = np.arange(len(specs)) != lead
+    delta = 2.0 ** 6 * m * (m + 1) * (_UNIT * (scale[rest] + np.abs(mu)) + 2.0 ** -1022)
+    packed = combos[rest]
+    loses = _factors(packed, mu + delta, m)
+    beats = np.zeros_like(loses)
+    beats[~loses] = ~_factors(packed[~loses], (mu - delta)[~loses], m)
+    decided = (loses | beats).all(axis=0) & (beats.sum(axis=0) <= 1) & np.isfinite(mu)
+    winners = np.full(len(trials), lead)
+    others, beaten = np.nonzero(beats)
+    winners[beaten] = np.flatnonzero(rest)[others]  # one block at most where decided
+    counts = np.bincount(winners[decided], minlength=len(specs))
+    if decided.all():
+        return counts, 0
+    rechecked, ties = _tally(_block_eigenvalues(specs, combos[:, ~decided], m)[:, :, 0].T)
+    return counts + rechecked, ties
 
 
 def _census_from_specs(specs: Sequence[IrrepBlockSpec], sites: int, cfg: EnsembleConfig,
                        threads: int = 1) -> CensusResult:
-    m = cfg.m
+    m, tri = cfg.m, cfg.m * (cfg.m + 1) // 2
     coeffs = np.stack([s.coefficients for s in specs])
-    # counts one orbit's uniforms or one full m x m block per orbit,
-    # whichever is larger; per trial the kernel holds more: the packed
-    # triangles and the accumulator beside the specs' full blocks, up to
-    # about 2 L m^2 elements (cube m = 64: 33,024 against this 16,384)
-    row_elements = max(_row_uniforms(m * (m + 1) // 2), coeffs.shape[1] * m * m)
-    counts, ties = _chunked_tally(lambda trials: _census_minima(specs, coeffs, cfg, trials),
+    lead = int(np.argmax([s.variance_factor for s in specs]))
+    # a trial holds its packed blocks and either an orbit's draw times every
+    # spec or the solves' full blocks (cube m = 64: 25,760, 3 to a chunk)
+    row_elements = len(specs) * tri + max(_grid_elements(tri) + len(specs) * tri,
+                                          len(specs) * m * m)
+    counts, ties = _chunked_tally(lambda trials: _census_tally(specs, coeffs, lead, cfg, trials),
                                   cfg.trials, row_elements, threads)
     rows = tuple(CensusRow(spec.label, spec.copies, m, spec.variance_factor, int(count),
                            cfg.trials, sites) for spec, count in zip(specs, counts))

@@ -47,20 +47,23 @@ class SymMatrix:
         self._adopt(np.array(values, dtype=np.float64, copy=True))
 
     @classmethod
-    def _adopting(cls, arr: np.ndarray, symmetrize: bool = False) -> "SymMatrix":
+    def _adopting(cls, arr: np.ndarray, symmetrize: bool = False,
+                  finite: bool = False) -> "SymMatrix":
         """A matrix keeping the float64 ``arr``, which nothing else holds,
         uncopied; ``symmetrize`` first makes it M/2 + M^T/2 in place unless
-        it is symmetric to the bit."""
-        return cls.__new__(cls)._adopt(arr, symmetrize)
+        it is symmetric to the bit.  ``finite``: the caller has checked
+        every entry, so the finiteness scan is skipped."""
+        return cls.__new__(cls)._adopt(arr, symmetrize, finite)
 
-    def _adopt(self, arr: np.ndarray, symmetrize: bool = False) -> "SymMatrix":
+    def _adopt(self, arr: np.ndarray, symmetrize: bool = False,
+               finite: bool = False) -> "SymMatrix":
         if arr.ndim == 0:
             arr = arr.reshape(1, 1)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise InvalidInputError(f"expected a square matrix, got shape {arr.shape}")
         if arr.shape[0] < 1:
             raise InvalidInputError("matrix dimension must be >= 1")
-        if not np.isfinite(arr).all():
+        if not finite and not np.isfinite(arr).all():
             raise InvalidInputError("matrix entries must be finite")
         if symmetrize and not np.array_equal(arr.view(np.uint64), arr.T.view(np.uint64)):
             arr *= 0.5
@@ -234,4 +237,4 @@ def read_matrix_text(path) -> tuple[SymMatrix, float]:
                    for r in range(0, dim, 64))
     if not np.isfinite(asym):
         raise InvalidInputError(f"{path}: asymmetry beyond the float range")
-    return SymMatrix._adopting(m, symmetrize=True), asym
+    return SymMatrix._adopting(m, symmetrize=True, finite=True), asym

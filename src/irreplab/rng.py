@@ -40,6 +40,7 @@ README.md alone.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -66,7 +67,7 @@ _TO_UNIT = 2.0 ** -53
 
 # array elements one chunk of the trial kernel holds at once; sets how
 # many trials share a chunk, and so bounds its scratch memory
-_CHUNK_ELEMENTS = 1 << 15
+_CHUNK_ELEMENTS = 3 << 15
 # the largest block size and orbit count (a transitive action on at most
 # 10,000 sites has at most that many pair orbits): every array a trial
 # holds then stays inside numpy's size limit
@@ -142,9 +143,11 @@ def _pair_budget(need: int) -> int:
     return need + need // 3 + 4 * math.isqrt(need) + 6
 
 
-def _row_uniforms(count: int) -> int:
-    """Uniforms drawn per row by ``_normals_rows(..., count)``."""
-    return 2 * _pair_budget((count + 1) // 2)
+def _grid_elements(count: int) -> int:
+    """Array elements one row of ``_normals_rows(..., count)`` holds at
+    once: about 3 per uniform drawn (the uniforms, their squared radii
+    and acceptance ranks, the accepted pairs)."""
+    return 6 * _pair_budget((count + 1) // 2)
 
 
 def _polar_pairs(states: np.ndarray, need: int) -> tuple[np.ndarray, np.ndarray]:
@@ -200,23 +203,29 @@ def _normals_rows(master_seed: int, trials, tags, count: int) -> np.ndarray:
     return _polar_pairs(states, (count + 1) // 2)[0][:, :count]
 
 
-def _orbit_triangles(master_seed: int, trials, orbits: int, m: int, sigma0: float) -> np.ndarray:
-    """(orbits, rows, m(m+1)/2) row-major upper triangles: row r of orbit k
-    is ``sigma0`` times the first m(m+1)/2 normals of stream (master_seed,
-    trials[r], k), -0.0 made +0.0; one tag, so one polar grid, at a time."""
-    tri = np.empty((orbits, np.size(trials), m * (m + 1) // 2))
+def _orbit_triangles(master_seed: int, trials, orbits: int, m: int, sigma0: float):
+    """Yields, orbit k = 0, 1, ... in turn, the (rows, m(m+1)/2) row-major
+    upper triangles whose row r is ``sigma0`` times the first m(m+1)/2
+    normals of stream (master_seed, trials[r], k), -0.0 made +0.0; one
+    tag, so one polar grid, is held at a time."""
     for tag in range(orbits):
-        tri[tag] = sigma0 * _normals_rows(master_seed, trials, tag, tri.shape[2]) + 0.0
-    return tri
+        yield sigma0 * _normals_rows(master_seed, trials, tag, m * (m + 1) // 2) + 0.0
+
+
+@functools.lru_cache(maxsize=4)
+def _gather_index(m: int) -> np.ndarray:
+    """The read-only (m, m) positions of each entry in a row-major upper triangle."""
+    index = np.empty((m, m), dtype=np.intp)
+    rows, cols = np.triu_indices(m)
+    index[rows, cols] = index[cols, rows] = np.arange(rows.size)
+    index.flags.writeable = False
+    return index
 
 
 def _sym_blocks(packed: np.ndarray, m: int) -> np.ndarray:
     """The one unpacking (a gather): symmetric m x m blocks, any leading
     shape, whose upper triangles (row-major) are the last axis of ``packed``."""
-    index = np.empty((m, m), dtype=np.intp)
-    rows, cols = np.triu_indices(m)
-    index[rows, cols] = index[cols, rows] = np.arange(rows.size)
-    return np.take(packed, index, axis=-1)
+    return np.take(packed, _gather_index(m), axis=-1)
 
 
 @dataclass(frozen=True)
@@ -271,10 +280,11 @@ def draw_label_blocks(
     seed = _check_index("master_seed", master_seed)
     trial = _check_index("trial_index", trial_index)
     with np.errstate(over="ignore"):
-        triangles = _orbit_triangles(seed, trial, orbits, m, sigma0)
-    if not np.isfinite(triangles).all():
+        blocks = [_sym_blocks(tri[0], m)
+                  for tri in _orbit_triangles(seed, trial, orbits, m, sigma0)]
+    if not all(np.isfinite(block).all() for block in blocks):
         raise NumericFailureError("non-finite entry in the sampled matrix")
-    return list(_sym_blocks(triangles[:, 0], m))
+    return blocks
 
 
 def _tally(minima: np.ndarray) -> tuple[np.ndarray, int]:
@@ -289,9 +299,9 @@ def _tally(minima: np.ndarray) -> tuple[np.ndarray, int]:
     return np.bincount(winners, minlength=minima.shape[1]), ties
 
 
-def _chunked_tally(chunk_minima, trials: int, row_elements: int,
+def _chunked_tally(chunk_tally, trials: int, row_elements: int,
                    threads: int = 1) -> tuple[np.ndarray, int]:
-    """Tally ``chunk_minima(trial_indices) -> (rows, k)`` over trials
+    """Sum ``chunk_tally(trial_indices) -> (counts, ties)`` over trials
     0..trials-1.  ``row_elements`` bounds the array elements one trial
     of a chunk holds at once; a chunk holds about ``_CHUNK_ELEMENTS`` of
     them, and chunks are spread over ``threads`` workers, ``threads``
@@ -302,10 +312,9 @@ def _chunked_tally(chunk_minima, trials: int, row_elements: int,
 
     def worker(chunk):
         start = chunk * size
-        # a non-finite run is reported once, by _tally
+        # a non-finite run is reported once, by the chunk's tally
         with np.errstate(over="ignore", invalid="ignore"):
-            minima = chunk_minima(np.arange(start, min(trials, start + size)))
-        return _tally(minima)
+            return chunk_tally(np.arange(start, min(trials, start + size)))
 
     def outcomes(chunks):
         if threads == 1 or len(chunks) <= 1:

@@ -32,7 +32,8 @@ from importlib import resources
 import numpy as np
 
 from .errors import InvalidInputError, _check_index, _check_scale
-from .rng import _MAX_NORMALS, EnsembleConfig, _chunked_tally, _normals_rows, _row_uniforms
+from .rng import (_MAX_NORMALS, EnsembleConfig, _chunked_tally, _grid_elements, _normals_rows,
+                  _tally)
 from .rng import substream  # noqa: F401  (kept importable here; perfbench's tracer test looks it up)
 
 __all__ = [
@@ -227,15 +228,15 @@ def gs_distribution(
     )
     entry_dims = [dim for _, dim in dims.entries]
 
-    def chunk_minima(trials):
+    def chunk_tally(trials):
         minima = np.empty((trials.size, len(entry_dims)))
         for tag, dim in enumerate(entry_dims):
             minima[:, tag] = eff[tag] * np.min(
                 _normals_rows(cfg.master_seed, trials, tag, dim), axis=1)
-        return minima
+        return _tally(minima)
 
     counts, ties = _chunked_tally(
-        chunk_minima, cfg.trials, _row_uniforms(max(entry_dims)), threads)
+        chunk_tally, cfg.trials, _grid_elements(max(entry_dims)), threads)
     return GsDistribution(
         tuple((two_j, int(counts[i])) for i, (two_j, _) in enumerate(dims.entries)),
         cfg.trials,

@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from numpy.linalg import _umath_linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import multivariate_normal
@@ -27,10 +28,10 @@ from irreplab.irreps import (
     IrrepBlockSpec,
     _block_eigenvalues,
     _census_from_specs,
-    _census_minima,
+    _combine,
     _spectrum_eigenvalues,
 )
-from irreplab.rng import substream
+from irreplab.rng import _orbit_triangles, _tally, substream
 
 from test_groups import ALL_GROUPS, perm_from_stream, relabel
 
@@ -556,7 +557,7 @@ class TestCensus:
         with pytest.raises(InvalidInputError, match=f"threads must be >= 1, got {threads}"):
             ground_state_irrep_census(EnsembleConfig(1, 10, group="tetra"), threads=threads)
 
-    # one chunk of tetra trials holds 1489 of them: 3000 span three
+    # one chunk of tetra trials holds 1404 of them: 3000 span three
     @pytest.mark.parametrize("trials", [10, 3000])
     def test_non_integer_threads_rejected(self, trials):
         with pytest.raises(InvalidInputError, match="^threads must be an integer, got 2.5$"):
@@ -586,7 +587,8 @@ def bits(a):
 class TestCensusKernel:
     @pytest.mark.parametrize("kind, n", ALL_GROUPS + [("cyclic", 60)])
     def test_minima_match_full_blocks_bitwise(self, kind, n):
-        # the packed kernel against eigvalsh of each full combination block
+        # the reference kernel, which decides every trial the census
+        # cannot certify, against eigvalsh of each full combination block
         for group in canonical_and_relabeled(kind, n):
             orbits = group.orbit_count
             specs = decompose(group)
@@ -595,8 +597,9 @@ class TestCensusKernel:
             for m in (1, 2, 4, 8, 17, 64):
                 for seed in (11, 29):
                     for sigma0 in (1.0, 0.37):
-                        cfg = EnsembleConfig(seed, 1, sigma0, m=m)
-                        minima = _census_minima(specs, coeffs, cfg, trials)
+                        combos = _combine(coeffs,
+                                          _orbit_triangles(seed, trials, orbits, m, sigma0))
+                        minima = _block_eigenvalues(specs, combos, m)[:, :, 0].T
                         expected = []
                         for trial in trials:
                             blocks = draw_label_blocks(orbits, m, seed, int(trial), sigma0)
@@ -632,7 +635,7 @@ class TestCensusKernel:
         specs = [IrrepBlockSpec(str(i), 1, np.array(c))
                  for i, c in enumerate([[1.0, np.nan], [np.nan, -1.0], [0.5, 0.25]])]
         coeffs = np.stack([s.coefficients for s in specs])
-        values = _block_eigenvalues(specs, coeffs, triangles, 1)
+        values = _block_eigenvalues(specs, _combine(coeffs, triangles), 1)
         assert values.shape == (3, len(edge), 1)
         assert np.array_equal(bits(values[0, :, 0]), bits(edge))
         assert np.array_equal(bits(values[1, :, 0]), bits([-x for x in edge[::-1]]))
@@ -642,23 +645,28 @@ class TestCensusKernel:
 
     def test_no_library_path_calls_combination(self, tmp_path, monkeypatch):
         # the census and `spectrum` run through the one block kernel, and
-        # the census solves every block of a chunk in one eigvalsh call
+        # the census solves only the lead block of a chunk, in one eigvalsh
+        # call, when the Cholesky tests decide every trial
         def refuse(self, blocks):
             raise AssertionError("IrrepBlockSpec.combination called")
 
         chunks, solves = [], []
-        census_minima, eigvalsh = irreps._census_minima, np.linalg.eigvalsh
+        census_tally, eigvalsh = irreps._census_tally, np.linalg.eigvalsh
         monkeypatch.setattr(IrrepBlockSpec, "combination", refuse)
-        monkeypatch.setattr(irreps, "_census_minima",
-                            lambda *a: chunks.append(a) or census_minima(*a))
+        monkeypatch.setattr(irreps, "_census_tally",
+                            lambda *a: chunks.append(a) or census_tally(*a))
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: solves.append(a) or eigvalsh(a))
-        monkeypatch.setattr(rng, "_CHUNK_ELEMENTS", 64 * 3)
+        # cube m = 4 holds 4 x 10 packed elements and 120 + 40 more a trial
+        monkeypatch.setattr(rng, "_CHUNK_ELEMENTS", 200 * 3)
         res = ground_state_irrep_census(EnsembleConfig(3, 10, group="cube", m=4))
         assert sum(r.gs_count for r in res.rows) == 10
-        assert len(chunks) == len(solves) == 4
+        assert len(chunks) == 4
         # the coefficient array is stacked once per census, not per chunk
         assert all(a[1] is chunks[0][1] for a in chunks)
-        assert [a.shape for a in solves] == [(4, 3, 4, 4)] * 3 + [(4, 1, 4, 4)]
+        # the lead block of each chunk, and every block of trial 0, in which
+        # three blocks reach below the lead, on the reference path
+        assert [a.shape for a in solves] == [(1, 3, 4, 4), (4, 1, 4, 4), (1, 3, 4, 4),
+                                             (1, 3, 4, 4), (1, 1, 4, 4)]
         hfile, out = tmp_path / "h.txt", tmp_path / "s.csv"
         assert main(["build", "--group", "cyclic", "--n", "6", "--m", "2",
                      "--out", str(hfile)]) == 0
@@ -672,6 +680,106 @@ class TestCensusKernel:
         assert [r.label for r in res.rows] == ["1dim+", "1dim-", "3dim+", "3dim-"]
         assert [r.gs_count for r in res.rows] == counts
         assert res.tie_count == 0
+
+
+def reference_tally(specs, orbits, m, seed, sigma0, trials):
+    """Counts and ties of trials 0..trials-1 with every block solved by the
+    reference kernel, as one batch."""
+    coeffs = np.stack([s.coefficients for s in specs])
+    triangles = _orbit_triangles(seed, np.arange(trials), orbits, m, sigma0)
+    counts, ties = _tally(_block_eigenvalues(specs, _combine(coeffs, triangles), m)[:, :, 0].T)
+    return counts.tolist(), ties
+
+
+def census_tally(result):
+    return [row.gs_count for row in result.rows], result.tie_count
+
+
+CERTIFIED_GROUPS = [("tetra", None), ("octa", None), ("cube", None)] + [
+    ("cyclic", n) for n in [*range(2, 14), 60]]
+
+
+class TestCertifiedCensus:
+    @pytest.mark.parametrize("kind, n", CERTIFIED_GROUPS)
+    def test_counts_and_ties_equal_the_reference_kernel(self, kind, n, monkeypatch):
+        # certified winners against every block solved; threads 2 also
+        # runs one trial to a chunk
+        group = build_group(kind, n)
+        specs = decompose(group)
+        for m, trials in ((1, 32), (2, 32), (3, 32), (8, 8), (20, 4), (64, 4)):
+            for seed in (11, 29, 2**64 - 1):
+                for sigma0 in (1.0, 0.37):
+                    expected = reference_tally(specs, group.orbit_count, m, seed, sigma0, trials)
+                    cfg = EnsembleConfig(seed, trials, sigma0, group=kind, n=n, m=m)
+                    assert census_tally(ground_state_irrep_census(cfg)) == expected
+                    with monkeypatch.context() as patched:
+                        patched.setattr(rng, "_CHUNK_ELEMENTS", 1)
+                        assert census_tally(ground_state_irrep_census(cfg, 2)) == expected
+
+    def test_every_trial_undecided_falls_back(self, monkeypatch):
+        # a delta wider than every spectrum certifies no block: every trial
+        # goes through the reference solve of all its blocks
+        specs = decompose(build_group("cube"))
+        expected = reference_tally(specs, 4, 8, 11, 1.0, 30)
+        solve, solved = irreps._block_eigenvalues, []
+        monkeypatch.setattr(irreps, "_UNIT", 1.0)
+        monkeypatch.setattr(irreps, "_block_eigenvalues",
+                            lambda *a: solved.append(a[1].shape[:2]) or solve(*a))
+        res = ground_state_irrep_census(EnsembleConfig(11, 30, group="cube", m=8))
+        assert census_tally(res) == expected
+        assert solved == [(1, 30), (4, 30)]
+
+    @pytest.mark.parametrize("twin", [0, 1, 2])
+    def test_twin_blocks_tie_as_the_reference_counts(self, twin):
+        # a spec with the coefficients of another ties it bit for bit in
+        # every trial that other block wins; the lead is spec 0
+        group = build_group("cube")
+        specs = decompose(group)
+        specs.append(IrrepBlockSpec("twin", 1, specs[twin].coefficients))
+        cfg = EnsembleConfig(5, 200, m=2)
+        res = _census_from_specs(specs, group.sites, cfg)
+        assert census_tally(res) == reference_tally(specs, 4, 2, 5, 1.0, 200)
+        assert res.tie_count == res.rows[twin].gs_count > 0
+
+    @pytest.mark.parametrize("sigma0, certified", [(1e150, True), (1e300, True), (1e305, False)])
+    def test_near_the_float_range_counts_as_at_unit_scale(self, sigma0, certified, monkeypatch):
+        # rescaling every block alike moves no winner until one overflows;
+        # at 1e305 4 m max|b_ij| overflows, so no chunk is certified and
+        # the reference kernel solves every block
+        factors, tested = irreps._factors, []
+        monkeypatch.setattr(irreps, "_factors", lambda *a: tested.append(a) or factors(*a))
+        res = ground_state_irrep_census(EnsembleConfig(11, 80, sigma0, group="cube", m=64))
+        assert census_tally(res) == ([44, 36, 0, 0], 0)
+        assert bool(tested) == certified
+
+    @pytest.mark.parametrize("seed, message", [
+        (11, "1dim+ block overflows the float range"),
+        (29, "non-finite ground-state energy in a trial")])
+    def test_overflow_exits_3_with_the_reference_message(self, seed, message, tmp_path, capsys):
+        out = tmp_path / "c.csv"
+        assert main(["census", "--group", "cube", "--m", "64", "--trials", "12",
+                     "--seed", str(seed), "--sigma0", "1e307", "--out", str(out)]) == 3
+        assert capsys.readouterr().err == f"numeric failure: {message}\n"
+        assert not out.exists()
+
+    def test_cholesky_failure_reads_nan(self):
+        # the census reads a factor's outcome from numpy's private gufunc:
+        # in place, and NaN over a matrix that is not positive definite
+        a = np.array([np.eye(3) * 2, np.diag([1.0, -1e-300, 1.0]),
+                      [[4.0, 2.0, 0.0], [2.0, 5.0, 0.0], [0.0, 0.0, 1.0]]])
+        out = a.copy()
+        with np.errstate(invalid="ignore"):
+            assert _umath_linalg.cholesky_lo(out, out=out) is out
+        assert np.isnan(out[1]).all() and np.isfinite(out[[0, 2]]).all()
+        assert np.allclose(out[[0, 2]] @ out[[0, 2]].transpose(0, 2, 1), a[[0, 2]])
+        assert np.array_equal(np.triu(out[[0, 2]], 1), np.zeros((2, 3, 3)))
+
+    def test_factors_reads_the_shift_against_the_lowest_eigenvalue(self):
+        # [[2, 1], [1, 2]] has eigenvalues 1 and 3
+        packed = np.array([[2.0, 1.0, 2.0]] * 4)
+        shifts = np.array([0.999, 1.001, -5.0, 2.0])
+        assert irreps._factors(packed, shifts, 2).tolist() == [True, False, True, False]
+        assert packed.tolist() == [[2.0, 1.0, 2.0]] * 4
 
 
 def exact_scalar_census(group):

@@ -12,6 +12,7 @@ from irreplab import (
     NumericFailureError,
     SymMatrix,
     build_group,
+    build_invariant,
     draw_label_blocks,
     eigensolve,
     multiset_deviation,
@@ -175,6 +176,30 @@ class TestSymMatrix:
         h = seeded_5x5()
         with pytest.raises(ValueError):
             h.values[0, 0] = 7.0
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_dense_paths_scan_finiteness_once(bad, tmp_path, monkeypatch):
+    # `build_invariant` checks each orbit block and `read_matrix_text` its
+    # rows, each with its own message; neither scans the dense matrix again
+    group = build_group("tetra")
+    blocks = draw_label_blocks(2, 3, 7, 0)
+    with pytest.raises(InvalidInputError, match="^matrix entries must be finite$"):
+        build_invariant(group, [blocks[0], np.where(np.eye(3) == 1, bad, blocks[1])])
+    hfile = tmp_path / "h.txt"
+    hfile.write_text(f"2\n1 {bad}\n{bad} 1\n")
+    with pytest.raises(InvalidInputError, match=f"^{hfile}: matrix entries must be finite$"):
+        read_matrix_text(hfile)
+    scanned, isfinite = [], np.isfinite
+    monkeypatch.setattr(np, "isfinite", lambda a: scanned.append(np.shape(a)) or isfinite(a))
+    h = build_invariant(group, blocks)
+    write_matrix_text(h, hfile)
+    scanned.clear()
+    read_matrix_text(hfile)
+    assert scanned.count((12, 12)) == 1
+    scanned.clear()
+    build_invariant(group, blocks)
+    assert scanned.count((12, 12)) == 0
 
 
 class TestEigensolve:

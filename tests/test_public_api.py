@@ -110,17 +110,26 @@ def test_one_rule_per_argument_kind():
 
 def test_every_eigensolver_call_maps_lapack_failure():
     # exit 3 on a numeric failure, never a traceback: each eigh or eigvalsh
-    # call sits in the body of a try that catches np.linalg.LinAlgError
-    sites = []
+    # call sits in the body of a try that catches np.linalg.LinAlgError,
+    # and each Cholesky call in such a try or under the errstate that
+    # makes a failed factor NaN
+    sites, factors = [], []
     for path in sorted(pathlib.Path(irreplab.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
-        guarded = set()
+        guarded, quiet = set(), set()
         for node in ast.walk(tree):
             if isinstance(node, ast.Try) and any(
                     "np.linalg.LinAlgError" in map(ast.unparse, getattr(h.type, "elts", [h.type]))
                     for h in node.handlers if h.type is not None):
                 guarded.update(id(n) for stmt in node.body for n in ast.walk(stmt))
-        sites += [(path.name, node.lineno, id(node) in guarded) for node in ast.walk(tree)
-                  if isinstance(node, ast.Call)
-                  and ast.unparse(node.func) in ("np.linalg.eigh", "np.linalg.eigvalsh")]
+            if isinstance(node, ast.With) and any(
+                    ast.unparse(item.context_expr) == "np.errstate(invalid='ignore')"
+                    for item in node.items):
+                quiet.update(id(n) for stmt in node.body for n in ast.walk(stmt))
+        calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call)]
+        sites += [(path.name, node.lineno, id(node) in guarded) for node in calls
+                  if ast.unparse(node.func) in ("np.linalg.eigh", "np.linalg.eigvalsh")]
+        factors += [(path.name, node.lineno, id(node) in guarded | quiet) for node in calls
+                    if "cholesky" in ast.unparse(node.func)]
     assert len(sites) == 3 and all(ok for _, _, ok in sites), sites
+    assert len(factors) == 1 and all(ok for _, _, ok in factors), factors

@@ -272,11 +272,19 @@ class TestBatchedRows:
     @pytest.mark.parametrize("m", [1, 2, 5])
     def test_stacked_label_blocks_match_per_trial_draws(self, m):
         trials = np.arange(3, 9)
-        stacked = _sym_blocks(_orbit_triangles(23, trials, 3, m, 1.5), m)
+        stacked = _sym_blocks(np.stack(list(_orbit_triangles(23, trials, 3, m, 1.5))), m)
         for orbit in range(3):
             for row, trial in enumerate(trials):
                 single = sym_block(Stream(23, int(trial), orbit), m, 1.5)
                 assert np.array_equal(stacked[orbit, row], single)
+
+
+def test_gather_index_is_cached_and_read_only():
+    # one (m, m) index per block size, shared by every unpacking
+    index = rng._gather_index(5)
+    assert rng._gather_index(5) is index and not index.flags.writeable
+    rows, cols = np.triu_indices(5)
+    assert np.array_equal(index[rows, cols], np.arange(15)) and np.array_equal(index, index.T)
 
 
 class TestTally:
@@ -297,11 +305,14 @@ class TestTally:
         def minima(t):
             return -np.eye(4)[t % 4]
 
+        def tally(t):
+            return _tally(minima(t))
+
         # a first threaded run imports concurrent.futures, once per process
-        _chunked_tally(minima, 4, _CHUNK_ELEMENTS, threads)
+        _chunked_tally(tally, 4, _CHUNK_ELEMENTS, threads)
         tracemalloc.start()
         try:
-            counts, ties = _chunked_tally(minima, trials, _CHUNK_ELEMENTS, threads)
+            counts, ties = _chunked_tally(tally, trials, _CHUNK_ELEMENTS, threads)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
